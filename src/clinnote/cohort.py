@@ -245,15 +245,6 @@ def build_readmission_pairs(store: CohortStore) -> list:
     return pairs
 
 
-def modeling_pairs(store: CohortStore, pairs) -> list:
-    """Pairs whose index admission carries a discharge note (model inputs)."""
-    return [
-        p
-        for p in pairs
-        if store.admissions[p.index_hadm_id].discharge_note is not None
-    ]
-
-
 def _quartiles(values):
     values = sorted(values)
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) >= 2 else (

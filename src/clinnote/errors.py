@@ -30,15 +30,24 @@ class ParseFailure(ClinNoteError):
 
 
 class SchemaViolation(ClinNoteError):
-    """JSON found but it does not fit the expected schema, even after repair."""
+    """JSON found but it does not fit the expected schema."""
+
+
+class ReplyUnusable(ClinNoteError):
+    """An agent reply still failed to parse after the one repair re-prompt."""
+
+    def __init__(self, message, raw_text):
+        super().__init__(message)
+        self.raw_text = raw_text
 
 
 class InvalidVariable(ClinNoteError):
     """Unknown extraction variable name."""
 
 
-class SchemeSynthesisFailed(ClinNoteError):
-    """Category scheme generation failed validation after the repair attempt."""
+class SchemeSynthesisFailed(SchemaViolation):
+    """Category scheme failed validation; synthesis raises it once the
+    repair re-prompt has failed too."""
 
 
 class JudgeFailed(ClinNoteError):
@@ -79,7 +88,3 @@ class DependencyMissing(ClinNoteError):
     def __init__(self, stage):
         super().__init__(f"missing output of prerequisite stage '{stage}'")
         self.stage = stage
-
-
-class StageFailure(ClinNoteError):
-    """A pipeline stage raised during execution."""

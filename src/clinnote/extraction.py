@@ -9,16 +9,11 @@ leaf is always present (missing keys become null) and the literal string
 
 from __future__ import annotations
 
-import json
-import logging
-import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidVariable, ParseFailure, SchemaViolation
-from .gateway import ChatRequest
+from .errors import InvalidVariable, ReplyUnusable, SchemaViolation
+from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
-
-log = logging.getLogger(__name__)
 
 CHARTED_KEYS = ("gender", "age", "language", "marital_status")
 UNCHARTED_KEYS = (
@@ -103,20 +98,6 @@ def _canon_value(value):
     return value
 
 
-def _find_json_object(raw_text):
-    """First balanced JSON object in the text, fenced or bare."""
-    text = re.sub(r"```(?:json)?", "", raw_text)
-    decoder = json.JSONDecoder()
-    for match in re.finditer(r"\{", text):
-        try:
-            obj, _ = decoder.raw_decode(text, match.start())
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, dict):
-            return obj
-    raise ParseFailure("no JSON object found in model reply")
-
-
 def _ci_get(d, *names):
     """Case-insensitive dict lookup over several candidate key names."""
     lowered = {k.lower(): v for k, v in d.items()} if isinstance(d, dict) else {}
@@ -128,7 +109,7 @@ def _ci_get(d, *names):
 
 def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
     """Parse a model reply into a schema-complete ExtractionRecord."""
-    obj = _find_json_object(raw_text)
+    obj = find_json(raw_text, dict)
 
     charted_src = _ci_get(obj, "Charted_SDOHs", "Charted_SDOH", "charted_sdoh") or {}
     uncharted_src = _ci_get(
@@ -190,29 +171,16 @@ class Extractor:
         self.prompt = load_prompt("extractor")
         self.temperature = temperature
 
-    def _request(self, note, repair=False):
-        user = note if not repair else f"{note}\n\n{REPAIR_INSTRUCTION}"
-        return ChatRequest(
-            system_prompt=self.prompt.text,
-            user_content=user,
-            temperature=self.temperature,
-            model_name=self.gateway.config.chat_model,
-        )
-
     def extract(self, note, hadm_id):
         """Returns ExtractionRecord, or QuarantinedExtraction after one repair."""
-        response = self.gateway.chat(self._request(note))
         try:
-            return parse_structured_output(response.raw_text, hadm_id=hadm_id)
-        except (ParseFailure, SchemaViolation) as first_err:
-            log.info("extraction parse failed for %s (%s); re-prompting", hadm_id, first_err)
-        response = self.gateway.chat(self._request(note, repair=True))
-        try:
-            return parse_structured_output(response.raw_text, hadm_id=hadm_id)
-        except (ParseFailure, SchemaViolation) as err:
-            return QuarantinedExtraction(
-                hadm_id=hadm_id, raw_text=response.raw_text, reason=str(err)
+            return chat_with_repair(
+                self.gateway, self.prompt.text, note,
+                lambda raw: parse_structured_output(raw, hadm_id=hadm_id),
+                REPAIR_INSTRUCTION, self.temperature,
             )
+        except ReplyUnusable as err:
+            return QuarantinedExtraction(hadm_id=hadm_id, raw_text=err.raw_text, reason=str(err))
 
     def extract_many(self, notes_by_hadm):
         """Map hadm_id -> note over the gateway's concurrency limit."""

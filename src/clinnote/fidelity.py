@@ -9,15 +9,14 @@ extracted diagnoses against coded ICD-9 diagnoses.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 import statistics
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import JudgeFailed, ParseFailure
-from .gateway import ChatRequest
+from .errors import JudgeFailed, ParseFailure, ReplyUnusable
+from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
 from .vitals import c_to_f, cm_to_in, kg_to_lb
 
@@ -249,15 +248,7 @@ def icd9_descriptions() -> dict:
 
 
 def _parse_judge_reply(raw_text, n_extracted, n_icd):
-    text = raw_text.replace("```json", "").replace("```", "")
-    decoder = json.JSONDecoder()
-    start = text.find("{")
-    if start < 0:
-        raise ParseFailure("no JSON object in judge reply")
-    try:
-        obj, _ = decoder.raw_decode(text, start)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"bad JSON in judge reply: {exc}") from exc
+    obj = find_json(raw_text, dict)
     score = obj.get("score")
     matches = obj.get("matches")
     if not isinstance(score, int) or not 0 <= score <= 5 or not isinstance(matches, list):
@@ -289,26 +280,14 @@ def judge_diagnoses(gateway, hadm_id, extracted_dx, icd_codes, descriptions=None
         f"ICD-9 diagnoses:\n{icd_lines or '(none)'}"
     )
 
-    def attempt(content):
-        response = gateway.chat(
-            ChatRequest(
-                system_prompt=prompt.text,
-                user_content=content,
-                model_name=gateway.config.chat_model,
-            )
-        )
-        return _parse_judge_reply(response.raw_text, len(extracted_dx), len(icd_texts))
-
     try:
-        score, me, mi = attempt(user)
-    except ParseFailure as first_err:
-        log.info("judge reply unusable for %s (%s); re-prompting", hadm_id, first_err)
-        try:
-            score, me, mi = attempt(
-                user + "\n\nReturn only the JSON object described above."
-            )
-        except ParseFailure as err:
-            raise JudgeFailed(f"{hadm_id}: {err}") from err
+        score, me, mi = chat_with_repair(
+            gateway, prompt.text, user,
+            lambda raw: _parse_judge_reply(raw, len(extracted_dx), len(icd_texts)),
+            "Return only the JSON object described above.",
+        )
+    except ReplyUnusable as err:
+        raise JudgeFailed(f"{hadm_id}: {err}") from err
     return JudgeVerdict(
         hadm_id=hadm_id,
         score=score,

@@ -21,11 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyResponse, InvalidInput, ProtocolError, RequestFailed
+from .errors import (
+    EmptyResponse,
+    InvalidInput,
+    ParseFailure,
+    ProtocolError,
+    ReplyUnusable,
+    RequestFailed,
+    SchemaViolation,
+)
 
 log = logging.getLogger(__name__)
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
+_FENCE_RE = re.compile(r"```(?:json)?")
+_JSON_OPENERS = {dict: "{", list: "["}
 
 MOCK_EMBED_DIM = 64
 
@@ -325,3 +335,42 @@ class LLMGateway:
             EmbeddingVector(values=np.asarray(v, dtype=float), source_text=t, model_name=model)
             for v, t in zip(out, texts)
         ]
+
+
+def find_json(text, kind):
+    """First decodable JSON value of ``kind`` (dict or list) in a reply.
+
+    Code fences are ignored, and so is any prose around the JSON, including
+    stray brackets that do not start a decodable value.
+    """
+    text = _FENCE_RE.sub("", text)
+    decoder = json.JSONDecoder()
+    for match in re.finditer(re.escape(_JSON_OPENERS[kind]), text):
+        try:
+            return decoder.raw_decode(text, match.start())[0]
+        except json.JSONDecodeError:
+            continue
+    name = "object" if kind is dict else "array"
+    raise ParseFailure(f"no JSON {name} found in model reply")
+
+
+def chat_with_repair(gateway, system, user, parse, repair, temperature=0.0):
+    """Send an agent prompt and parse the reply, re-prompting once to repair.
+
+    ``parse`` maps the reply text to a result, raising ParseFailure or
+    SchemaViolation when it cannot. On such an error the prompt is sent once
+    more with ``repair`` appended; if that reply fails too, ReplyUnusable
+    carries the last reply text and parse error.
+    """
+    content = user
+    for attempt in range(2):
+        response = gateway.chat(
+            ChatRequest(system, content, temperature, model_name=gateway.config.chat_model)
+        )
+        try:
+            return parse(response.raw_text)
+        except (ParseFailure, SchemaViolation) as err:
+            if attempt:
+                raise ReplyUnusable(str(err), response.raw_text) from err
+            log.info("agent reply unusable (%s); re-prompting once", err)
+        content = f"{user}\n\n{repair}"

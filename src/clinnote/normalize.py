@@ -8,15 +8,20 @@ before clustering and their multiplicity weights the medoid cost.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ParseFailure, SchemeSynthesisFailed
+from .errors import (
+    ClinNoteError,
+    InvalidInput,
+    ParseFailure,
+    ReplyUnusable,
+    SchemeSynthesisFailed,
+)
 from .extraction import UNCHARTED_KEYS
-from .gateway import ChatRequest
+from .gateway import ChatRequest, chat_with_repair, find_json
 from .prompts import load_prompt
 
 log = logging.getLogger(__name__)
@@ -187,17 +192,8 @@ class LabeledEntry:
 
 
 def _parse_categories(raw_text):
-    text = raw_text.replace("```json", "").replace("```", "")
-    decoder = json.JSONDecoder()
-    start = text.find("[")
-    if start < 0:
-        raise ParseFailure("no JSON array in scheme reply")
-    try:
-        arr, _ = decoder.raw_decode(text, start)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"bad JSON in scheme reply: {exc}") from exc
     cats = []
-    for item in arr:
+    for item in find_json(raw_text, list):
         if not isinstance(item, dict) or "label" not in item:
             raise ParseFailure("scheme entries need 'label' and 'description'")
         cats.append(
@@ -213,15 +209,8 @@ def synthesize_scheme(gateway, variable, medoid_texts) -> CategoryScheme:
     listing = "\n".join(f"- {t}" for t in medoid_texts)
     user = f"Variable: {variable}\nEntries:\n{listing}"
 
-    def attempt(content):
-        response = gateway.chat(
-            ChatRequest(
-                system_prompt=prompt.text,
-                user_content=content,
-                model_name=gateway.config.chat_model,
-            )
-        )
-        cats = _parse_categories(response.raw_text)
+    def parse(raw_text):
+        cats = _parse_categories(raw_text)
         if not any(FALLBACK_LABEL in c["label"] for c in cats):
             cats.append(
                 {"label": FALLBACK_LABEL,
@@ -239,16 +228,12 @@ def synthesize_scheme(gateway, variable, medoid_texts) -> CategoryScheme:
         return scheme
 
     try:
-        scheme = attempt(user)
-    except (ParseFailure, SchemeSynthesisFailed) as first_err:
-        log.info("scheme synthesis for %s failed (%s); re-prompting", variable, first_err)
-        try:
-            scheme = attempt(
-                user + "\n\nReturn only a valid JSON array of at most 12 categories."
-            )
-        except (ParseFailure, SchemeSynthesisFailed) as err:
-            raise SchemeSynthesisFailed(f"{variable}: {err}") from err
-    return scheme
+        return chat_with_repair(
+            gateway, prompt.text, user, parse,
+            "Return only a valid JSON array of at most 12 categories.",
+        )
+    except ReplyUnusable as err:
+        raise SchemeSynthesisFailed(f"{variable}: {err}") from err
 
 
 def label_entries(gateway, scheme, entries) -> list:
@@ -280,7 +265,7 @@ def label_entries(gateway, scheme, entries) -> list:
                     model_name=gateway.config.chat_model,
                 )
             )
-        except Exception as exc:  # gateway failure: entry stays unlabeled
+        except ClinNoteError as exc:  # gateway failure: entry stays unlabeled
             log.warning("labeling failed for %s/%s: %s", hadm_id, scheme.variable, exc)
             out.append(LabeledEntry(hadm_id, scheme.variable, raw_text, None, "unlabeled"))
             continue

@@ -2,18 +2,25 @@
 
 Each stage reads its inputs from and writes its outputs into one run
 directory, atomically, and records input/output content hashes in a run
-manifest. Re-running a completed stage with unchanged inputs is a no-op,
-which makes long live-LLM runs resumable.
+manifest. ``STAGE_TABLE`` is the one description of the stages: what each
+reads, which report files it writes, which prompts it sends and which
+outside files it reads. Dependency checks, stage fingerprints and the
+report hash all come from it. Re-running a completed stage whose
+fingerprint is unchanged is a no-op, which makes long live-LLM runs
+resumable.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
+import re
 import time
+from dataclasses import asdict, dataclass
 
 from . import cohort as cohort_mod
 from . import stats as stats_mod
@@ -37,52 +44,62 @@ from .fidelity import (
     load_truth_vitals,
 )
 from .gateway import LLMGateway
-from .normalize import NORMALIZED_VARIABLES, normalize_variable
+from .normalize import NORMALIZED_VARIABLES, LabeledEntry, normalize_variable
 from .predict import evaluate_cv
-from .prompts import prompt_hashes
+from .prompts import load_prompt
 from .summarize import Summarizer, render_structural
-from .vitals import CanonicalVital, canonicalize_record
+from .vitals import PLAUSIBLE_RANGE, CanonicalVital, canonicalize_record
 
 log = logging.getLogger(__name__)
 
-STAGES = (
-    "ingest",
-    "extract",
-    "canonicalize",
-    "normalize",
-    "evaluate-fidelity",
-    "associate",
-    "summarize",
-    "predict",
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage; ``Runner._stage_<name>`` does its work."""
+
+    name: str
+    inputs: tuple = ()  # run-dir files the stage reads
+    reports: tuple = ()  # deterministic outputs that report_hash covers
+    prompts: tuple = ()  # prompt templates the stage sends
+    sources: tuple = ()  # Config keys naming files outside the run dir
+
+
+STAGE_TABLE = (
+    Stage("ingest",
+          reports=("cohort.jsonl", "pairs.csv", "cohort_summary.json"),
+          sources=("admissions_path", "diagnoses_path", "notes_path")),
+    Stage("extract",
+          inputs=("cohort.jsonl", "pairs.csv"),
+          reports=("extractions.jsonl",),
+          prompts=("extractor",)),
+    Stage("canonicalize",
+          inputs=("extractions.jsonl",),
+          reports=("canonical_vitals.csv",)),
+    Stage("normalize",
+          inputs=("extractions.jsonl",),
+          reports=("normalized_sdoh.csv",),
+          prompts=("normalizer", "labeler")),
+    Stage("evaluate-fidelity",
+          inputs=("cohort.jsonl", "extractions.jsonl", "canonical_vitals.csv"),
+          reports=("agreement_report.json", "judge_report.json"),
+          prompts=("judge",),
+          sources=("truth_vitals_path", "truth_sdoh_path")),
+    Stage("associate",
+          inputs=("pairs.csv", "extractions.jsonl", "canonical_vitals.csv",
+                  "normalized_sdoh.csv"),
+          reports=("association_report.json",)),
+    Stage("summarize",
+          inputs=("cohort.jsonl", "pairs.csv", "extractions.jsonl"),
+          reports=("summaries.jsonl",),
+          prompts=("summary_overall", "summary_no_number")),
+    Stage("predict",
+          inputs=("cohort.jsonl", "pairs.csv", "summaries.jsonl"),
+          reports=("prediction_report.json",)),
 )
 
-# stage -> (prerequisite stage, file that must exist) pairs
-_DEPENDENCIES = {
-    "ingest": [],
-    "extract": [("ingest", "cohort.jsonl"), ("ingest", "pairs.csv")],
-    "canonicalize": [("extract", "extractions.jsonl")],
-    "normalize": [("extract", "extractions.jsonl")],
-    "evaluate-fidelity": [("canonicalize", "canonical_vitals.csv"),
-                          ("extract", "extractions.jsonl")],
-    "associate": [("canonicalize", "canonical_vitals.csv"),
-                  ("normalize", "normalized_sdoh.csv"),
-                  ("ingest", "pairs.csv")],
-    "summarize": [("extract", "extractions.jsonl"), ("ingest", "cohort.jsonl")],
-    "predict": [("summarize", "summaries.jsonl"), ("extract", "extractions.jsonl"),
-                ("ingest", "pairs.csv")],
-}
-
-_STAGE_INPUTS = {
-    "ingest": [],
-    "extract": ["cohort.jsonl", "pairs.csv"],
-    "canonicalize": ["extractions.jsonl"],
-    "normalize": ["extractions.jsonl"],
-    "evaluate-fidelity": ["canonical_vitals.csv", "extractions.jsonl"],
-    "associate": ["canonical_vitals.csv", "normalized_sdoh.csv", "pairs.csv",
-                  "extractions.jsonl"],
-    "summarize": ["cohort.jsonl", "pairs.csv", "extractions.jsonl"],
-    "predict": ["summaries.jsonl", "pairs.csv", "cohort.jsonl", "extractions.jsonl"],
-}
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+_STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
+_PRODUCER = {report: stage.name for stage in STAGE_TABLE for report in stage.reports}
 
 
 def _sha256_file(path):
@@ -95,13 +112,25 @@ def _sha256_file(path):
 
 def _atomic_write(path, text):
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
 def _write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_jsonl(path, objs):
+    _atomic_write(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
+
+
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # rows end in "\r\n", the csv module's default
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 class Runner:
@@ -116,8 +145,6 @@ class Runner:
     # -- manifest ----------------------------------------------------------
 
     def _config_hash(self):
-        from dataclasses import asdict
-
         return hashlib.sha256(
             json.dumps(asdict(self.config), sort_keys=True).encode()
         ).hexdigest()
@@ -131,7 +158,6 @@ class Runner:
                 f"{self._config_hash()}:{self.config.seed}".encode()
             ).hexdigest()[:12],
             "config_hash": self._config_hash(),
-            "prompt_hashes": prompt_hashes(),
             "seed": self.config.seed,
             "stages": {},
         }
@@ -145,6 +171,18 @@ class Runner:
             }
         _write_json(self.manifest_path, self.manifest)
 
+    def _input_hashes(self, stage: Stage):
+        """A stage's fingerprint besides the config: its run-dir inputs, the
+        outside files it reads and the prompts it sends."""
+        hashes = {name: _sha256_file(self.path(name)) for name in stage.inputs}
+        for key in stage.sources:
+            path = getattr(self.config, key)
+            if os.path.exists(path):
+                hashes[path] = _sha256_file(path)
+        for name in stage.prompts:
+            hashes[f"prompt:{name}"] = load_prompt(name).sha256
+        return hashes
+
     @property
     def gateway(self):
         if self._gateway is None:
@@ -157,24 +195,15 @@ class Runner:
     # -- public API --------------------------------------------------------
 
     def run_stage(self, stage):
-        """Run one stage; no-op if already complete with identical inputs."""
-        if stage not in STAGES:
+        """Run one stage; no-op if already complete with an unchanged fingerprint."""
+        if stage not in _STAGE_BY_NAME:
             raise InvalidInput(f"unknown stage: {stage}")
-        for prereq, artifact in _DEPENDENCIES[stage]:
-            if not os.path.exists(self.path(artifact)):
-                raise DependencyMissing(prereq)
+        spec = _STAGE_BY_NAME[stage]
+        for name in spec.inputs:
+            if not os.path.exists(self.path(name)):
+                raise DependencyMissing(_PRODUCER[name])
 
-        input_hashes = {
-            name: _sha256_file(self.path(name))
-            for name in _STAGE_INPUTS[stage]
-            if os.path.exists(self.path(name))
-        }
-        if stage == "ingest":
-            for p in (self.config.admissions_path, self.config.diagnoses_path,
-                      self.config.notes_path):
-                if os.path.exists(p):
-                    input_hashes[p] = _sha256_file(p)
-
+        input_hashes = self._input_hashes(spec)
         done = self.manifest["stages"].get(stage)
         if (
             done
@@ -186,10 +215,13 @@ class Runner:
             return done
 
         started = time.time()
-        outputs = getattr(self, "_stage_" + stage.replace("-", "_"))()
+        # a stage method returns the files it wrote besides its reports
+        side_outputs = getattr(self, "_stage_" + stage.replace("-", "_"))() or []
         entry = {
             "input_hashes": input_hashes,
-            "output_hashes": {f: _sha256_file(self.path(f)) for f in outputs},
+            "output_hashes": {
+                f: _sha256_file(self.path(f)) for f in [*spec.reports, *side_outputs]
+            },
             "config_hash": self._config_hash(),
             "started": started,
             "finished": time.time(),
@@ -256,27 +288,19 @@ class Runner:
         cohort_mod.write_pairs_csv(pairs, self.path("pairs.csv"))
         _write_json(self.path("cohort_summary.json"), summary.to_dict())
         _write_json(self.path("rejects.json"), store.rejects)
-        return ["cohort.jsonl", "pairs.csv", "cohort_summary.json", "rejects.json"]
+        return ["rejects.json"]
 
     def _stage_extract(self):
         notes = self._modeling_notes()
         extractor = Extractor(self.gateway, temperature=self.config.temperature)
         records, quarantined = extractor.extract_many(notes)
-        with open(self.path("extractions.jsonl") + ".tmp", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-        os.replace(self.path("extractions.jsonl") + ".tmp", self.path("extractions.jsonl"))
-        with open(self.path("quarantine.jsonl") + ".tmp", "w") as fh:
-            for q in quarantined:
-                fh.write(
-                    json.dumps(
-                        {"hadm_id": q.hadm_id, "raw_text": q.raw_text, "reason": q.reason},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        os.replace(self.path("quarantine.jsonl") + ".tmp", self.path("quarantine.jsonl"))
-        return ["extractions.jsonl", "quarantine.jsonl"]
+        _write_jsonl(self.path("extractions.jsonl"), [rec.to_dict() for rec in records])
+        _write_jsonl(
+            self.path("quarantine.jsonl"),
+            [{"hadm_id": q.hadm_id, "raw_text": q.raw_text, "reason": q.reason}
+             for q in quarantined],
+        )
+        return ["quarantine.jsonl"]
 
     def _stage_canonicalize(self):
         rows = []
@@ -295,14 +319,11 @@ class Runner:
                     ]
                 )
         rows.sort()
-        tmp = self.path("canonical_vitals.csv") + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hadm_id", "variable", "value", "original_text",
-                             "original_unit", "status"])
-            writer.writerows(rows)
-        os.replace(tmp, self.path("canonical_vitals.csv"))
-        return ["canonical_vitals.csv"]
+        _write_csv(
+            self.path("canonical_vitals.csv"),
+            ["hadm_id", "variable", "value", "original_text", "original_unit", "status"],
+            rows,
+        )
 
     def _load_canonical_vitals(self):
         """variable -> hadm_id -> CanonicalVital (ok rows only)."""
@@ -331,9 +352,9 @@ class Runner:
                 value = rec.get(variable)
                 if value is not None:
                     entries.append((rec.hadm_id, value))
-            if len(set(t for _, t in entries)) < 2:
-                log.info("normalize: skipping %s (%d distinct entries)",
-                         variable, len(set(t for _, t in entries)))
+            n_distinct = len({text for _, text in entries})
+            if n_distinct < 2:
+                log.info("normalize: skipping %s (%d distinct entries)", variable, n_distinct)
                 continue
             scheme, labeled, clustering = normalize_variable(
                 self.gateway, variable, entries,
@@ -350,13 +371,12 @@ class Runner:
                      entry.assigned_category or "", entry.status]
                 )
         all_rows.sort()
-        tmp = self.path("normalized_sdoh.csv") + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hadm_id", "variable", "raw_text", "category", "status"])
-            writer.writerows(all_rows)
-        os.replace(tmp, self.path("normalized_sdoh.csv"))
-        return ["normalized_sdoh.csv"] + scheme_files
+        _write_csv(
+            self.path("normalized_sdoh.csv"),
+            ["hadm_id", "variable", "raw_text", "category", "status"],
+            all_rows,
+        )
+        return scheme_files
 
     def _stage_evaluate_fidelity(self):
         records = self._load_extractions()
@@ -365,8 +385,7 @@ class Runner:
 
         if self.config.truth_vitals_path and os.path.exists(self.config.truth_vitals_path):
             truth_vitals = load_truth_vitals(self.config.truth_vitals_path)
-            for variable in ("temperature", "hr", "rr", "spo2", "height", "weight",
-                             "bp_sys", "bp_dia"):
+            for variable in PLAUSIBLE_RANGE:
                 row = evaluate_vital(
                     variable, canon.get(variable, {}), truth_vitals.get(variable, {})
                 )
@@ -411,7 +430,6 @@ class Runner:
             "n_failed": failed,
         }
         _write_json(self.path("judge_report.json"), judge_report)
-        return ["agreement_report.json", "judge_report.json"]
 
     def _stage_associate(self):
         outcomes = self._outcomes()
@@ -419,9 +437,7 @@ class Runner:
         records = {r.hadm_id: r for r in self._load_extractions()}
 
         logistic = []
-        numeric_vars = ["temperature", "hr", "rr", "spo2", "height", "weight",
-                        "bp_sys", "bp_dia", "age"]
-        for variable in numeric_vars:
+        for variable in [*PLAUSIBLE_RANGE, "age"]:
             xs, ys = [], []
             for hadm_id, label in outcomes.items():
                 if variable == "age":
@@ -429,9 +445,7 @@ class Runner:
                     age = rec.charted_sdoh.get("age") if rec else None
                     if age is None:
                         continue
-                    import re as _re
-
-                    m = _re.fullmatch(r"\d+(?:\.\d+)?", str(age).strip())
+                    m = re.fullmatch(r"\d+(?:\.\d+)?", str(age).strip())
                     if not m:
                         continue
                     xs.append(float(m.group()))
@@ -450,39 +464,29 @@ class Runner:
                     NoConvergence) as exc:
                 logistic.append({"variable": variable, "skipped": str(exc), "n": len(xs)})
 
-        chisq = []
+        # gender bypasses normalization but still gets a chi-square row
+        variables = {"gender": [
+            LabeledEntry(h, "gender", r.charted_sdoh["gender"], r.charted_sdoh["gender"])
+            for h, r in records.items()
+            if r.charted_sdoh.get("gender") is not None
+        ]}
         labeled_by_var: dict = {}
         with open(self.path("normalized_sdoh.csv"), newline="") as fh:
             for row in csv.DictReader(fh):
                 if row["status"] == "unlabeled" or not row["category"]:
                     continue
-                labeled_by_var.setdefault(row["variable"], []).append(row)
+                labeled_by_var.setdefault(row["variable"], []).append(LabeledEntry(
+                    row["hadm_id"], row["variable"], row["raw_text"], row["category"],
+                    row["status"],
+                ))
+        variables.update(sorted(labeled_by_var.items()))
 
-        class _Entry:
-            def __init__(self, hadm_id, cat):
-                self.hadm_id = hadm_id
-                self.assigned_category = cat
-
-        # gender bypasses normalization but still gets a chi-square row
-        gender_entries = [
-            _Entry(h, r.charted_sdoh.get("gender"))
-            for h, r in records.items()
-            if r.charted_sdoh.get("gender") is not None
-        ]
-        variables = {"gender": gender_entries}
-        for variable, rows in sorted(labeled_by_var.items()):
-            variables[variable] = [_Entry(r["hadm_id"], r["category"]) for r in rows]
-
+        chisq = []
         for variable, entries in variables.items():
-            uniq_raw = len(
-                {r["raw_text"] for r in labeled_by_var.get(variable, [])}
-            ) if variable != "gender" else len(
-                {e.assigned_category for e in entries}
-            )
             try:
                 table = stats_mod.build_contingency(entries, outcomes)
                 result = stats_mod.chi_square_test(table, variable=variable)
-                result.unique_values = uniq_raw
+                result.unique_values = len({e.raw_text for e in entries})
                 entry = result.to_dict()
                 entry["contingency"] = {
                     "rows": table.rows,
@@ -496,7 +500,6 @@ class Runner:
             self.path("association_report.json"),
             {"logistic": logistic, "chi_square": chisq},
         )
-        return ["association_report.json"]
 
     def _stage_summarize(self):
         notes = self._modeling_notes()
@@ -509,12 +512,7 @@ class Runner:
             out.append(summarizer.summarize(note, "no_number", hadm_id))
             if hadm_id in records:
                 out.append(render_structural(records[hadm_id], note))
-        tmp = self.path("summaries.jsonl") + ".tmp"
-        with open(tmp, "w") as fh:
-            for rec in out:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-        os.replace(tmp, self.path("summaries.jsonl"))
-        return ["summaries.jsonl"]
+        _write_jsonl(self.path("summaries.jsonl"), [rec.to_dict() for rec in out])
 
     def _stage_predict(self):
         outcomes = self._outcomes()
@@ -554,17 +552,11 @@ class Runner:
                 report[variant] = {"input_variant": variant, "skipped": str(exc),
                                    "n_docs": len(texts)}
         _write_json(self.path("prediction_report.json"), report)
-        return ["prediction_report.json"]
 
 
 def report_files(out_dir):
     """The deterministic report outputs (excludes the timestamped manifest)."""
-    names = [
-        "cohort.jsonl", "pairs.csv", "cohort_summary.json", "extractions.jsonl",
-        "canonical_vitals.csv", "normalized_sdoh.csv", "agreement_report.json",
-        "judge_report.json", "association_report.json", "summaries.jsonl",
-        "prediction_report.json",
-    ]
+    names = [name for stage in STAGE_TABLE for name in stage.reports]
     return [os.path.join(out_dir, n) for n in names if os.path.exists(os.path.join(out_dir, n))]
 
 

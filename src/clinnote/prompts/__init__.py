@@ -21,16 +21,3 @@ def load_prompt(name: str) -> PromptTemplate:
     path = resources.files("clinnote.prompts").joinpath(f"{name}.txt")
     return PromptTemplate(name=name, text=path.read_text())
 
-
-PROMPT_NAMES = (
-    "extractor",
-    "summary_overall",
-    "summary_no_number",
-    "normalizer",
-    "labeler",
-    "judge",
-)
-
-
-def prompt_hashes() -> dict:
-    return {name: load_prompt(name).sha256 for name in PROMPT_NAMES}

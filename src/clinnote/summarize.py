@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import ClinNoteError, InvalidInput
 from .extraction import CHARTED_KEYS, CHIEF_KEYS, UNCHARTED_KEYS, VITALS_KEYS
 from .gateway import ChatRequest
 from .prompts import load_prompt
@@ -106,7 +106,7 @@ class Summarizer:
                 if contains_digits(text):
                     status = "contains_numbers"
                     log.warning("no-number summary for %s still has digits", hadm_id)
-        except Exception as exc:
+        except ClinNoteError as exc:
             log.warning("summary failed for %s: %s", hadm_id, exc)
             return SummaryRecord(hadm_id, variant, "", word_count(note), 0, 0.0, "failed")
         raw_words = word_count(note)

@@ -197,6 +197,10 @@ class TestJudgeParsing:
         text = f"```json\n{good_judge_reply(5, [])}\n```"
         assert _parse_judge_reply(text, 0, 0)[0] == 5
 
+    def test_stray_bracket_before_json(self):
+        text = f"Scores use the {{0-5}} scale:\n{good_judge_reply(3, [])}"
+        assert _parse_judge_reply(text, 0, 0)[0] == 3
+
 
 class TestJudgeDiagnoses:
     def test_repair_then_success(self, scripted_gateway_factory):

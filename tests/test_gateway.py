@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import EmptyResponse, InvalidInput, ProtocolError, RequestFailed
+from clinnote.errors import (
+    EmptyResponse,
+    InvalidInput,
+    ParseFailure,
+    ProtocolError,
+    RequestFailed,
+)
 from clinnote.gateway import (
     ChatRequest,
     HttpBackend,
     JsonlCache,
     LLMGateway,
     MockBackend,
+    find_json,
     mock_embedding,
     strip_thinking,
 )
@@ -269,3 +276,18 @@ class TestMockBackendDeterminism:
         a = MockBackend(seed=5).chat(req)
         b = MockBackend(seed=5).chat(req)
         assert a == b
+
+
+class TestFindJson:
+    @pytest.mark.parametrize("text,kind,want", [
+        ('Score {0-5} below:\n{"score": 3, "matches": []}', dict,
+         {"score": 3, "matches": []}),
+        ('Categories [draft]:\n```json\n[{"label": "A"}]\n```', list, [{"label": "A"}]),
+    ])
+    def test_skips_stray_bracket_in_prose(self, text, kind, want):
+        assert find_json(text, kind) == want
+
+    @pytest.mark.parametrize("kind", [dict, list])
+    def test_no_value_of_kind(self, kind):
+        with pytest.raises(ParseFailure):
+            find_json("no {JSON} [here]", kind)

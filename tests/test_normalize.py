@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from clinnote.errors import InvalidInput, SchemeSynthesisFailed
+from clinnote.errors import InvalidInput, RequestFailed, SchemeSynthesisFailed
 from clinnote.normalize import (
     FALLBACK_LABEL,
     MAX_CATEGORIES,
@@ -185,6 +185,13 @@ class TestSynthesizeScheme:
         scheme = synthesize_scheme(gw, "marital_status", ["x"])
         assert scheme.labels()[-1] == FALLBACK_LABEL
 
+    def test_stray_bracket_before_json(self, scripted_gateway_factory):
+        reply = f"Categories [draft] follow:\n{GOOD_SCHEME_REPLY}"
+        gw, backend = scripted_gateway_factory([reply])
+        scheme = synthesize_scheme(gw, "marital_status", ["married", "single"])
+        assert scheme.labels() == ["Married", "Single", FALLBACK_LABEL]
+        assert backend.calls == 1
+
     def test_repair_then_success(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory(["not json", GOOD_SCHEME_REPLY])
         scheme = synthesize_scheme(gw, "marital_status", ["x"])
@@ -226,13 +233,24 @@ class TestLabelEntries:
         gw, backend = scripted_gateway_factory([])
 
         def boom(request):
-            raise RuntimeError("endpoint down")
+            raise RequestFailed("endpoint down")
 
         backend.chat = boom
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
         [entry] = label_entries(gw, scheme, [("H1", "married")])
         assert entry.assigned_category is None
         assert entry.status == "unlabeled"
+
+    def test_programming_error_propagates(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory([])
+
+        def bug(request):
+            raise TypeError("bug in the backend")
+
+        backend.chat = bug
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        with pytest.raises(TypeError):
+            label_entries(gw, scheme, [("H1", "married")])
 
 
 class TestNormalizeVariableEndToEnd:

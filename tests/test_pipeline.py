@@ -3,11 +3,13 @@ import os
 
 import pytest
 
+from clinnote import fidelity, pipeline
 from clinnote.cli import main
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import ConfigError, DependencyMissing, InvalidInput
 from clinnote.fixture import write_fixture
-from clinnote.pipeline import STAGES, Runner, report_hash
+from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, report_hash
+from clinnote.prompts import PromptTemplate
 
 from conftest import make_config
 
@@ -143,6 +145,55 @@ class TestRunner:
         cfg.seed = 99
         second = Runner(cfg, out).run_stage("ingest")
         assert second["finished"] > first["finished"]
+
+    def _rerun_stages(self, cfg, out, edit):
+        """Stages that run again after ``edit`` on a completed run."""
+        first = Runner(cfg, out).run_all()["stages"]
+        first = {stage: entry["finished"] for stage, entry in first.items()}
+        edit()
+        second = Runner(cfg, out).run_all()["stages"]
+        return [s for s in STAGES if second[s]["finished"] != first[s]]
+
+    def test_prompt_edit_triggers_rerun(self, tmp_path, monkeypatch):
+        cfg = fixture_config(tmp_path)
+        load = pipeline.load_prompt
+
+        def edited_load(name):
+            prompt = load(name)
+            if name == "judge":
+                return PromptTemplate(name, prompt.text + "\nBe strict.\n")
+            return prompt
+
+        def edit_judge_prompt():
+            monkeypatch.setattr(pipeline, "load_prompt", edited_load)
+            monkeypatch.setattr(fidelity, "load_prompt", edited_load)
+
+        rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_judge_prompt)
+        assert rerun == ["evaluate-fidelity"]
+
+    def test_truth_edit_triggers_rerun(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+
+        def edit_truth():
+            with open(cfg.truth_vitals_path, "a") as fh:
+                fh.write("H001,hr,80.0,bpm,2130-02-02T13:00:00\n")
+
+        rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_truth)
+        assert rerun == ["evaluate-fidelity"]
+
+    def test_stage_inputs_are_earlier_reports(self):
+        produced = set()
+        for stage in STAGE_TABLE:
+            assert set(stage.inputs) <= produced, stage.name
+            produced |= set(stage.reports)
+
+    def test_fixture_report_hash_pinned(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        Runner(cfg, out).run_all()
+        assert report_hash(out) == (
+            "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
+        )
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fixture_config(tmp_path)

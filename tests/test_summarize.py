@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import InvalidInput
+from clinnote.errors import InvalidInput, RequestFailed
 from clinnote.extraction import parse_structured_output
 from clinnote.summarize import (
     SummaryRecord,
@@ -103,12 +103,22 @@ class TestSummarizer:
         gw, backend = scripted_gateway_factory([])
 
         def boom(request):
-            raise RuntimeError("down")
+            raise RequestFailed("down")
 
         backend.chat = boom
         rec = Summarizer(gw).summarize(NOTE, "overall", hadm_id="H1")
         assert rec.status == "failed"
         assert rec.text == ""
+
+    def test_programming_error_propagates(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory([])
+
+        def bug(request):
+            raise TypeError("bug in the backend")
+
+        backend.chat = bug
+        with pytest.raises(TypeError):
+            Summarizer(gw).summarize(NOTE, "overall", hadm_id="H1")
 
     def test_bad_inputs(self, mock_gateway):
         s = Summarizer(mock_gateway)
