@@ -63,6 +63,8 @@ def main(argv=None):
         if args.verbose:
             raise
         return 4
+    finally:
+        runner.close()
     return 0
 
 

@@ -8,8 +8,10 @@ the same patient, and labels the pair as a 30-day readmission or not.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import os
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -284,33 +286,44 @@ def summarize_cohort(store: CohortStore, pairs) -> CohortSummary:
     )
 
 
+def atomic_write(path, text):
+    """Write text to a temp file beside ``path``, then rename it into place."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_jsonl(path, objs):
+    atomic_write(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
+
+
+def write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # rows end in "\r\n", the csv module's default
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
 def write_cohort_jsonl(store: CohortStore, path) -> None:
-    with open(path, "w") as fh:
-        for hadm in sorted(store.admissions):
-            rec = store.admissions[hadm]
-            fh.write(
-                json.dumps(
-                    {
-                        "subject_id": rec.subject_id,
-                        "hadm_id": rec.hadm_id,
-                        "admit_time": rec.admit_time.isoformat(),
-                        "discharge_time": rec.discharge_time.isoformat(),
-                        "icd9_codes": rec.icd9_codes,
-                        "discharge_note": rec.discharge_note,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {
+            "subject_id": rec.subject_id,
+            "hadm_id": rec.hadm_id,
+            "admit_time": rec.admit_time.isoformat(),
+            "discharge_time": rec.discharge_time.isoformat(),
+            "icd9_codes": rec.icd9_codes,
+            "discharge_note": rec.discharge_note,
+        }
+        for _, rec in sorted(store.admissions.items())
+    ))
 
 
 def write_pairs_csv(pairs, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "index_hadm_id", "next_hadm_id", "interval_days", "label"]
-        )
-        for p in pairs:
-            writer.writerow(
-                [p.subject_id, p.index_hadm_id, p.next_hadm_id, f"{p.interval_days:.6f}", p.label]
-            )
+    write_csv(
+        path,
+        ["subject_id", "index_hadm_id", "next_hadm_id", "interval_days", "label"],
+        ([p.subject_id, p.index_hadm_id, p.next_hadm_id, f"{p.interval_days:.6f}", p.label]
+         for p in pairs),
+    )

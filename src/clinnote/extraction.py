@@ -186,8 +186,7 @@ class Extractor:
         """Map hadm_id -> note over the gateway's concurrency limit."""
         items = sorted(notes_by_hadm.items())
         records, quarantined = [], []
-        for hadm_id, note in items:
-            result = self.extract(note, hadm_id)
+        for result in self.gateway.map(lambda item: self.extract(item[1], item[0]), items):
             if isinstance(result, QuarantinedExtraction):
                 quarantined.append(result)
             else:

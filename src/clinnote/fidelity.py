@@ -255,6 +255,8 @@ def _parse_judge_reply(raw_text, n_extracted, n_icd):
         raise ParseFailure("judge reply must carry integer score 0-5 and matches list")
     seen_e, seen_i = set(), set()
     for m in matches:
+        if not isinstance(m, dict):
+            raise ParseFailure("each match must be an object")
         e, i = m.get("extracted_index"), m.get("icd_index")
         if not isinstance(e, int) or not isinstance(i, int):
             raise ParseFailure("match indices must be integers")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -82,41 +83,52 @@ class EmbeddingVector:
 
 
 class JsonlCache:
-    """Append-only JSONL store; updates land via temp-file rename."""
+    """Append-only JSONL store: one {"key", "response"} line per put.
+
+    On load the last line for a key wins. A torn last line, left by a run
+    killed mid-write, is skipped with a warning and cut off the file.
+    """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
         self._entries = {}
+        torn = b""
         if path and os.path.exists(path):
-            with open(path) as fh:
+            with open(path, "rb") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    self._entries[rec["key"]] = rec
+                    if not line.endswith(b"\n"):
+                        torn = line
+                        break
+                    try:
+                        rec = json.loads(line)
+                        self._entries[rec["key"]] = rec["response"]
+                    except (ValueError, KeyError, TypeError):
+                        log.warning("skipping an unreadable line in cache %s", path)
+        if torn:
+            log.warning("skipping the torn last line of cache %s", path)
+            os.truncate(path, os.path.getsize(path) - len(torn))
+        self._fh = None  # append handle, opened by the first put
 
     def get(self, key):
         with self._lock:
-            rec = self._entries.get(key)
-            return rec["response"] if rec else None
+            return self._entries.get(key)
 
-    def put(self, key, request, response):
-        rec = {
-            "key": key,
-            "request": request,
-            "response": response,
-            "timestamp": time.time(),
-        }
+    def put(self, key, response):
         with self._lock:
-            self._entries[key] = rec
+            self._entries[key] = response
             if self.path:
-                tmp = self.path + ".tmp"
-                with open(tmp, "w") as fh:
-                    for r in self._entries.values():
-                        fh.write(json.dumps(r, sort_keys=True) + "\n")
-                os.replace(tmp, self.path)
+                if self._fh is None:
+                    self._fh = open(self.path, "a")
+                rec = {"key": key, "response": response}
+                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                self._fh.flush()
+
+    def close(self):
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 def _chat_key(request: ChatRequest) -> str:
@@ -139,8 +151,21 @@ def _embed_key(model, text) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _retry_after_s(resp):
+    """The seconds a numeric Retry-After header asks for, else None."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return seconds if 0 <= seconds < float("inf") else None
+
+
 class HttpBackend:
-    """OpenAI-compatible HTTP client with retry + exponential backoff."""
+    """OpenAI-compatible HTTP client with retry + jittered exponential backoff.
+
+    Connection errors, HTTP 5xx and HTTP 429 are retried; a numeric
+    Retry-After header sets the wait. Other 4xx errors are not retried.
+    """
 
     def __init__(self, endpoint_url, api_key="", max_retries=3, backoff_s=1.0, timeout_s=120):
         self.endpoint_url = endpoint_url.rstrip("/")
@@ -157,6 +182,7 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_err = None
         for attempt in range(self.max_retries + 1):
+            delay = None
             try:
                 resp = requests.post(
                     f"{self.endpoint_url}{route}",
@@ -170,10 +196,13 @@ class HttpBackend:
                 if resp.status_code == 200:
                     return resp.json()
                 last_err = RequestFailed(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                if 400 <= resp.status_code < 500:
+                if 400 <= resp.status_code < 500 and resp.status_code != 429:
                     break  # client errors will not improve on retry
+                delay = _retry_after_s(resp)
             if attempt < self.max_retries:
-                time.sleep(self.backoff_s * 2**attempt)
+                if delay is None:
+                    delay = self.backoff_s * 2**attempt * random.uniform(0.5, 1.5)
+                time.sleep(delay)
         raise RequestFailed(f"{route} failed after retries: {last_err}")
 
     def chat(self, request: ChatRequest) -> str:
@@ -258,24 +287,45 @@ class LLMGateway:
         self.cache = JsonlCache(cache_path)
         self.network_calls = 0
         self.cache_hits = 0
-        self._counter_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the counters and _inflight
+        self._inflight = {}  # chat key -> Event set when its first caller is done
 
     def chat(self, request: ChatRequest) -> ChatResponse:
+        """Cached chat; identical in-flight requests share one backend call.
+
+        The first caller of a key asks the backend. Later callers wait for
+        it, then read the cache as hits; if it failed, one of them asks.
+        """
         key = _chat_key(request)
-        cached = self.cache.get(key)
+        while True:
+            with self._lock:
+                cached = self.cache.get(key)
+                if cached is not None:
+                    self.cache_hits += 1
+                    break
+                pending = self._inflight.get(key)
+                if pending is None:
+                    self._inflight[key] = threading.Event()
+                    break
+            pending.wait()
         if cached is not None:
-            with self._counter_lock:
-                self.cache_hits += 1
             return ChatResponse(
                 raw_text=cached["raw_text"],
                 thinking_text=cached.get("thinking_text"),
                 usage=cached.get("usage", {}),
                 cached=True,
             )
+        try:
+            return self._fetch(key, request)
+        finally:
+            with self._lock:
+                self._inflight.pop(key).set()
+
+    def _fetch(self, key, request):
         start = time.monotonic()
         text = self.backend.chat(request)
         latency = (time.monotonic() - start) * 1000.0
-        with self._counter_lock:
+        with self._lock:
             self.network_calls += 1
         if not text or not text.strip():
             raise EmptyResponse("endpoint returned an empty completion")
@@ -285,25 +335,32 @@ class LLMGateway:
             + len(request.user_content.split()),
             "completion_tokens": len(text.split()),
         }
-        self.cache.put(
-            key,
-            {
-                "system": request.system_prompt,
-                "user": request.user_content,
-                "model": request.model_name,
-                "temperature": request.temperature,
-            },
-            {"raw_text": raw, "thinking_text": thinking, "usage": usage},
-        )
+        self.cache.put(key, {"raw_text": raw, "thinking_text": thinking, "usage": usage})
         return ChatResponse(raw_text=raw, thinking_text=thinking, usage=usage, latency_ms=latency)
 
+    def map(self, fn, items):
+        """``fn`` over ``items`` on at most max_concurrency threads.
+
+        Results keep input order. The exception of the first failing item,
+        in input order, propagates; items not yet started are cancelled.
+        """
+        items = list(items)
+        workers = min(self.config.max_concurrency, len(items))
+        if workers <= 1:
+            return [fn(item) for item in items]
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            return list(pool.map(fn, items))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def chat_many(self, requests):
-        """Run chats concurrently (bounded); results keep request order."""
-        if not requests:
-            return []
-        workers = max(1, self.config.max_concurrency)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.chat, requests))
+        """``chat`` over ``requests`` through ``map``."""
+        return self.map(self.chat, requests)
+
+    def close(self):
+        """Close the cache file; a later put opens it again."""
+        self.cache.close()
 
     def embed(self, texts):
         if not texts:
@@ -319,14 +376,10 @@ class LLMGateway:
                 missing.append(i)
         if missing:
             vectors = self.backend.embed(model, [texts[i] for i in missing])
-            with self._counter_lock:
+            with self._lock:
                 self.network_calls += 1
             for i, vec in zip(missing, vectors):
-                self.cache.put(
-                    _embed_key(model, texts[i]),
-                    {"model": model, "text": texts[i]},
-                    {"values": vec},
-                )
+                self.cache.put(_embed_key(model, texts[i]), {"values": vec})
                 out[i] = vec
         dims = {len(v) for v in out}
         if len(dims) != 1:
@@ -364,9 +417,9 @@ def chat_with_repair(gateway, system, user, parse, repair, temperature=0.0):
     """
     content = user
     for attempt in range(2):
-        response = gateway.chat(
-            ChatRequest(system, content, temperature, model_name=gateway.config.chat_model)
-        )
+        response = gateway.chat(ChatRequest(
+            system, content, temperature, gateway.config.max_tokens, gateway.config.chat_model
+        ))
         try:
             return parse(response.raw_text)
         except (ParseFailure, SchemaViolation) as err:

@@ -248,9 +248,9 @@ def label_entries(gateway, scheme, entries) -> list:
         if examples
     )
     labels = set(scheme.labels())
-    out = []
-    off_scheme = 0
-    for hadm_id, raw_text in entries:
+
+    def label(raw_text):
+        """The stripped reply for one entry text, or None if the gateway failed."""
         user = (
             f"Variable: {scheme.variable}\n"
             f"Allowed categories:\n{cat_lines}\n"
@@ -262,15 +262,25 @@ def label_entries(gateway, scheme, entries) -> list:
                 ChatRequest(
                     system_prompt=prompt.text,
                     user_content=user,
+                    max_tokens=gateway.config.max_tokens,
                     model_name=gateway.config.chat_model,
                 )
             )
-        except ClinNoteError as exc:  # gateway failure: entry stays unlabeled
-            log.warning("labeling failed for %s/%s: %s", hadm_id, scheme.variable, exc)
+        except ClinNoteError as exc:  # gateway failure: the text stays unlabeled
+            log.warning("labeling failed for a %s entry: %s", scheme.variable, exc)
+            return None
+        return response.raw_text.strip().strip('"')
+
+    # each distinct text is asked once; entries that share it share the reply
+    texts = list(dict.fromkeys(text for _, text in entries))
+    replies = dict(zip(texts, gateway.map(label, texts)))
+    out = []
+    off_scheme = 0
+    for hadm_id, raw_text in entries:
+        reply = replies[raw_text]
+        if reply is None:
             out.append(LabeledEntry(hadm_id, scheme.variable, raw_text, None, "unlabeled"))
-            continue
-        reply = response.raw_text.strip().strip('"')
-        if reply in labels:
+        elif reply in labels:
             out.append(LabeledEntry(hadm_id, scheme.variable, raw_text, reply))
         else:
             off_scheme += 1

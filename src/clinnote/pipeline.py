@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -24,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 from . import cohort as cohort_mod
 from . import stats as stats_mod
+from .cohort import atomic_write, write_csv, write_jsonl
 from .config import Config
 from .errors import (
     DegeneratePredictor,
@@ -39,6 +39,7 @@ from .fidelity import (
     corpus_judge_summary,
     evaluate_categorical,
     evaluate_vital,
+    icd9_descriptions,
     judge_diagnoses,
     load_truth_sdoh,
     load_truth_vitals,
@@ -110,27 +111,8 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_jsonl(path, objs):
-    _atomic_write(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
-
-
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # rows end in "\r\n", the csv module's default
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 class Runner:
@@ -139,6 +121,7 @@ class Runner:
         self.out = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self._gateway = gateway
+        self._owns_gateway = gateway is None
         self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.manifest = self._load_manifest()
 
@@ -188,6 +171,11 @@ class Runner:
         if self._gateway is None:
             self._gateway = LLMGateway(self.config)
         return self._gateway
+
+    def close(self):
+        """Close the gateway this runner made, if it made one."""
+        if self._owns_gateway and self._gateway is not None:
+            self._gateway.close()
 
     def path(self, name):
         return os.path.join(self.out, name)
@@ -294,8 +282,8 @@ class Runner:
         notes = self._modeling_notes()
         extractor = Extractor(self.gateway, temperature=self.config.temperature)
         records, quarantined = extractor.extract_many(notes)
-        _write_jsonl(self.path("extractions.jsonl"), [rec.to_dict() for rec in records])
-        _write_jsonl(
+        write_jsonl(self.path("extractions.jsonl"), [rec.to_dict() for rec in records])
+        write_jsonl(
             self.path("quarantine.jsonl"),
             [{"hadm_id": q.hadm_id, "raw_text": q.raw_text, "reason": q.reason}
              for q in quarantined],
@@ -319,7 +307,7 @@ class Runner:
                     ]
                 )
         rows.sort()
-        _write_csv(
+        write_csv(
             self.path("canonical_vitals.csv"),
             ["hadm_id", "variable", "value", "original_text", "original_unit", "status"],
             rows,
@@ -371,7 +359,7 @@ class Runner:
                      entry.assigned_category or "", entry.status]
                 )
         all_rows.sort()
-        _write_csv(
+        write_csv(
             self.path("normalized_sdoh.csv"),
             ["hadm_id", "variable", "raw_text", "category", "status"],
             all_rows,
@@ -407,27 +395,25 @@ class Runner:
 
         _write_json(self.path("agreement_report.json"), report)
 
-        cohort = self._load_cohort()
-        verdicts = []
-        failed = 0
-        for rec in records:
-            codes = cohort.get(rec.hadm_id, {}).get("icd9_codes", [])
-            if not codes:
-                continue
+        codes = {h: rec.get("icd9_codes", []) for h, rec in self._load_cohort().items()}
+        descriptions = icd9_descriptions()
+
+        def judge(rec):
             try:
-                verdict = judge_diagnoses(
+                return judge_diagnoses(
                     self.gateway, rec.hadm_id,
-                    [d["condition"] for d in rec.diagnoses], codes,
+                    [d["condition"] for d in rec.diagnoses], codes[rec.hadm_id], descriptions,
                 )
             except JudgeFailed as exc:
                 log.warning("judge failed: %s", exc)
-                failed += 1
-                continue
-            verdicts.append(verdict)
+                return None
+
+        results = self.gateway.map(judge, [rec for rec in records if codes.get(rec.hadm_id)])
+        verdicts = [v for v in results if v is not None]
         judge_report = {
             "per_patient": [v.to_dict() for v in verdicts],
             "summary": corpus_judge_summary(verdicts) if verdicts else None,
-            "n_failed": failed,
+            "n_failed": len(results) - len(verdicts),
         }
         _write_json(self.path("judge_report.json"), judge_report)
 
@@ -505,14 +491,17 @@ class Runner:
         notes = self._modeling_notes()
         records = {r.hadm_id: r for r in self._load_extractions()}
         summarizer = Summarizer(self.gateway)
+        jobs = [(hadm_id, variant) for hadm_id in sorted(notes)
+                for variant in ("overall", "no_number")]
+        summaries = dict(zip(jobs, self.gateway.map(
+            lambda job: summarizer.summarize(notes[job[0]], job[1], job[0]), jobs
+        )))
         out = []
         for hadm_id in sorted(notes):
-            note = notes[hadm_id]
-            out.append(summarizer.summarize(note, "overall", hadm_id))
-            out.append(summarizer.summarize(note, "no_number", hadm_id))
+            out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]
             if hadm_id in records:
-                out.append(render_structural(records[hadm_id], note))
-        _write_jsonl(self.path("summaries.jsonl"), [rec.to_dict() for rec in out])
+                out.append(render_structural(records[hadm_id], notes[hadm_id]))
+        write_jsonl(self.path("summaries.jsonl"), [rec.to_dict() for rec in out])
 
     def _stage_predict(self):
         outcomes = self._outcomes()

@@ -81,6 +81,7 @@ class Summarizer:
                 system_prompt=self._prompts[variant].text,
                 user_content=user_content,
                 temperature=self.temperature,
+                max_tokens=self.gateway.config.max_tokens,
                 model_name=self.gateway.config.chat_model,
             )
         )

@@ -12,7 +12,9 @@ def make_config(tmp_path, **overrides):
 
 @pytest.fixture
 def mock_gateway(tmp_path):
-    return LLMGateway(make_config(tmp_path))
+    gateway = LLMGateway(make_config(tmp_path))
+    yield gateway
+    gateway.close()
 
 
 class ScriptedBackend:
@@ -35,9 +37,14 @@ class ScriptedBackend:
 
 @pytest.fixture
 def scripted_gateway_factory(tmp_path):
+    made = []
+
     def factory(replies, **overrides):
         cfg = make_config(tmp_path, **overrides)
         backend = ScriptedBackend(replies)
-        return LLMGateway(cfg, backend=backend), backend
+        made.append(LLMGateway(cfg, backend=backend))
+        return made[-1], backend
 
-    return factory
+    yield factory
+    for gateway in made:
+        gateway.close()

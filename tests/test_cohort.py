@@ -8,10 +8,13 @@ from hypothesis import given, strategies as st
 from clinnote.cohort import (
     AdmissionRecord,
     CohortStore,
+    ReadmissionPair,
     build_readmission_pairs,
     filter_hf_cohort,
     load_tables,
     summarize_cohort,
+    write_cohort_jsonl,
+    write_pairs_csv,
 )
 from clinnote.errors import ConfigError
 
@@ -239,3 +242,27 @@ class TestSummary:
         assert summary.median_los == pytest.approx(7.0)
         q1, q3 = summary.los_iqr
         assert q1 <= summary.median_los <= q3
+
+
+class TestWriters:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        write_pairs_csv([ReadmissionPair("1", "10", "11", 19.5, 1)], str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_pairs_csv([ReadmissionPair("2", "20", "21", "n/a", 0)], str(path))
+        assert path.read_bytes() == before
+        assert before == (b"subject_id,index_hadm_id,next_hadm_id,interval_days,label\r\n"
+                          b"1,10,11,19.500000,1\r\n")
+
+    def test_cohort_jsonl_bytes(self, tmp_path):
+        rec = AdmissionRecord("1", "10", datetime(2020, 1, 1), datetime(2020, 1, 3),
+                              ["4280"], "Note text.")
+        path = tmp_path / "cohort.jsonl"
+        write_cohort_jsonl(CohortStore(admissions={"10": rec}), str(path))
+        assert path.read_text() == (
+            '{"admit_time": "2020-01-01T00:00:00", "discharge_note": "Note text.", '
+            '"discharge_time": "2020-01-03T00:00:00", "hadm_id": "10", '
+            '"icd9_codes": ["4280"], "subject_id": "1"}\n'
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.jsonl"]

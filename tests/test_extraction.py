@@ -181,9 +181,13 @@ class TestExtractorRepairFlow:
         assert result.hadm_id == "H1"
         assert backend.calls == 2
 
-    def test_extract_many_partitions(self, scripted_gateway_factory):
-        gw, _ = scripted_gateway_factory([FULL_REPLY, "bad", "bad again"])
-        records, quarantined = Extractor(gw).extract_many(
+    def test_extract_many_partitions(self, mock_gateway):
+        # replies keyed by note text, so any order of the concurrent calls works
+        backend = mock_gateway.backend
+        backend.register("good note", FULL_REPLY)
+        backend.register("bad note", "bad")
+        backend.register(f"bad note\n\n{REPAIR_INSTRUCTION}", "bad again")
+        records, quarantined = Extractor(mock_gateway).extract_many(
             {"H1": "good note", "H2": "bad note"}
         )
         assert [r.hadm_id for r in records] == ["H1"]

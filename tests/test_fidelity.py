@@ -193,6 +193,11 @@ class TestJudgeParsing:
         with pytest.raises(ParseFailure):
             _parse_judge_reply(reply, 2, 2)
 
+    @pytest.mark.parametrize("item", [[0, 0], 3, "0-0", None])
+    def test_non_object_match_is_parse_failure(self, item):
+        with pytest.raises(ParseFailure):
+            _parse_judge_reply(good_judge_reply(3, [item]), 2, 2)
+
     def test_fenced_reply(self):
         text = f"```json\n{good_judge_reply(5, [])}\n```"
         assert _parse_judge_reply(text, 0, 0)[0] == 5
@@ -209,6 +214,15 @@ class TestJudgeDiagnoses:
         )
         verdict = judge_diagnoses(gw, "H1", ["CHF"], ["4280"], descriptions={})
         assert verdict.score == 4
+        assert backend.calls == 2
+
+    def test_non_object_match_repaired(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory([
+            good_judge_reply(4, [[0, 0]]),
+            good_judge_reply(4, [{"extracted_index": 0, "icd_index": 0}]),
+        ])
+        verdict = judge_diagnoses(gw, "H1", ["CHF"], ["4280"], descriptions={})
+        assert verdict.matched_icd == 1
         assert backend.calls == 2
 
     def test_two_failures_raise(self, scripted_gateway_factory):

@@ -1,5 +1,8 @@
 import json
+import logging
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -66,7 +69,7 @@ class TestJsonlCache:
     def test_round_trip_through_disk(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cache = JsonlCache(path)
-        cache.put("k1", {"q": 1}, {"raw_text": "hello"})
+        cache.put("k1", {"raw_text": "hello"})
         reloaded = JsonlCache(path)
         assert reloaded.get("k1") == {"raw_text": "hello"}
         assert reloaded.get("missing") is None
@@ -74,15 +77,15 @@ class TestJsonlCache:
     def test_overwrite_same_key(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cache = JsonlCache(path)
-        cache.put("k", {}, {"raw_text": "v1"})
-        cache.put("k", {}, {"raw_text": "v2"})
+        cache.put("k", {"raw_text": "v1"})
+        cache.put("k", {"raw_text": "v2"})
         assert JsonlCache(path).get("k") == {"raw_text": "v2"}
 
     def test_no_partial_lines_on_disk(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cache = JsonlCache(path)
         for i in range(20):
-            cache.put(f"k{i}", {}, {"raw_text": "x" * 100})
+            cache.put(f"k{i}", {"raw_text": "x" * 100})
         with open(path) as fh:
             for line in fh:
                 json.loads(line)  # every line is complete JSON
@@ -93,7 +96,7 @@ class TestJsonlCache:
 
         def worker(base):
             for i in range(25):
-                cache.put(f"{base}-{i}", {}, {"raw_text": str(i)})
+                cache.put(f"{base}-{i}", {"raw_text": str(i)})
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         for t in threads:
@@ -102,6 +105,35 @@ class TestJsonlCache:
             t.join()
         reloaded = JsonlCache(path)
         assert len(reloaded._entries) == 100
+
+    def test_each_put_appends_one_line(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        cache = JsonlCache(path)
+        for i in range(5):
+            cache.put(f"k{i % 3}", {"raw_text": str(i)})
+            with open(path) as fh:
+                lines = fh.readlines()
+            assert len(lines) == i + 1
+            assert json.loads(lines[-1]) == {"key": f"k{i % 3}", "response": {"raw_text": str(i)}}
+        cache.close()
+        assert JsonlCache(path).get("k1") == {"raw_text": "4"}  # the last line wins
+
+    def test_torn_last_line_skipped(self, tmp_path, caplog):
+        path = str(tmp_path / "cache.jsonl")
+        cache = JsonlCache(path)
+        cache.put("a", {"raw_text": "1"})
+        cache.put("b", {"raw_text": "2"})
+        with open(path, "a") as fh:
+            fh.write('{"key": "c", "respo')  # a run killed mid-write
+        with caplog.at_level(logging.WARNING, logger="clinnote.gateway"):
+            reloaded = JsonlCache(path)
+        assert "torn" in caplog.text
+        assert reloaded.get("a") == {"raw_text": "1"}
+        assert reloaded.get("b") == {"raw_text": "2"}
+        assert reloaded.get("c") is None
+        reloaded.put("c", {"raw_text": "3"})  # lands on a line of its own
+        reloaded.close()
+        assert JsonlCache(path).get("c") == {"raw_text": "3"}
 
 
 class TestGatewayCache:
@@ -157,6 +189,138 @@ class TestGatewayCache:
         assert mock_gateway.chat_many([]) == []
 
 
+class _BlockingBackend:
+    """Chat backend whose calls wait on ``release``; records peak overlap."""
+
+    def __init__(self, fail_first=False):
+        self.release = threading.Event()
+        self.fail_first = fail_first
+        self.calls = 0
+        self.inflight = 0
+        self.max_inflight = 0
+        self._lock = threading.Lock()
+
+    def chat(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+        try:
+            assert self.release.wait(timeout=10)
+            if self.fail_first and call == 1:
+                raise RequestFailed("endpoint down")
+            return f"reply to {request.user_content}"
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+def _run_threads(target, n):
+    out = [None] * n
+
+    def run(i):
+        try:
+            out[i] = target()
+        except Exception as exc:  # the test inspects what each caller got
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    return threads, out
+
+
+class TestConcurrency:
+    def test_identical_inflight_requests_coalesce(self, tmp_path):
+        backend = _BlockingBackend()
+        gw = LLMGateway(make_config(tmp_path, cache_dir=""), backend=backend)
+        req = ChatRequest(system_prompt="s", user_content="u")
+        threads, out = _run_threads(lambda: gw.chat(req), 8)
+        deadline = time.monotonic() + 10
+        while backend.calls < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # let the other seven reach the wait
+        backend.release.set()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert backend.calls == 1
+        assert gw.network_calls == 1
+        assert gw.cache_hits == 7
+        assert [r.raw_text for r in out] == ["reply to u"] * 8
+        assert sum(r.cached for r in out) == 7
+
+    def test_waiter_takes_over_when_first_caller_fails(self, tmp_path):
+        backend = _BlockingBackend(fail_first=True)
+        gw = LLMGateway(make_config(tmp_path, cache_dir=""), backend=backend)
+        req = ChatRequest(system_prompt="s", user_content="u")
+        threads, out = _run_threads(lambda: gw.chat(req), 4)
+        time.sleep(0.2)
+        backend.release.set()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert backend.calls == 2
+        assert sum(isinstance(r, RequestFailed) for r in out) == 1
+        assert [r.raw_text for r in out if not isinstance(r, Exception)] == ["reply to u"] * 3
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    def test_map_bounds_overlap_and_keeps_order(self, tmp_path, limit):
+        backend = _BlockingBackend()
+        backend.release.set()
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=limit), backend=backend)
+
+        def slow_chat(i):
+            time.sleep(0.02)
+            return gw.chat(ChatRequest(system_prompt="s", user_content=f"q{i}"))
+
+        out = gw.map(slow_chat, range(12))
+        assert [r.raw_text for r in out] == [f"reply to q{i}" for i in range(12)]
+        assert backend.max_inflight <= limit
+
+    def test_map_runs_calls_concurrently(self, tmp_path):
+        barrier = threading.Barrier(3, timeout=10)
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=3))
+        # each call returns only once three are in flight together
+        assert gw.map(lambda i: (barrier.wait(), i)[1], range(6)) == list(range(6))
+
+    def test_map_propagates_first_failure_in_input_order(self, mock_gateway):
+        def fn(i):
+            if i in (2, 5):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError, match="2"):
+            mock_gateway.map(fn, range(8))
+
+    def test_stress_counts_each_call_once(self, tmp_path):
+        # more threads than cores and a tiny switch interval, so a lost
+        # counter update or a doubly sent request would show
+        backend = _BlockingBackend()
+        backend.release.set()
+        send = backend.chat
+
+        def slow_send(request):
+            time.sleep(0.002)  # so that copies of one request overlap
+            return send(request)
+
+        backend.chat = slow_send
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=8), backend=backend)
+        requests = [ChatRequest(system_prompt="s", user_content=f"q{i // 16}") for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads, out = _run_threads(lambda: gw.chat_many(requests), 1)
+            threads[0].join(timeout=60)
+            assert not threads[0].is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.raw_text for r in out[0]] == [f"reply to {r.user_content}" for r in requests]
+        assert backend.calls == gw.network_calls == 25
+        assert gw.cache_hits == 375
+
+
 class TestEmbeddings:
     def test_mock_embedding_deterministic_unit(self):
         a = mock_embedding("some text", seed=3)
@@ -191,10 +355,11 @@ class TestEmbeddings:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -248,6 +413,49 @@ class TestHttpBackend:
         with pytest.raises(RequestFailed):
             backend.chat(ChatRequest(system_prompt="s", user_content="u"))
         assert len(calls) == 3
+
+    def _patch_sleep(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr("clinnote.gateway.time.sleep", delays.append)
+        return delays
+
+    def test_429_retried_after_header(self, monkeypatch):
+        payload = {"choices": [{"message": {"content": "ok"}}]}
+        calls = self._patch_post(monkeypatch, [
+            _FakeResponse(429, headers={"Retry-After": "7"}),
+            _FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            _FakeResponse(200, payload),
+        ])
+        delays = self._patch_sleep(monkeypatch)
+        backend = HttpBackend("http://x", max_retries=3, backoff_s=1.0)
+        assert backend.chat(ChatRequest(system_prompt="s", user_content="u")) == "ok"
+        assert len(calls) == 3
+        assert delays[0] == 7.0
+        assert 1.0 <= delays[1] <= 3.0  # a date is not honoured: jittered backoff
+
+    def test_backoff_is_jittered_exponential(self, monkeypatch):
+        self._patch_post(monkeypatch, [_FakeResponse(503)])
+        delays = self._patch_sleep(monkeypatch)
+        backend = HttpBackend("http://x", max_retries=3, backoff_s=2.0)
+        with pytest.raises(RequestFailed):
+            backend.chat(ChatRequest(system_prompt="s", user_content="u"))
+        assert len(delays) == 3
+        for attempt, delay in enumerate(delays):
+            assert 0.5 * 2.0 * 2**attempt <= delay <= 1.5 * 2.0 * 2**attempt
+        monkeypatch.setattr("clinnote.gateway.random.uniform", lambda a, b: b)
+        delays.clear()
+        with pytest.raises(RequestFailed):
+            backend.chat(ChatRequest(system_prompt="s", user_content="u"))
+        assert delays == [3.0, 6.0, 12.0]
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_other_4xx_not_retried(self, monkeypatch, status):
+        calls = self._patch_post(monkeypatch, [_FakeResponse(status)])
+        delays = self._patch_sleep(monkeypatch)
+        backend = HttpBackend("http://x", max_retries=3)
+        with pytest.raises(RequestFailed):
+            backend.chat(ChatRequest(system_prompt="s", user_content="u"))
+        assert len(calls) == 1 and delays == []
 
     def test_malformed_payload(self, monkeypatch):
         self._patch_post(monkeypatch, [_FakeResponse(200, {"choices": []})])

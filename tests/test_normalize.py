@@ -252,6 +252,25 @@ class TestLabelEntries:
         with pytest.raises(TypeError):
             label_entries(gw, scheme, [("H1", "married")])
 
+    def test_each_distinct_text_asked_once(self, scripted_gateway_factory, caplog):
+        gw, backend = scripted_gateway_factory([])
+        asked = []
+
+        def by_entry(request):
+            text = request.user_content.rsplit("Entry: ", 1)[1]
+            asked.append(text)
+            return "Married" if text == "married" else "Divorced-ish"
+
+        backend.chat = by_entry
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        entries = [("H1", "married"), ("H2", "complicated"),
+                   ("H3", "married"), ("H4", "complicated"), ("H5", "complicated")]
+        out = label_entries(gw, scheme, entries)
+        assert sorted(asked) == ["complicated", "married"]
+        assert [(e.hadm_id, e.raw_text) for e in out] == entries
+        assert [e.status for e in out] == ["ok", "fallback", "ok", "fallback", "fallback"]
+        assert "3 off-scheme replies" in caplog.text
+
 
 class TestNormalizeVariableEndToEnd:
     def test_mock_pipeline(self, mock_gateway):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -8,8 +10,9 @@ from clinnote.cli import main
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import ConfigError, DependencyMissing, InvalidInput
 from clinnote.fixture import write_fixture
+from clinnote.gateway import LLMGateway, MockBackend
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, report_hash
-from clinnote.prompts import PromptTemplate
+from clinnote.prompts import PromptTemplate, load_prompt
 
 from conftest import make_config
 
@@ -67,6 +70,9 @@ class TestConfig:
         assert cfg.api_key() == ""
         monkeypatch.setenv("CLINNOTE_TEST_KEY", "sekrit")
         assert cfg.api_key() == "sekrit"
+
+
+FIXTURE_REPORT_HASH = "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
 
 
 def fixture_config(tmp_path, **overrides):
@@ -191,9 +197,40 @@ class TestRunner:
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
         Runner(cfg, out).run_all()
-        assert report_hash(out) == (
-            "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
-        )
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_report_hash_same_at_any_concurrency(self, tmp_path, workers):
+        class Jittery(MockBackend):
+            """Sleeps 0-3 ms by request hash, so replies finish out of order."""
+
+            def chat(self, request):
+                digest = hashlib.sha256(request.user_content.encode()).digest()
+                time.sleep(digest[0] % 4 / 1000)
+                return super().chat(request)
+
+        cfg = fixture_config(tmp_path, max_concurrency=workers)
+        gateway = LLMGateway(cfg, backend=Jittery())
+        out = str(tmp_path / "run")
+        Runner(cfg, out, gateway=gateway).run_all()
+        gateway.close()
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+
+    def test_max_tokens_reaches_every_request(self, tmp_path):
+        seen = {}
+
+        class Recording(MockBackend):
+            def chat(self, request):
+                seen.setdefault(request.system_prompt, set()).add(request.max_tokens)
+                return super().chat(request)
+
+        cfg = fixture_config(tmp_path, max_tokens=512)
+        gateway = LLMGateway(cfg, backend=Recording())
+        Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
+        gateway.close()
+        names = ("extractor", "normalizer", "labeler", "judge",
+                 "summary_overall", "summary_no_number")
+        assert seen == {load_prompt(name).text: {512} for name in names}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fixture_config(tmp_path)
