@@ -26,6 +26,7 @@ from . import stats as stats_mod
 from .cohort import atomic_write, write_csv, write_jsonl
 from .config import Config
 from .errors import (
+    CVInfeasible,
     DegeneratePredictor,
     DegenerateTable,
     DependencyMissing,
@@ -221,6 +222,13 @@ class Runner:
     def run_all(self):
         for stage in STAGES:
             self.run_stage(stage)
+            if stage == "ingest":  # fail before any LLM call if CV cannot run
+                labels = list(map(self._outcomes().get, self._modeling_notes()))
+                n_pos, n_neg = sum(labels), len(labels) - sum(labels)
+                if min(n_pos, n_neg) < self.config.folds:
+                    raise CVInfeasible(
+                        f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
+                        f"cannot fill {self.config.folds} folds with both classes")
         return self.manifest
 
     # -- shared loaders ----------------------------------------------------
@@ -537,7 +545,7 @@ class Runner:
                     variant=variant,
                 )
                 report[variant] = result.to_dict()
-            except InvalidInput as exc:
+            except (InvalidInput, CVInfeasible) as exc:
                 report[variant] = {"input_variant": variant, "skipped": str(exc),
                                    "n_docs": len(texts)}
         _write_json(self.path("prediction_report.json"), report)

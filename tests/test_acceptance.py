@@ -31,7 +31,7 @@ from clinnote.fidelity import (
     judge_diagnoses,
 )
 from clinnote.fixture import build_fixture, write_fixture
-from clinnote.gateway import LLMGateway, mock_embedding
+from clinnote.gateway import mock_embedding
 from clinnote.normalize import cluster_entries, cosine_distance_matrix
 from clinnote.pipeline import Runner, report_hash
 from clinnote.predict import auroc, fit_vectorizer, stratified_folds
@@ -85,8 +85,12 @@ def test_01_offline_end_to_end_deterministic(tmp_path):
     with criterion(1, "offline run-all completes and is byte-deterministic"):
         cfg = _fixture_config(tmp_path)
         start = time.monotonic()
-        Runner(cfg, str(tmp_path / "r1")).run_all()
-        Runner(cfg, str(tmp_path / "r2")).run_all()
+        for out in ("r1", "r2"):
+            runner = Runner(cfg, str(tmp_path / out))
+            try:
+                runner.run_all()
+            finally:
+                runner.close()
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"two runs took {elapsed:.1f}s"
         h1, h2 = report_hash(str(tmp_path / "r1")), report_hash(str(tmp_path / "r2"))
@@ -256,11 +260,10 @@ def test_08_classifier_metrics_and_leakage():
             assert "leakedtesttoken" not in vocab
 
 
-def test_09_no_number_contract(tmp_path):
+def test_09_no_number_contract(mock_gateway):
     with criterion(9, "no-number summaries carry zero numerals"):
         _, _, notes, _, _ = build_fixture(seed=0)
-        gw = LLMGateway(make_config(tmp_path))
-        summarizer = Summarizer(gw)
+        summarizer = Summarizer(mock_gateway)
         accepted = violations = 0
         for row in notes:
             rec = summarizer.summarize(row["text"], "no_number", row["hadm_id"])
@@ -274,12 +277,11 @@ def test_09_no_number_contract(tmp_path):
         print(f"    no-number violation rate: {violations}/{total}")
 
 
-def test_10_judge_protocol(tmp_path):
+def test_10_judge_protocol(mock_gateway):
     with criterion(10, "judge identity fixture and micro-average oracle"):
-        gw = LLMGateway(make_config(tmp_path))
         table = icd9_descriptions()
         codes = ["4280", "42731", "5849"]
-        verdict = judge_diagnoses(gw, "H1", [table[c] for c in codes], codes)
+        verdict = judge_diagnoses(mock_gateway, "H1", [table[c] for c in codes], codes)
         assert verdict.score == 5
         assert verdict.matched_extracted == verdict.n_extracted == 3
         assert verdict.matched_icd == verdict.n_icd == 3
@@ -314,7 +316,11 @@ def test_11_directional_reproduction(tmp_path):
             cache_dir=str(tmp_path / "cache"),
         )
         out = str(tmp_path / "live")
-        Runner(cfg, out).run_all()
+        runner = Runner(cfg, out)
+        try:
+            runner.run_all()
+        finally:
+            runner.close()
         with open(os.path.join(out, "agreement_report.json")) as fh:
             agreement = json.load(fh)
         gender = next(r for r in agreement["categorical"] if r["variable"] == "gender")

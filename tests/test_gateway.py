@@ -70,6 +70,7 @@ class TestJsonlCache:
         path = str(tmp_path / "cache.jsonl")
         cache = JsonlCache(path)
         cache.put("k1", {"raw_text": "hello"})
+        cache.close()
         reloaded = JsonlCache(path)
         assert reloaded.get("k1") == {"raw_text": "hello"}
         assert reloaded.get("missing") is None
@@ -79,6 +80,7 @@ class TestJsonlCache:
         cache = JsonlCache(path)
         cache.put("k", {"raw_text": "v1"})
         cache.put("k", {"raw_text": "v2"})
+        cache.close()
         assert JsonlCache(path).get("k") == {"raw_text": "v2"}
 
     def test_no_partial_lines_on_disk(self, tmp_path):
@@ -86,6 +88,7 @@ class TestJsonlCache:
         cache = JsonlCache(path)
         for i in range(20):
             cache.put(f"k{i}", {"raw_text": "x" * 100})
+        cache.close()
         with open(path) as fh:
             for line in fh:
                 json.loads(line)  # every line is complete JSON
@@ -103,6 +106,7 @@ class TestJsonlCache:
             t.start()
         for t in threads:
             t.join()
+        cache.close()
         reloaded = JsonlCache(path)
         assert len(reloaded._entries) == 100
 
@@ -123,6 +127,7 @@ class TestJsonlCache:
         cache = JsonlCache(path)
         cache.put("a", {"raw_text": "1"})
         cache.put("b", {"raw_text": "2"})
+        cache.close()
         with open(path, "a") as fh:
             fh.write('{"key": "c", "respo')  # a run killed mid-write
         with caplog.at_level(logging.WARNING, logger="clinnote.gateway"):
@@ -330,8 +335,8 @@ class TestEmbeddings:
         assert a != c
         assert np.linalg.norm(a) == pytest.approx(1.0)
 
-    def test_embed_caches_per_text(self, tmp_path):
-        gw = LLMGateway(make_config(tmp_path))
+    def test_embed_caches_per_text(self, mock_gateway):
+        gw = mock_gateway
         first = gw.embed(["alpha", "beta"])
         calls_after_first = gw.network_calls
         second = gw.embed(["beta", "alpha", "gamma"])
@@ -350,8 +355,11 @@ class TestEmbeddings:
                 return [[1.0, 0.0], [1.0, 0.0, 0.0]][: len(texts)]
 
         gw = LLMGateway(make_config(tmp_path), backend=BadBackend())
-        with pytest.raises(ProtocolError):
-            gw.embed(["a", "b"])
+        try:
+            with pytest.raises(ProtocolError):
+                gw.embed(["a", "b"])
+        finally:
+            gw.close()
 
 
 class _FakeResponse:

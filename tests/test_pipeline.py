@@ -8,7 +8,7 @@ import pytest
 from clinnote import fidelity, pipeline
 from clinnote.cli import main
 from clinnote.config import Config, config_from_dict, validate_config
-from clinnote.errors import ConfigError, DependencyMissing, InvalidInput
+from clinnote.errors import CVInfeasible, ConfigError, DependencyMissing, InvalidInput
 from clinnote.fixture import write_fixture
 from clinnote.gateway import LLMGateway, MockBackend
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, report_hash
@@ -85,17 +85,24 @@ def fixture_config(tmp_path, **overrides):
         notes_path=paths["notes.csv"],
         truth_vitals_path=paths["truth_vitals.csv"],
         truth_sdoh_path=paths["truth_sdoh.csv"],
-        folds=3,
-        k_medoids=8,
-        **overrides,
+        **{"folds": 3, "k_medoids": 8, **overrides},
     )
+
+
+def run_all(cfg, out):
+    """``Runner(cfg, out).run_all()``, closing the runner's gateway after."""
+    runner = Runner(cfg, out)
+    try:
+        return runner.run_all()
+    finally:
+        runner.close()
 
 
 class TestRunner:
     def test_run_all_produces_reports(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
-        Runner(cfg, out).run_all()
+        run_all(cfg, out)
         for name in ("cohort.jsonl", "pairs.csv", "extractions.jsonl",
                      "canonical_vitals.csv", "normalized_sdoh.csv",
                      "agreement_report.json", "judge_report.json",
@@ -106,7 +113,7 @@ class TestRunner:
     def test_manifest_records_every_stage(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
-        manifest = Runner(cfg, out).run_all()
+        manifest = run_all(cfg, out)
         assert set(manifest["stages"]) == set(STAGES)
         for entry in manifest["stages"].values():
             assert entry["output_hashes"]
@@ -154,10 +161,10 @@ class TestRunner:
 
     def _rerun_stages(self, cfg, out, edit):
         """Stages that run again after ``edit`` on a completed run."""
-        first = Runner(cfg, out).run_all()["stages"]
+        first = run_all(cfg, out)["stages"]
         first = {stage: entry["finished"] for stage, entry in first.items()}
         edit()
-        second = Runner(cfg, out).run_all()["stages"]
+        second = run_all(cfg, out)["stages"]
         return [s for s in STAGES if second[s]["finished"] != first[s]]
 
     def test_prompt_edit_triggers_rerun(self, tmp_path, monkeypatch):
@@ -187,6 +194,25 @@ class TestRunner:
         rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_truth)
         assert rerun == ["evaluate-fidelity"]
 
+    def test_unfillable_folds_fail_before_any_request(self, tmp_path):
+        runner = Runner(fixture_config(tmp_path, folds=5), str(tmp_path / "run"))
+        try:
+            with pytest.raises(CVInfeasible, match="6 readmitted and 4 not readmitted.* 5 folds"):
+                runner.run_all()
+            assert runner.gateway.network_calls == 0
+            assert list(runner.manifest["stages"]) == ["ingest"]
+        finally:
+            runner.close()
+
+    def test_unfillable_variant_is_skipped(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_all(fixture_config(tmp_path), out)
+        Runner(fixture_config(tmp_path, folds=5), out).run_stage("predict")
+        with open(os.path.join(out, "prediction_report.json")) as fh:
+            pred = json.load(fh)
+        assert pred["raw"]["skipped"] == "could not build 5 folds with both classes"
+        assert pred["raw"]["n_docs"] == 10
+
     def test_stage_inputs_are_earlier_reports(self):
         produced = set()
         for stage in STAGE_TABLE:
@@ -196,7 +222,7 @@ class TestRunner:
     def test_fixture_report_hash_pinned(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
-        Runner(cfg, out).run_all()
+        run_all(cfg, out)
         assert report_hash(out) == FIXTURE_REPORT_HASH
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -235,14 +261,14 @@ class TestRunner:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        Runner(cfg, out1).run_all()
-        Runner(cfg, out2).run_all()
+        run_all(cfg, out1)
+        run_all(cfg, out2)
         assert report_hash(out1) == report_hash(out2)
 
     def test_report_contents_sane(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
-        Runner(cfg, out).run_all()
+        run_all(cfg, out)
         with open(os.path.join(out, "association_report.json")) as fh:
             assoc = json.load(fh)
         logistic_vars = {row["variable"] for row in assoc["logistic"]}
