@@ -10,6 +10,17 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 
+# smallest allowed value of the numeric keys that have one; a semaphore of
+# 0 slots would hang, and the others fail only after paid LLM calls
+_MINIMUM = {
+    "max_concurrency": 1,
+    "max_retries": 0,
+    "max_tokens": 1,
+    "k_medoids": 1,
+    "folds": 2,
+}
+
+
 @dataclass
 class Config:
     # data inputs
@@ -38,6 +49,12 @@ class Config:
     folds: int = 5
     l2_lambda: float = 1.0
     standardize: bool = True
+
+    def __post_init__(self):
+        for key, low in _MINIMUM.items():
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"config key '{key}': must be at least {low}, got {value}")
 
     def api_key(self) -> str:
         return os.environ.get(self.api_key_env, "")

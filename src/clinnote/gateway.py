@@ -289,12 +289,15 @@ class LLMGateway:
         self.cache_hits = 0
         self._lock = threading.Lock()  # guards the counters and _inflight
         self._inflight = {}  # chat key -> Event set when its first caller is done
+        # the one bound on backend calls in flight, however maps are nested
+        self._slots = threading.BoundedSemaphore(config.max_concurrency)
 
     def chat(self, request: ChatRequest) -> ChatResponse:
         """Cached chat; identical in-flight requests share one backend call.
 
         The first caller of a key asks the backend. Later callers wait for
-        it, then read the cache as hits; if it failed, one of them asks.
+        it, holding no concurrency slot, then read the cache as hits; if it
+        failed, one of them asks.
         """
         key = _chat_key(request)
         while True:
@@ -322,9 +325,10 @@ class LLMGateway:
                 self._inflight.pop(key).set()
 
     def _fetch(self, key, request):
-        start = time.monotonic()
-        text = self.backend.chat(request)
-        latency = (time.monotonic() - start) * 1000.0
+        with self._slots:
+            start = time.monotonic()
+            text = self.backend.chat(request)
+            latency = (time.monotonic() - start) * 1000.0
         with self._lock:
             self.network_calls += 1
         if not text or not text.strip():
@@ -341,8 +345,10 @@ class LLMGateway:
     def map(self, fn, items):
         """``fn`` over ``items`` on at most max_concurrency threads.
 
-        Results keep input order. The exception of the first failing item,
-        in input order, propagates; items not yet started are cancelled.
+        Backend calls made by ``fn``, also from a nested ``map``, share the
+        gateway's max_concurrency slots. Results keep input order. The
+        exception of the first failing item, in input order, propagates;
+        items not yet started are cancelled.
         """
         items = list(items)
         workers = min(self.config.max_concurrency, len(items))
@@ -375,7 +381,8 @@ class LLMGateway:
             else:
                 missing.append(i)
         if missing:
-            vectors = self.backend.embed(model, [texts[i] for i in missing])
+            with self._slots:
+                vectors = self.backend.embed(model, [texts[i] for i in missing])
             with self._lock:
                 self.network_calls += 1
             for i, vec in zip(missing, vectors):

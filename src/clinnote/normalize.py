@@ -1,9 +1,10 @@
 """SDOH normalization: cluster free-text entries, synthesize a category
 scheme with the LLM, and label every entry with one category.
 
-Clustering is exact PAM (greedy BUILD, then steepest-descent SWAP) on
-cosine distances between text embeddings. Duplicate entries are collapsed
-before clustering and their multiplicity weights the medoid cost.
+Clustering is exact PAM (greedy BUILD, then steepest-descent SWAP with
+each sweep priced by FastPAM1) on cosine distances between text
+embeddings. Duplicate entries are collapsed before clustering and their
+multiplicity weights the medoid cost.
 """
 
 from __future__ import annotations
@@ -59,51 +60,70 @@ def cosine_distance_matrix(embeddings) -> np.ndarray:
 
 def _pam_build(D, k, w):
     """Greedy BUILD phase: add the medoid that lowers weighted cost most."""
-    n = D.shape[0]
     first = int(np.argmin(D @ w))
     medoids = [first]
     nearest = D[:, first].copy()
+    buf = np.empty_like(D)  # one n x n buffer for every addition
     while len(medoids) < k:
         # gain of adding candidate c: sum of w * max(0, nearest - D[:, c])
-        gains = (w[:, None] * np.maximum(nearest[:, None] - D, 0.0)).sum(axis=0)
+        np.subtract(nearest[:, None], D, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        buf *= w[:, None]
+        gains = buf.sum(axis=0)
         gains[medoids] = -np.inf
         c = int(np.argmax(gains))
         medoids.append(c)
-        nearest = np.minimum(nearest, D[:, c])
+        np.minimum(nearest, D[:, c], out=nearest)
     return medoids
 
 
 def _pam_swap(D, medoids, w, cost_path):
-    """Steepest-descent SWAP until no improving swap or the iteration cap."""
-    n = D.shape[0]
+    """Steepest-descent SWAP until no improving swap or the iteration cap.
+
+    FastPAM1 (Schubert & Rousseeuw, SISAP 2019): one O(n^2) pass per sweep
+    gives the cost change of all k x n swaps. With d1 and d2 a point's
+    distances to its nearest and second-nearest medoid, replacing medoid
+    ``mi`` by candidate ``x`` changes the cost by a gain shared by every
+    medoid, the sum over all points of w * min(D[:, x] - d1, 0), plus the
+    removal loss of ``mi``, the sum over its cluster of
+    w * min(max(D[:, x] - d1, 0), d2 - d1). The best swap has the lowest
+    change, ties going to the lowest medoid position, then candidate.
+    """
+    n, k = D.shape[0], len(medoids)
     medoids = list(medoids)
+    rows = np.arange(n)
+    work = np.empty_like(D)  # rows of D grouped by cluster, minus d1
+    terms = np.empty_like(D)  # gain terms, then the k x n swap deltas
     for _ in range(MAX_SWAP_ITER):
         cols = D[:, medoids]
-        order = np.argsort(cols, axis=1, kind="stable")
-        d1 = cols[np.arange(n), order[:, 0]]
-        d2 = cols[np.arange(n), order[:, 1]] if len(medoids) > 1 else np.full(n, np.inf)
-        n1 = order[:, 0]  # index into medoids list
+        n1 = cols.argmin(axis=1)  # position in medoids of the nearest one
+        # each medoid in its own cluster (it is at distance 0 from itself),
+        # so no cluster is empty; a tie has a zero removal loss either way
+        n1[medoids] = np.arange(k)
+        d1 = cols[rows, n1]
+        cols[rows, n1] = np.inf
+        d2 = cols.min(axis=1) if k > 1 else cols[:, 0]
 
-        best_delta, best_swap = -1e-12, None
-        for mi, m_out in enumerate(medoids):
-            in_cluster = n1 == mi
-            # delta for replacing m_out with each candidate x (vector over x)
-            reassigned = np.minimum(d2[in_cluster, None], D[in_cluster, :])
-            delta = (w[in_cluster, None] * (reassigned - d1[in_cluster, None])).sum(axis=0)
-            delta += (
-                w[~in_cluster, None]
-                * np.minimum(D[~in_cluster, :] - d1[~in_cluster, None], 0.0)
-            ).sum(axis=0)
-            delta[medoids] = np.inf
-            x = int(np.argmin(delta))
-            if delta[x] < best_delta:
-                best_delta, best_swap = delta[x], (mi, x)
-        if best_swap is None:
+        order = np.argsort(n1, kind="stable")
+        sizes = np.bincount(n1, minlength=k)
+        starts = np.cumsum(sizes) - sizes  # first row of each cluster in order
+        wo = w[order, None]
+        np.take(D, order, axis=0, out=work, mode="clip")  # "raise" would buffer a copy
+        work -= d1[order, None]
+        np.minimum(work, 0.0, out=terms)
+        terms *= wo
+        gain = terms.sum(axis=0)
+        np.maximum(work, 0.0, out=work)
+        np.minimum(work, (d2 - d1)[order, None], out=work)
+        work *= wo
+        delta = np.add.reduceat(work, starts, axis=0, out=terms[:k])
+        delta += gain
+        delta[:, medoids] = np.inf
+        mi, x = divmod(int(np.argmin(delta)), n)
+        if not delta[mi, x] < -1e-12:
             break
-        mi, x = best_swap
         medoids[mi] = x
-        cols = D[:, medoids]
-        cost_path.append(float((w * cols.min(axis=1)).sum()))
+        cost_path.append(float((w * D[:, medoids].min(axis=1)).sum()))
     return medoids
 
 

@@ -99,6 +99,9 @@ STAGE_TABLE = (
           reports=("prediction_report.json",)),
 )
 
+# config keys that change how a run is carried out, never what it outputs
+RUN_ONLY_KEYS = ("max_concurrency", "max_retries", "cache_dir")
+
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {report: stage.name for stage in STAGE_TABLE for report in stage.reports}
@@ -129,9 +132,9 @@ class Runner:
     # -- manifest ----------------------------------------------------------
 
     def _config_hash(self):
-        return hashlib.sha256(
-            json.dumps(asdict(self.config), sort_keys=True).encode()
-        ).hexdigest()
+        """Hash of the config keys that can change a stage's outputs."""
+        keys = {k: v for k, v in asdict(self.config).items() if k not in RUN_ONLY_KEYS}
+        return hashlib.sha256(json.dumps(keys, sort_keys=True).encode()).hexdigest()
 
     def _load_manifest(self):
         if os.path.exists(self.manifest_path):
@@ -339,23 +342,28 @@ class Runner:
 
     def _stage_normalize(self):
         records = self._load_extractions()
-        os.makedirs(self.path("schemes"), exist_ok=True)
-        all_rows = []
-        scheme_files = []
+        entries = {}
         for variable in NORMALIZED_VARIABLES:
-            entries = []
-            for rec in records:
-                value = rec.get(variable)
-                if value is not None:
-                    entries.append((rec.hadm_id, value))
-            n_distinct = len({text for _, text in entries})
+            found = [(rec.hadm_id, value) for rec in records
+                     if (value := rec.get(variable)) is not None]
+            n_distinct = len({text for _, text in found})
             if n_distinct < 2:
                 log.info("normalize: skipping %s (%d distinct entries)", variable, n_distinct)
                 continue
-            scheme, labeled, clustering = normalize_variable(
-                self.gateway, variable, entries,
+            entries[variable] = found
+        if entries:  # one embedding request; clustering then reads the cache
+            self.gateway.embed(sorted({text for found in entries.values() for _, text in found}))
+        results = self.gateway.map(
+            lambda variable: normalize_variable(
+                self.gateway, variable, entries[variable],
                 k=self.config.k_medoids, seed=self.config.seed,
-            )
+            ),
+            entries,
+        )
+        os.makedirs(self.path("schemes"), exist_ok=True)
+        all_rows = []
+        scheme_files = []
+        for variable, (scheme, labeled, clustering) in zip(entries, results):
             scheme_path = os.path.join("schemes", f"{variable}.json")
             _write_json(self.path(scheme_path), scheme.to_dict())
             scheme_files.append(scheme_path)

@@ -195,11 +195,13 @@ class TestGatewayCache:
 
 
 class _BlockingBackend:
-    """Chat backend whose calls wait on ``release``; records peak overlap."""
+    """Chat backend whose calls wait on ``release``, then ``delay_s``;
+    records peak overlap."""
 
-    def __init__(self, fail_first=False):
+    def __init__(self, fail_first=False, delay_s=0.0):
         self.release = threading.Event()
         self.fail_first = fail_first
+        self.delay_s = delay_s
         self.calls = 0
         self.inflight = 0
         self.max_inflight = 0
@@ -213,6 +215,7 @@ class _BlockingBackend:
             self.max_inflight = max(self.max_inflight, self.inflight)
         try:
             assert self.release.wait(timeout=10)
+            time.sleep(self.delay_s)
             if self.fail_first and call == 1:
                 raise RequestFailed("endpoint down")
             return f"reply to {request.user_content}"
@@ -283,6 +286,44 @@ class TestConcurrency:
         out = gw.map(slow_chat, range(12))
         assert [r.raw_text for r in out] == [f"reply to q{i}" for i in range(12)]
         assert backend.max_inflight <= limit
+
+    def test_nested_map_reaches_but_never_exceeds_the_bound(self, tmp_path):
+        backend = _BlockingBackend(delay_s=0.01)
+        backend.release.set()
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4), backend=backend)
+
+        def inner(i):
+            return gw.map(
+                lambda j: gw.chat(ChatRequest(system_prompt="s", user_content=f"q{i}.{j}")),
+                range(4),
+            )
+
+        out = gw.map(inner, range(4))  # up to 16 threads, 4 slots
+        assert [[r.raw_text for r in row] for row in out] == [
+            [f"reply to q{i}.{j}" for j in range(4)] for i in range(4)
+        ]
+        assert backend.calls == 16
+        assert backend.max_inflight == 4
+
+    def test_coalesced_waiters_hold_no_slot(self, tmp_path):
+        backend = _BlockingBackend()
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=2), backend=backend)
+        first, _ = _run_threads(lambda: gw.chat(ChatRequest("s", "u")), 1)
+        deadline = time.monotonic() + 10
+        while backend.calls < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        waiters, _ = _run_threads(lambda: gw.chat(ChatRequest("s", "u")), 3)
+        time.sleep(0.1)  # the waiters reach the wait on the first call
+        other, _ = _run_threads(lambda: gw.chat(ChatRequest("s", "v")), 1)
+        # with both slots taken by a waiter this would never reach the backend
+        while backend.calls < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert backend.max_inflight == 2
+        backend.release.set()
+        for t in first + waiters + other:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert backend.calls == gw.network_calls == 2
 
     def test_map_runs_calls_concurrently(self, tmp_path):
         barrier = threading.Barrier(3, timeout=10)

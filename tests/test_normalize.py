@@ -1,14 +1,19 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import pam_oracle
 
 from clinnote.errors import InvalidInput, RequestFailed, SchemeSynthesisFailed
 from clinnote.normalize import (
     FALLBACK_LABEL,
     MAX_CATEGORIES,
     CategoryScheme,
+    _pam_build,
+    _pam_swap,
     cluster_entries,
     cosine_distance_matrix,
     label_entries,
@@ -123,6 +128,97 @@ class TestPam:
         E = rng.standard_normal((17, 4))
         res = cluster_entries([f"e{i}" for i in range(17)], 4, embeddings=E)
         assert sum(res.cluster_sizes()) == 17
+
+
+def _quantized_distances(rng, n):
+    """Symmetric distances in {0.25, 0.5, 0.75, 1}, zero diagonal."""
+    upper = np.triu(rng.integers(1, 5, (n, n)) / 4.0, 1)
+    return upper + upper.T
+
+
+def _pam_instance(rng, kind):
+    """A random weighted PAM instance (D, k, w); k is 1 on about one in seven.
+
+    The two tie kinds use quarter distances and integer weights, so every
+    sum is exact and tied swaps are tied in any summation order.
+    """
+    n = int(rng.integers(2, 60))
+    k = 1 if rng.random() < 1 / 7 else int(rng.integers(1, n + 1))
+    if kind == "embeddings":
+        D = cosine_distance_matrix(rng.standard_normal((n, int(rng.integers(2, 12)))))
+        return D, k, rng.random(n) * 3 + 0.1
+    if kind == "duplicate points":  # repeated points: equal rows and columns
+        idx = rng.integers(0, max(1, n // 3), n)
+        D = _quantized_distances(rng, max(1, n // 3))[idx][:, idx]
+    else:  # "duplicate distances"
+        D = _quantized_distances(rng, n)
+    return D, k, rng.integers(1, 5, n).astype(float)
+
+
+class TestFastPam:
+    """BUILD and the FastPAM1 SWAP against the straightforward PAM.
+
+    Equal inputs must give the oracle's medoids and a bit-equal cost path,
+    ties included. Where a tie is exact only in real arithmetic, the two
+    sum in different orders and may break it differently: two medoids at
+    distance 0 from each other, or two equal embeddings whose distance
+    columns differ in the last bits after a matrix product.
+    """
+
+    @pytest.mark.parametrize("kind", ["embeddings", "duplicate points", "duplicate distances"])
+    def test_same_medoids_and_cost_path_as_oracle(self, kind):
+        rng = np.random.default_rng(len(kind))
+        swaps = 0
+        for _ in range(150):
+            D, k, w = _pam_instance(rng, kind)
+            built = _pam_build(D, k, w)
+            assert built == pam_oracle.pam_build(D, k, w)
+            path = [float((w * D[:, built].min(axis=1)).sum())]
+            want = list(path)
+            assert _pam_swap(D, built, w, path) == pam_oracle.pam_swap(D, built, w, want)
+            assert path == want
+            # SWAP from random medoids meets many more swaps and ties
+            start = rng.choice(len(D), size=k, replace=False).tolist()
+            path, want = [0.0], [0.0]
+            assert _pam_swap(D, start, w, path) == pam_oracle.pam_swap(D, start, w, want)
+            assert path == want
+            swaps += len(path) - 1
+        assert swaps >= 100
+
+    @pytest.mark.parametrize("gain, swapped", [(5e-13, False), (5e-12, True)])
+    def test_swap_must_gain_more_than_1e_12(self, gain, swapped):
+        D = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 1.0 - gain], [1.0, 1.0 - gain, 0.0]])
+        path = [0.0]
+        assert _pam_swap(D, [0], np.ones(3), path) == ([1] if swapped else [0])
+        assert len(path) == 1 + swapped
+
+    def test_tie_between_equal_medoids_removes_the_first(self):
+        # medoids 0 and 1 sit on the same point; dropping either for
+        # point 2 or point 3 gains the same, so position 0 and the lower
+        # candidate win
+        D = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 0.5], [1.0, 1.0, 0.5, 0.0]]) / 3
+        path = [0.0]
+        assert _pam_swap(D, [0, 1], np.ones(4), path) == [2, 1]
+        assert path[1] == pytest.approx(1 / 6)
+
+    def test_work_memory_at_most_two_n_by_n_arrays(self):
+        n, k = 400, 8
+        rng = np.random.default_rng(5)
+        D = cosine_distance_matrix(rng.standard_normal((n, 16)))
+        w = np.ones(n)
+        tracemalloc.start()
+        try:
+            medoids = _pam_build(D, k, w)
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _pam_swap(D, medoids, w, [])
+            _, swap_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        square = D.nbytes
+        assert build_peak < 1.1 * square
+        assert swap_peak < 2.1 * square
 
 
 def _scheme(labels, variable="marital_status"):

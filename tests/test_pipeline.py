@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -39,6 +41,21 @@ class TestConfig:
             config_from_dict({"folds": True})  # bool is not an int here
         with pytest.raises(ConfigError):
             config_from_dict({"mock_mode": 1})
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_concurrency", 0), ("max_concurrency", -2), ("k_medoids", 0),
+        ("folds", 1), ("max_tokens", 0), ("max_retries", -1),
+    ])
+    def test_out_of_range_fatal(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': must be at least"):
+            config_from_dict({key: value})
+        with pytest.raises(ConfigError, match=f"'{key}': must be at least"):
+            Config(**{key: value})
+
+    def test_smallest_allowed_values_accepted(self):
+        cfg = config_from_dict({"max_concurrency": 1, "k_medoids": 1, "folds": 2,
+                                "max_tokens": 1, "max_retries": 0})
+        assert (cfg.max_concurrency, cfg.folds, cfg.max_retries) == (1, 2, 0)
 
     def test_float_accepts_int(self):
         assert config_from_dict({"l2_lambda": 2}).l2_lambda == 2
@@ -159,6 +176,24 @@ class TestRunner:
         second = Runner(cfg, out).run_stage("ingest")
         assert second["finished"] > first["finished"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_concurrency", 1), ("max_retries", 0), ("cache_dir", "elsewhere"),
+    ])
+    def test_run_only_key_change_reruns_nothing(self, tmp_path, key, value):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        first = run_all(cfg, out)["stages"]
+        if key == "cache_dir":
+            value = str(tmp_path / value)
+        changed = dataclasses.replace(cfg, **{key: value})
+        gateway = LLMGateway(changed)
+        try:
+            second = Runner(changed, out, gateway=gateway).run_all()["stages"]
+        finally:
+            gateway.close()
+        assert [s for s in STAGES if second[s]["finished"] != first[s]["finished"]] == []
+        assert gateway.network_calls == 0
+
     def _rerun_stages(self, cfg, out, edit):
         """Stages that run again after ``edit`` on a completed run."""
         first = run_all(cfg, out)["stages"]
@@ -242,6 +277,22 @@ class TestRunner:
         gateway.close()
         assert report_hash(out) == FIXTURE_REPORT_HASH
 
+    def test_normalize_embeds_once(self, tmp_path):
+        batches = []
+
+        class Recording(MockBackend):
+            def embed(self, model, texts):
+                batches.append(list(texts))
+                return super().embed(model, texts)
+
+        cfg = fixture_config(tmp_path)
+        gateway = LLMGateway(cfg, backend=Recording())
+        Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
+        gateway.close()
+        assert len(batches) == 1
+        assert batches[0] == sorted(set(batches[0]))
+        assert report_hash(str(tmp_path / "run")) == FIXTURE_REPORT_HASH
+
     def test_max_tokens_reaches_every_request(self, tmp_path):
         seen = {}
 
@@ -299,6 +350,70 @@ class TestRunner:
         assert by_interval[31.0] == 0
 
 
+class Killed(BaseException):
+    """Stands for the process being stopped: no handler in the program catches it."""
+
+
+class KillingBackend(MockBackend):
+    """Answers the first ``after`` requests, then raises Killed on every one."""
+
+    def __init__(self, after):
+        super().__init__()
+        self.after = after
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def _count(self):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.after:
+                raise Killed()
+
+    def chat(self, request):
+        self._count()
+        return super().chat(request)
+
+    def embed(self, model, texts):
+        self._count()
+        return super().embed(model, texts)
+
+
+class TestKillAndResume:
+    """A run stopped partway and resumed on the same cache gives the clean
+    run's reports, and asks the endpoint only for what the first run missed."""
+
+    # the fixture run sends 85 requests: extract 1-10, normalize 11-55,
+    # evaluate-fidelity 56-65 and summarize 66-85
+    @pytest.mark.parametrize("after, completed", [
+        (5, ["ingest"]),
+        (40, ["ingest", "extract", "canonicalize"]),
+        (80, ["ingest", "extract", "canonicalize", "normalize", "evaluate-fidelity",
+              "associate"]),
+    ])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_resume_repeats_no_request(self, tmp_path, workers, after, completed):
+        cfg = fixture_config(tmp_path, max_concurrency=workers)
+        clean_cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache"))
+        clean = LLMGateway(clean_cfg)
+        Runner(clean_cfg, str(tmp_path / "clean"), gateway=clean).run_all()
+        clean.close()
+
+        out = str(tmp_path / "run")
+        killed = LLMGateway(cfg, backend=KillingBackend(after))
+        runner = Runner(cfg, out, gateway=killed)
+        with pytest.raises(Killed):
+            runner.run_all()
+        killed.close()
+        assert list(runner.manifest["stages"]) == completed
+        assert killed.network_calls == after
+
+        resumed = LLMGateway(cfg)
+        Runner(cfg, out, gateway=resumed).run_all()
+        resumed.close()
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert killed.network_calls + resumed.network_calls == clean.network_calls
+
+
 class TestCli:
     def _write_config(self, tmp_path):
         cfg = fixture_config(tmp_path)
@@ -326,6 +441,9 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text('{"unknown_key": 1}')
+        assert main(["ingest", "--config", str(bad),
+                     "--out", str(tmp_path / "run")]) == 2
+        bad.write_text('{"max_concurrency": 0}')
         assert main(["ingest", "--config", str(bad),
                      "--out", str(tmp_path / "run")]) == 2
 
