@@ -6,12 +6,7 @@ Run: python3 demos/03_association_stats.py
 
 import numpy as np
 
-from clinnote.stats import (
-    ContingencyTable,
-    chi_square_test,
-    compute_odds_ratio_2x2,
-    fit_univariate_logistic,
-)
+from clinnote.stats import ContingencyTable, chi_square_test, fit_univariate_logistic
 
 
 def main():
@@ -37,11 +32,6 @@ def main():
     res = chi_square_test(table, variable="housing")
     print(f"  chi2 {res.chi2:.3f}  df {res.df}  p {res.p_value:.4g}"
           + ("  (low expected counts)" if res.low_expected else ""))
-
-    print("\n2x2 odds ratio (stable vs unstable housing):")
-    or_res = compute_odds_ratio_2x2([[140, 35], [20, 18]])
-    lo, hi = or_res["ci95"]
-    print(f"  OR {or_res['or']:.2f}  (95% CI {lo:.2f}-{hi:.2f})")
 
 
 if __name__ == "__main__":

@@ -70,10 +70,6 @@ class DegenerateTable(ClinNoteError):
     """Contingency table has fewer than two usable rows."""
 
 
-class NoData(ClinNoteError):
-    """Aggregation requested over an empty value list."""
-
-
 class VectorizerDegenerate(ClinNoteError):
     """TF-IDF fit produced an empty vocabulary."""
 

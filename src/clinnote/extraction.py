@@ -150,19 +150,6 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
     return rec
 
 
-ALL_VARIABLES = CHARTED_KEYS + UNCHARTED_KEYS + VITALS_KEYS
-
-
-def extraction_coverage(records, variable) -> float:
-    """Percent of records with a non-null value for the variable."""
-    if not records:
-        raise InvalidVariable("coverage requires at least one record")
-    if variable not in ALL_VARIABLES:
-        raise InvalidVariable(f"unknown extraction variable: {variable}")
-    hit = sum(1 for r in records if r.get(variable) is not None)
-    return 100.0 * hit / len(records)
-
-
 class Extractor:
     """Drives the extraction prompt through the gateway, one note at a time."""
 

@@ -18,7 +18,7 @@ from importlib import resources
 from .errors import JudgeFailed, ParseFailure, ReplyUnusable
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
-from .vitals import c_to_f, cm_to_in, kg_to_lb
+from .vitals import c_to_f, cm_to_in, f_to_c, in_to_cm, kg_to_lb, lb_to_kg
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +61,9 @@ _FROM_CANONICAL = {
 
 # native truth value -> canonical
 _TO_CANONICAL = {
-    ("temperature", "F"): lambda v: (v - 32.0) * 5.0 / 9.0,
-    ("height", "in"): lambda v: v * 2.54,
-    ("weight", "lb"): lambda v: v * 0.45359237,
+    ("temperature", "F"): f_to_c,
+    ("height", "in"): in_to_cm,
+    ("weight", "lb"): lb_to_kg,
 }
 
 

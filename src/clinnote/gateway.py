@@ -417,10 +417,12 @@ def find_json(text, kind):
 def chat_with_repair(gateway, system, user, parse, repair, temperature=0.0):
     """Send an agent prompt and parse the reply, re-prompting once to repair.
 
-    ``parse`` maps the reply text to a result, raising ParseFailure or
-    SchemaViolation when it cannot. On such an error the prompt is sent once
-    more with ``repair`` appended; if that reply fails too, ReplyUnusable
-    carries the last reply text and parse error.
+    Every agent request (extractor, scheme synthesis, labeler, judge and
+    summarizer) goes through here. ``parse`` maps the reply text to a
+    result, raising ParseFailure or SchemaViolation when it cannot. On such
+    an error the prompt is sent once more with ``repair`` appended; if that
+    reply fails too, ReplyUnusable carries the last reply text and parse
+    error.
     """
     content = user
     for attempt in range(2):

@@ -10,6 +10,7 @@ multiplicity weights the medoid cost.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     SchemeSynthesisFailed,
 )
 from .extraction import UNCHARTED_KEYS
-from .gateway import ChatRequest, chat_with_repair, find_json
+from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
 
 log = logging.getLogger(__name__)
@@ -127,12 +128,11 @@ def _pam_swap(D, medoids, w, cost_path):
     return medoids
 
 
-def cluster_entries(entries, k, seed=0, embeddings=None, gateway=None, weights=None):
+def cluster_entries(entries, k, embeddings=None, gateway=None, weights=None):
     """PAM k-medoids over deduplicated entry texts.
 
     Embeddings come from the gateway unless supplied directly. Result is
-    deterministic given the inputs; ``seed`` only feeds the mock embedder
-    through the gateway config.
+    deterministic given the inputs.
     """
     if k <= 0:
         raise InvalidInput("k must be positive")
@@ -277,19 +277,14 @@ def label_entries(gateway, scheme, entries) -> list:
             + (f"Category examples:\n{example_lines}\n" if example_lines else "")
             + f"Entry: {raw_text}"
         )
-        try:
-            response = gateway.chat(
-                ChatRequest(
-                    system_prompt=prompt.text,
-                    user_content=user,
-                    max_tokens=gateway.config.max_tokens,
-                    model_name=gateway.config.chat_model,
-                )
+        try:  # every reply parses; off-scheme ones map to the fallback below
+            return chat_with_repair(
+                gateway, prompt.text, user, lambda raw: raw.strip().strip('"'),
+                "Reply with one allowed category label only.",
             )
         except ClinNoteError as exc:  # gateway failure: the text stays unlabeled
             log.warning("labeling failed for a %s entry: %s", scheme.variable, exc)
             return None
-        return response.raw_text.strip().strip('"')
 
     # each distinct text is asked once; entries that share it share the reply
     texts = list(dict.fromkeys(text for _, text in entries))
@@ -315,17 +310,16 @@ def label_entries(gateway, scheme, entries) -> list:
     return out
 
 
-def normalize_variable(gateway, variable, entries, k=200, seed=0):
+def normalize_variable(gateway, variable, entries, k=200):
     """Full pipeline for one variable: cluster, synthesize, label.
 
     ``entries`` is a list of (hadm_id, raw_text) with possible duplicate
     texts; duplicates weight the clustering and every entry gets labeled.
     """
-    texts = [t for _, t in entries]
-    uniq = sorted(set(texts))
-    weights = np.array([texts.count(t) for t in uniq], dtype=float)
-    clustering = cluster_entries(uniq, min(k, len(uniq)), seed=seed,
-                                 gateway=gateway, weights=weights)
+    counts = Counter(t for _, t in entries)
+    uniq = sorted(counts)
+    weights = np.array([counts[t] for t in uniq], dtype=float)
+    clustering = cluster_entries(uniq, min(k, len(uniq)), gateway=gateway, weights=weights)
     medoid_texts = [uniq[i] for i in clustering.medoid_indices]
     scheme = synthesize_scheme(gateway, variable, medoid_texts)
     # attach medoid examples per category by labeling the medoids first

@@ -17,7 +17,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import time
 from dataclasses import asdict, dataclass
 
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .extraction import CHARTED_KEYS, ExtractionRecord, Extractor
 from .fidelity import (
+    _age_years,
     corpus_judge_summary,
     evaluate_categorical,
     evaluate_vital,
@@ -355,8 +355,7 @@ class Runner:
             self.gateway.embed(sorted({text for found in entries.values() for _, text in found}))
         results = self.gateway.map(
             lambda variable: normalize_variable(
-                self.gateway, variable, entries[variable],
-                k=self.config.k_medoids, seed=self.config.seed,
+                self.gateway, variable, entries[variable], k=self.config.k_medoids
             ),
             entries,
         )
@@ -444,13 +443,10 @@ class Runner:
             for hadm_id, label in outcomes.items():
                 if variable == "age":
                     rec = records.get(hadm_id)
-                    age = rec.charted_sdoh.get("age") if rec else None
-                    if age is None:
+                    years = _age_years(rec.charted_sdoh.get("age")) if rec else None
+                    if years is None:
                         continue
-                    m = re.fullmatch(r"\d+(?:\.\d+)?", str(age).strip())
-                    if not m:
-                        continue
-                    xs.append(float(m.group()))
+                    xs.append(years)
                 else:
                     vital = canon.get(variable, {}).get(hadm_id)
                     if vital is None:

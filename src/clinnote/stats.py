@@ -280,8 +280,8 @@ def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:
     )
 
 
-def build_contingency(labeled, outcomes, row_order=None) -> ContingencyTable:
-    """Counts of normalized categories x readmission outcome.
+def build_contingency(labeled, outcomes) -> ContingencyTable:
+    """Counts of normalized categories x readmission outcome, rows sorted.
 
     ``labeled`` holds objects with hadm_id / assigned_category; entries
     whose hadm_id has no outcome are dropped (counted), as are entries
@@ -289,7 +289,6 @@ def build_contingency(labeled, outcomes, row_order=None) -> ContingencyTable:
     """
     counts: dict = {}
     dropped = 0
-    seen_order = []
     for entry in labeled:
         cat = getattr(entry, "assigned_category", None)
         if cat is None:
@@ -299,39 +298,9 @@ def build_contingency(labeled, outcomes, row_order=None) -> ContingencyTable:
         if outcome is None:
             dropped += 1
             continue
-        if cat not in counts:
-            counts[cat] = [0, 0]
-            seen_order.append(cat)
-        counts[cat][int(outcome)] += 1
+        counts.setdefault(cat, [0, 0])[int(outcome)] += 1
     if not counts:
         raise DegenerateTable("no labeled entries joined an outcome")
-    if row_order is not None:
-        ordered = [r for r in row_order if r in counts]
-        ordered += [r for r in seen_order if r not in row_order]
-    else:
-        ordered = sorted(seen_order)
+    ordered = sorted(counts)
     matrix = np.array([counts[r] for r in ordered], dtype=float)
     return ContingencyTable(rows=ordered, counts=matrix, dropped=dropped)
-
-
-def compute_odds_ratio_2x2(table) -> dict:
-    """Cross-product odds ratio with a 95% CI on the log scale.
-
-    Zero cells get the Haldane 0.5 correction (flagged in the result).
-    """
-    counts = np.asarray(table.counts if isinstance(table, ContingencyTable) else table,
-                        dtype=float)
-    if counts.shape != (2, 2):
-        raise InvalidInput("odds ratio requires a 2x2 table")
-    corrected = bool(np.any(counts == 0))
-    if corrected:
-        counts = counts + 0.5
-    a, b = counts[0]
-    c, d = counts[1]
-    or_ = (a * d) / (b * c)
-    se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
-    return {
-        "or": or_,
-        "ci95": (math.exp(math.log(or_) - 1.96 * se), math.exp(math.log(or_) + 1.96 * se)),
-        "corrected": corrected,
-    }

@@ -13,9 +13,9 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import ClinNoteError, InvalidInput
+from .errors import ClinNoteError, InvalidInput, ReplyUnusable, SchemaViolation
 from .extraction import CHARTED_KEYS, CHIEF_KEYS, UNCHARTED_KEYS, VITALS_KEYS
-from .gateway import ChatRequest
+from .gateway import chat_with_repair
 from .prompts import load_prompt
 
 log = logging.getLogger(__name__)
@@ -62,29 +62,20 @@ class SummaryRecord:
         }
 
 
+def _numeral_free(text):
+    """The reply itself, or SchemaViolation when it has a numeral."""
+    if contains_digits(text):
+        raise SchemaViolation("no-number summary contains numerals")
+    return text
+
+
 class Summarizer:
-    def __init__(self, gateway, temperature=None):
+    def __init__(self, gateway):
         self.gateway = gateway
-        self.temperature = (
-            temperature
-            if temperature is not None
-            else gateway.config.summary_temperature
-        )
         self._prompts = {
             "overall": load_prompt("summary_overall"),
             "no_number": load_prompt("summary_no_number"),
         }
-
-    def _chat(self, variant, user_content):
-        return self.gateway.chat(
-            ChatRequest(
-                system_prompt=self._prompts[variant].text,
-                user_content=user_content,
-                temperature=self.temperature,
-                max_tokens=self.gateway.config.max_tokens,
-                model_name=self.gateway.config.chat_model,
-            )
-        )
 
     def summarize(self, note, variant, hadm_id="") -> SummaryRecord:
         """Summarize one note; no_number output is digit-checked.
@@ -97,16 +88,16 @@ class Summarizer:
             raise InvalidInput("note must be non-empty")
         if variant not in ("overall", "no_number"):
             raise InvalidInput(f"unknown summary variant: {variant}")
+        status = "ok"
         try:
-            response = self._chat(variant, note)
-            text = response.raw_text
-            status = "ok"
-            if variant == "no_number" and contains_digits(text):
-                response = self._chat(variant, note + "\n\nRemove every numeral.")
-                text = response.raw_text
-                if contains_digits(text):
-                    status = "contains_numbers"
-                    log.warning("no-number summary for %s still has digits", hadm_id)
+            text = chat_with_repair(
+                self.gateway, self._prompts[variant].text, note,
+                _numeral_free if variant == "no_number" else str,
+                "Remove every numeral.", self.gateway.config.summary_temperature,
+            )
+        except ReplyUnusable as err:
+            text, status = err.raw_text, "contains_numbers"
+            log.warning("no-number summary for %s still has digits", hadm_id)
         except ClinNoteError as exc:
             log.warning("summary failed for %s: %s", hadm_id, exc)
             return SummaryRecord(hadm_id, variant, "", word_count(note), 0, 0.0, "failed")

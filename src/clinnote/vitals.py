@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-import statistics
 from dataclasses import dataclass
-
-from .errors import NoData
 
 log = logging.getLogger(__name__)
 
@@ -235,10 +232,3 @@ def canonicalize_record(record):
             continue
         out.extend(parse_vital(raw_key, text, hadm_id=record.hadm_id))
     return out
-
-
-def aggregate_admission(values, variable=None):
-    """Median of per-admission canonical values (even count: mean of middle two)."""
-    if not values:
-        raise NoData(f"no values to aggregate for {variable}")
-    return statistics.median(values)

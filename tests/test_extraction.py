@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from clinnote.errors import InvalidVariable, ParseFailure, SchemaViolation
 from clinnote.extraction import (
-    ALL_VARIABLES,
     CHARTED_KEYS,
     CHIEF_KEYS,
     Extractor,
@@ -14,7 +13,6 @@ from clinnote.extraction import (
     REPAIR_INSTRUCTION,
     UNCHARTED_KEYS,
     VITALS_KEYS,
-    extraction_coverage,
     parse_structured_output,
 )
 
@@ -111,6 +109,12 @@ class TestParseStructuredOutput:
         again = ExtractionRecord.from_dict(rec.to_dict())
         assert again.to_dict() == rec.to_dict()
 
+    def test_get_unknown_variable_raises(self):
+        rec = parse_structured_output(FULL_REPLY)
+        assert rec.get("blood_pressure") == rec.vitals_raw["blood_pressure"]
+        with pytest.raises(InvalidVariable):
+            rec.get("shoe_size")
+
     @given(st.text(max_size=120))
     def test_arbitrary_text_never_returns_partial_schema(self, text):
         try:
@@ -118,30 +122,6 @@ class TestParseStructuredOutput:
         except (ParseFailure, SchemaViolation):
             return
         assert set(rec.vitals_raw) == set(VITALS_KEYS)
-
-
-class TestCoverage:
-    def _recs(self):
-        a = parse_structured_output('{"Charted_SDOHs": {"Gender": "F"}}')
-        b = parse_structured_output('{"Charted_SDOHs": {"Gender": "null"}}')
-        c = parse_structured_output('{"Charted_SDOHs": {"Gender": "M"}}')
-        return [a, b, c]
-
-    def test_percentage(self):
-        assert extraction_coverage(self._recs(), "gender") == pytest.approx(200.0 / 3.0)
-        assert extraction_coverage(self._recs(), "age") == 0.0
-
-    def test_unknown_variable(self):
-        with pytest.raises(InvalidVariable):
-            extraction_coverage(self._recs(), "shoe_size")
-
-    def test_empty_records(self):
-        with pytest.raises(InvalidVariable):
-            extraction_coverage([], "gender")
-
-    def test_all_variables_listed(self):
-        assert len(ALL_VARIABLES) == 19
-        assert "blood_pressure" in ALL_VARIABLES
 
 
 class TestExtractorRepairFlow:

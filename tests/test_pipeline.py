@@ -90,6 +90,9 @@ class TestConfig:
 
 
 FIXTURE_REPORT_HASH = "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
+# SHA-256 of the fixture run's sorted cache keys: the exact bytes of every
+# request (system prompt, user content, temperature, max_tokens, model)
+FIXTURE_REQUEST_KEYS_HASH = "e9846ce38361c7257982cb5754962db77232963a76660e184d971b208d561f8e"
 
 
 def fixture_config(tmp_path, **overrides):
@@ -260,6 +263,16 @@ class TestRunner:
         run_all(cfg, out)
         assert report_hash(out) == FIXTURE_REPORT_HASH
 
+    def test_fixture_request_keys_pinned(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        gateway = LLMGateway(cfg)
+        Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
+        gateway.close()
+        keys = sorted(gateway.cache._entries)
+        assert len(keys) == 103
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert digest == FIXTURE_REQUEST_KEYS_HASH
+
     @pytest.mark.parametrize("workers", [1, 4])
     def test_report_hash_same_at_any_concurrency(self, tmp_path, workers):
         class Jittery(MockBackend):
@@ -333,6 +346,25 @@ class TestRunner:
             if "skipped" in rep:
                 continue
             assert 0.0 <= rep["summary"]["auroc"]["mean"] <= 1.0
+
+    def test_age_with_unit_enters_the_logistic_fit(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_all(fixture_config(tmp_path), out)
+
+        def age_fit():
+            with open(os.path.join(out, "association_report.json")) as fh:
+                return next(r for r in json.load(fh)["logistic"] if r["variable"] == "age")
+
+        before = age_fit()
+        path = os.path.join(out, "extractions.jsonl")
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
+        records[0]["charted_sdoh"]["age"] += " years"
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        Runner(fixture_config(tmp_path), out).run_stage("associate")
+        assert age_fit() == before
+        assert before["n"] == 10
 
     def test_pairs_boundary_labels_from_fixture(self, tmp_path):
         # fixture plan includes 29.5-day (label 1) and 31-day (label 0) gaps

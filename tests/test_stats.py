@@ -18,7 +18,6 @@ from clinnote.stats import (
     build_contingency,
     chi2_sf,
     chi_square_test,
-    compute_odds_ratio_2x2,
     fit_univariate_logistic,
     normal_sf,
     regularized_gamma_q,
@@ -166,33 +165,15 @@ class TestBuildContingency:
         assert table.counts.tolist() == [[1.0, 1.0], [0.0, 1.0]]
         assert table.dropped == 2
 
-    def test_row_order_respected(self):
+    def test_rows_sorted(self):
         labeled = [self._entry("H1", "B"), self._entry("H2", "A")]
-        outcomes = {"H1": 0, "H2": 1}
-        table = build_contingency(labeled, outcomes, row_order=["A", "B", "C"])
+        table = build_contingency(labeled, {"H1": 0, "H2": 1})
         assert table.rows == ["A", "B"]
+        assert table.counts.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_empty_join_raises(self):
         with pytest.raises(DegenerateTable):
             build_contingency([self._entry("H1", "A")], {})
-
-
-class TestOddsRatio:
-    def test_cross_product(self):
-        res = compute_odds_ratio_2x2([[10, 20], [20, 10]])
-        assert res["or"] == pytest.approx(0.25)
-        assert not res["corrected"]
-        lo, hi = res["ci95"]
-        assert lo < 0.25 < hi
-
-    def test_zero_cell_haldane(self):
-        res = compute_odds_ratio_2x2([[10, 0], [5, 5]])
-        assert res["corrected"]
-        assert res["or"] == pytest.approx((10.5 * 5.5) / (0.5 * 5.5))
-
-    def test_shape_check(self):
-        with pytest.raises(InvalidInput):
-            compute_odds_ratio_2x2([[1, 2, 3], [4, 5, 6]])
 
 
 def _simulated_logit_data():

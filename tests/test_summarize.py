@@ -93,10 +93,27 @@ class TestSummarizer:
         assert backend.calls == 2
         assert not contains_digits(rec.text)
 
+    def test_no_number_repair_request_bytes(self, scripted_gateway_factory):
+        seen = []
+        gw, backend = scripted_gateway_factory(["HR 88.", "Heart rate was normal."])
+        original = backend.chat
+
+        def spy(request):
+            seen.append(request)
+            return original(request)
+
+        backend.chat = spy
+        rec = Summarizer(gw).summarize(NOTE, "no_number")
+        assert rec.status == "ok"
+        assert [r.user_content for r in seen] == [NOTE, NOTE + "\n\nRemove every numeral."]
+        assert [r.temperature for r in seen] == [gw.config.summary_temperature] * 2
+        assert seen[0].system_prompt == seen[1].system_prompt
+
     def test_no_number_flagged_after_two_tries(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory(["HR 88.", "Still HR 88."])
         rec = Summarizer(gw).summarize(NOTE, "no_number")
         assert rec.status == "contains_numbers"
+        assert rec.text == "Still HR 88."
         assert backend.calls == 2
 
     def test_gateway_failure_yields_failed_record(self, scripted_gateway_factory):

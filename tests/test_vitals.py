@@ -1,13 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import NoData
 from clinnote.vitals import (
     CanonicalVital,
     OutOfRange,
     PLAUSIBLE_RANGE,
     Unparseable,
-    aggregate_admission,
     c_to_f,
     cm_to_in,
     f_to_c,
@@ -174,15 +172,3 @@ class TestPlausibleRanges:
         outcome = one(parse_vital("hr", f"{value:.1f}"))
         in_range = 20.0 <= float(f"{value:.1f}") <= 300.0
         assert isinstance(outcome, CanonicalVital) == in_range
-
-
-class TestAggregate:
-    def test_odd_median(self):
-        assert aggregate_admission([3.0, 1.0, 2.0]) == 2.0
-
-    def test_even_mean_of_middle(self):
-        assert aggregate_admission([1.0, 2.0, 3.0, 10.0]) == 2.5
-
-    def test_empty_raises(self):
-        with pytest.raises(NoData):
-            aggregate_admission([], variable="hr")
