@@ -36,6 +36,13 @@ VITALS_KEYS = (
     "weight",
 )
 CHIEF_KEYS = ("symptoms", "description")
+# ExtractionRecord field -> its leaf keys, in record and rendering order
+GROUPS = {
+    "charted_sdoh": CHARTED_KEYS,
+    "uncharted_sdoh": UNCHARTED_KEYS,
+    "vitals_raw": VITALS_KEYS,
+    "chief_complaint": CHIEF_KEYS,
+}
 
 REPAIR_INSTRUCTION = "Return only valid JSON matching the schema."
 
@@ -50,9 +57,9 @@ class ExtractionRecord:
     diagnoses: list = field(default_factory=list)
 
     def get(self, variable):
-        """Look a leaf variable up across the three flat groups."""
-        for group in (self.charted_sdoh, self.uncharted_sdoh, self.vitals_raw,
-                      self.chief_complaint):
+        """Look a leaf variable up across the flat groups."""
+        for name in GROUPS:
+            group = getattr(self, name)
             if variable in group:
                 return group[variable]
         raise InvalidVariable(f"unknown extraction variable: {variable}")
@@ -60,10 +67,7 @@ class ExtractionRecord:
     def to_dict(self) -> dict:
         return {
             "hadm_id": self.hadm_id,
-            "charted_sdoh": self.charted_sdoh,
-            "uncharted_sdoh": self.uncharted_sdoh,
-            "vitals_raw": self.vitals_raw,
-            "chief_complaint": self.chief_complaint,
+            **{name: getattr(self, name) for name in GROUPS},
             "diagnoses": self.diagnoses,
         }
 
@@ -71,10 +75,7 @@ class ExtractionRecord:
     def from_dict(cls, d) -> "ExtractionRecord":
         return cls(
             hadm_id=d["hadm_id"],
-            charted_sdoh=dict(d.get("charted_sdoh", {})),
-            uncharted_sdoh=dict(d.get("uncharted_sdoh", {})),
-            vitals_raw=dict(d.get("vitals_raw", {})),
-            chief_complaint=dict(d.get("chief_complaint", {})),
+            **{name: dict(d.get(name, {})) for name in GROUPS},
             diagnoses=list(d.get("diagnoses", [])),
         )
 
@@ -111,30 +112,28 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
     """Parse a model reply into a schema-complete ExtractionRecord."""
     obj = find_json(raw_text, dict)
 
-    charted_src = _ci_get(obj, "Charted_SDOHs", "Charted_SDOH", "charted_sdoh") or {}
-    uncharted_src = _ci_get(
-        obj, "NonCharted_SDOHs", "Uncharted_SDOHs", "NonCharted_SDOH", "uncharted_sdoh"
-    ) or {}
     clinical = _ci_get(obj, "Clinical_Info", "clinical_info") or {}
-    vitals_src = _ci_get(clinical, "Vitals", "vitals") or _ci_get(obj, "Vitals") or {}
-    chief_src = _ci_get(obj, "Chief_Complaint", "chief_complaint") or {}
+    sources = {  # record field -> the reply's group object
+        "charted_sdoh": _ci_get(obj, "Charted_SDOHs", "Charted_SDOH", "charted_sdoh") or {},
+        "uncharted_sdoh": _ci_get(
+            obj, "NonCharted_SDOHs", "Uncharted_SDOHs", "NonCharted_SDOH", "uncharted_sdoh"
+        ) or {},
+        "vitals_raw": _ci_get(clinical, "Vitals", "vitals") or _ci_get(obj, "Vitals") or {},
+        "chief_complaint": _ci_get(obj, "Chief_Complaint", "chief_complaint") or {},
+    }
     dx_src = _ci_get(obj, "Diagnoses", "diagnoses")
 
-    if not isinstance(charted_src, dict) or not isinstance(uncharted_src, dict) or \
-            not isinstance(vitals_src, dict) or not isinstance(chief_src, dict):
+    if not all(isinstance(src, dict) for src in sources.values()):
         raise SchemaViolation("expected nested objects for SDOH / vitals groups")
-    if not (charted_src or uncharted_src or vitals_src or dx_src):
+    if not (sources["charted_sdoh"] or sources["uncharted_sdoh"] or sources["vitals_raw"]
+            or dx_src):
         raise SchemaViolation("JSON object has none of the expected schema groups")
 
     rec = ExtractionRecord(hadm_id=hadm_id)
-    for key in CHARTED_KEYS:
-        rec.charted_sdoh[key] = _canon_value(_ci_get(charted_src, key, key.replace("_", "")))
-    for key in UNCHARTED_KEYS:
-        rec.uncharted_sdoh[key] = _canon_value(_ci_get(uncharted_src, key, key.replace("_", "")))
-    for key in VITALS_KEYS:
-        rec.vitals_raw[key] = _canon_value(_ci_get(vitals_src, key, key.replace("_", "")))
-    for key in CHIEF_KEYS:
-        rec.chief_complaint[key] = _canon_value(_ci_get(chief_src, key))
+    for name, keys in GROUPS.items():
+        group = getattr(rec, name)
+        for key in keys:
+            group[key] = _canon_value(_ci_get(sources[name], key, key.replace("_", "")))
 
     if dx_src is not None:
         if not isinstance(dx_src, list):
@@ -153,18 +152,16 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
 class Extractor:
     """Drives the extraction prompt through the gateway, one note at a time."""
 
-    def __init__(self, gateway, temperature=0.0):
+    def __init__(self, gateway):
         self.gateway = gateway
         self.prompt = load_prompt("extractor")
-        self.temperature = temperature
 
     def extract(self, note, hadm_id):
         """Returns ExtractionRecord, or QuarantinedExtraction after one repair."""
         try:
             return chat_with_repair(
                 self.gateway, self.prompt.text, note,
-                lambda raw: parse_structured_output(raw, hadm_id=hadm_id),
-                REPAIR_INSTRUCTION, self.temperature,
+                lambda raw: parse_structured_output(raw, hadm_id=hadm_id), REPAIR_INSTRUCTION,
             )
         except ReplyUnusable as err:
             return QuarantinedExtraction(hadm_id=hadm_id, raw_text=err.raw_text, reason=str(err))

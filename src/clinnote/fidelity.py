@@ -18,28 +18,10 @@ from importlib import resources
 from .errors import JudgeFailed, ParseFailure, ReplyUnusable
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
-from .vitals import c_to_f, cm_to_in, f_to_c, in_to_cm, kg_to_lb, lb_to_kg
+from .vitals import VITALS
 
 log = logging.getLogger(__name__)
 
-
-@dataclass
-class ToleranceRule:
-    variable: str
-    native_tolerances: dict  # unit -> +/- bound
-    canonical_unit: str
-
-
-TOLERANCE_RULES = {
-    "temperature": ToleranceRule("temperature", {"F": 0.5, "C": 0.3}, "C"),
-    "hr": ToleranceRule("hr", {"bpm": 5.0}, "bpm"),
-    "rr": ToleranceRule("rr", {"breaths/min": 1.0}, "breaths/min"),
-    "spo2": ToleranceRule("spo2", {"%": 1.0}, "%"),
-    "height": ToleranceRule("height", {"cm": 2.0, "in": 1.0}, "cm"),
-    "weight": ToleranceRule("weight", {"kg": 2.0, "lb": 5.0}, "kg"),
-    "bp_sys": ToleranceRule("bp_sys", {"mmHg": 5.0}, "mmHg"),
-    "bp_dia": ToleranceRule("bp_dia", {"mmHg": 5.0}, "mmHg"),
-}
 
 _UNIT_ALIASES = {
     "°f": "F", "f": "F", "deg f": "F", "fahrenheit": "F",
@@ -52,37 +34,23 @@ _UNIT_ALIASES = {
     "mmhg": "mmHg",
 }
 
-# canonical value -> native unit
-_FROM_CANONICAL = {
-    ("temperature", "F"): c_to_f,
-    ("height", "in"): cm_to_in,
-    ("weight", "lb"): kg_to_lb,
-}
-
-# native truth value -> canonical
-_TO_CANONICAL = {
-    ("temperature", "F"): f_to_c,
-    ("height", "in"): in_to_cm,
-    ("weight", "lb"): lb_to_kg,
-}
-
 
 def normalize_unit(unit):
     return _UNIT_ALIASES.get(str(unit).strip().lower(), str(unit).strip())
 
 
 def truth_to_canonical(variable, value, unit):
-    fn = _TO_CANONICAL.get((variable, normalize_unit(unit)))
-    return fn(value) if fn else value
+    conversion = VITALS[variable].conversions.get(normalize_unit(unit))
+    return conversion[0](value) if conversion else value
 
 
 def within_tolerance(variable, a, b, unit):
-    """Symmetric: |a - b| <= the rule's bound for the given unit."""
-    rule = TOLERANCE_RULES[variable]
+    """Symmetric: |a - b| <= the bound for the given unit (else the canonical one)."""
+    spec = VITALS[variable]
     unit = normalize_unit(unit)
-    if unit not in rule.native_tolerances:
-        unit = rule.canonical_unit
-    return abs(a - b) <= rule.native_tolerances[unit]
+    if unit not in spec.native_tolerances:
+        unit = spec.unit
+    return abs(a - b) <= spec.native_tolerances[unit]
 
 
 def evaluate_vital(variable, extracted, truth):
@@ -95,22 +63,20 @@ def evaluate_vital(variable, extracted, truth):
     units otherwise; MAE/MAPE always compare canonical medians without
     tolerance.
     """
-    rule = TOLERANCE_RULES[variable]
+    spec = VITALS[variable]
     truth = {h: rows for h, rows in truth.items() if rows}
     if not truth:
         log.warning("no truth rows for %s; row omitted", variable)
         return None
     n_truth = len(truth)
     hits = 0
-    n_pairs = 0
+    n_pairs = 0  # admissions with both truth and an extraction
     abs_errors = []
     pct_errors = []
-    n_extracted = 0
     for hadm_id, rows in truth.items():
         vital = extracted.get(hadm_id)
         if vital is None:
             continue
-        n_extracted += 1
         n_pairs += 1
         truth_canon = statistics.median(
             truth_to_canonical(variable, v, u) for v, u in rows
@@ -118,15 +84,13 @@ def evaluate_vital(variable, extracted, truth):
         # native comparison when every truth row shares the extracted unit
         native_unit = normalize_unit(vital.original_unit)
         truth_units = {normalize_unit(u) for _, u in rows}
-        if truth_units == {native_unit} and native_unit in rule.native_tolerances:
-            convert = _FROM_CANONICAL.get((variable, native_unit), lambda v: v)
-            extr_native = convert(vital.value)
+        if truth_units == {native_unit} and native_unit in spec.native_tolerances:
+            conversion = spec.conversions.get(native_unit)
+            extr_native = conversion[1](vital.value) if conversion else vital.value
             truth_native = statistics.median(v for v, _ in rows)
             hit = within_tolerance(variable, extr_native, truth_native, native_unit)
         else:
-            hit = within_tolerance(
-                variable, vital.value, truth_canon, rule.canonical_unit
-            )
+            hit = within_tolerance(variable, vital.value, truth_canon, spec.unit)
         if hit:
             hits += 1
         abs_errors.append(abs(vital.value - truth_canon))
@@ -134,7 +98,7 @@ def evaluate_vital(variable, extracted, truth):
             pct_errors.append(abs(vital.value - truth_canon) / abs(truth_canon) * 100.0)
     return {
         "variable": variable,
-        "pct_extracted": 100.0 * n_extracted / n_truth,
+        "pct_extracted": 100.0 * n_pairs / n_truth,
         "cond_acc": (100.0 * hits / n_pairs) if n_pairs else None,
         "mae": statistics.mean(abs_errors) if abs_errors else None,
         "mape": statistics.mean(pct_errors) if pct_errors else None,

@@ -414,7 +414,7 @@ def find_json(text, kind):
     raise ParseFailure(f"no JSON {name} found in model reply")
 
 
-def chat_with_repair(gateway, system, user, parse, repair, temperature=0.0):
+def chat_with_repair(gateway, system, user, parse, repair, temperature=None):
     """Send an agent prompt and parse the reply, re-prompting once to repair.
 
     Every agent request (extractor, scheme synthesis, labeler, judge and
@@ -422,8 +422,10 @@ def chat_with_repair(gateway, system, user, parse, repair, temperature=0.0):
     result, raising ParseFailure or SchemaViolation when it cannot. On such
     an error the prompt is sent once more with ``repair`` appended; if that
     reply fails too, ReplyUnusable carries the last reply text and parse
-    error.
+    error. ``temperature`` defaults to the config's ``temperature``.
     """
+    if temperature is None:
+        temperature = gateway.config.temperature
     content = user
     for attempt in range(2):
         response = gateway.chat(ChatRequest(

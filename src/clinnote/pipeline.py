@@ -50,7 +50,7 @@ from .normalize import NORMALIZED_VARIABLES, LabeledEntry, normalize_variable
 from .predict import evaluate_cv
 from .prompts import load_prompt
 from .summarize import Summarizer, render_structural
-from .vitals import PLAUSIBLE_RANGE, CanonicalVital, canonicalize_record
+from .vitals import VITALS, CanonicalVital, canonicalize_record
 
 log = logging.getLogger(__name__)
 
@@ -291,7 +291,7 @@ class Runner:
 
     def _stage_extract(self):
         notes = self._modeling_notes()
-        extractor = Extractor(self.gateway, temperature=self.config.temperature)
+        extractor = Extractor(self.gateway)
         records, quarantined = extractor.extract_many(notes)
         write_jsonl(self.path("extractions.jsonl"), [rec.to_dict() for rec in records])
         write_jsonl(
@@ -388,7 +388,7 @@ class Runner:
 
         if self.config.truth_vitals_path and os.path.exists(self.config.truth_vitals_path):
             truth_vitals = load_truth_vitals(self.config.truth_vitals_path)
-            for variable in PLAUSIBLE_RANGE:
+            for variable in VITALS:
                 row = evaluate_vital(
                     variable, canon.get(variable, {}), truth_vitals.get(variable, {})
                 )
@@ -438,7 +438,7 @@ class Runner:
         records = {r.hadm_id: r for r in self._load_extractions()}
 
         logistic = []
-        for variable in [*PLAUSIBLE_RANGE, "age"]:
+        for variable in [*VITALS, "age"]:
             xs, ys = [], []
             for hadm_id, label in outcomes.items():
                 if variable == "age":

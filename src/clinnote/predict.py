@@ -21,6 +21,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import CVInfeasible, InvalidInput, VectorizerDegenerate
+from .stats import sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -121,10 +122,6 @@ def fit_vectorizer(train_docs) -> Vectorizer:
 
 # --- classifier ------------------------------------------------------------
 
-def _sigmoid(eta):
-    return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
-
-
 def _conjugate_gradient(hess_vec, b, tol):
     """Approximately solve H x = b; stops early on non-positive curvature."""
     x, r, p = np.zeros_like(b), b.copy(), b.copy()
@@ -170,12 +167,12 @@ def train_classifier(X, y, l2_lambda=1.0, tol=1e-6, max_iter=100):
         return float(np.sum(np.logaddexp(0.0, eta) - y * eta) + 0.5 * (penalty * w) @ w)
 
     w, eta = np.zeros(X.shape[1] + 1), np.zeros(len(y))
-    obj, grad = objective(eta, w), backward(_sigmoid(eta) - y)  # w = 0: no penalty term
+    obj, grad = objective(eta, w), backward(sigmoid(eta) - y)  # w = 0: no penalty term
     grad_norm = float(np.linalg.norm(grad))
     for _ in range(max_iter):
         if grad_norm < tol:
             break
-        p = _sigmoid(eta)
+        p = sigmoid(eta)
         s = p * (1.0 - p)
         step = _conjugate_gradient(lambda v: backward(s * forward(v)) + penalty * v,
                                    -grad, min(0.5, math.sqrt(grad_norm)) * grad_norm)
@@ -183,7 +180,7 @@ def train_classifier(X, y, l2_lambda=1.0, tol=1e-6, max_iter=100):
         for _ in range(50):
             cand_w, cand_eta = w + t * step, eta + t * d_eta
             cand_obj = objective(cand_eta, cand_w)
-            cand_grad = backward(_sigmoid(cand_eta) - y) + penalty * cand_w
+            cand_grad = backward(sigmoid(cand_eta) - y) + penalty * cand_w
             cand_norm = float(np.linalg.norm(cand_grad))
             if cand_obj <= obj + 1e-4 * t * slope or (
                     abs(cand_obj - obj) <= 1e-13 * abs(obj) and cand_norm < grad_norm):
@@ -199,7 +196,7 @@ def train_classifier(X, y, l2_lambda=1.0, tol=1e-6, max_iter=100):
 
 
 def predict_proba(weights, X):
-    return _sigmoid(weights[0] + X @ weights[1:])
+    return sigmoid(weights[0] + X @ weights[1:])
 
 
 # --- metrics ---------------------------------------------------------------

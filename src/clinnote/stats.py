@@ -123,6 +123,11 @@ class LogisticFit:
         }
 
 
+def sigmoid(eta):
+    """Logistic function; the clip keeps ``np.exp`` from overflowing."""
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+
+
 def _nll(y, eta):
     # log(1 + exp(eta)) - y*eta, computed stably
     return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
@@ -156,7 +161,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
     it = 0
     for it in range(1, max_iter + 1):
         eta = X @ beta
-        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+        p = sigmoid(eta)
         grad = X.T @ (y - p)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         H = X.T @ (X * w[:, None])
@@ -184,7 +189,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
             break
     if not converged:
         eta = X @ beta
-        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+        p = sigmoid(eta)
         grad_norm = float(np.linalg.norm(X.T @ (y - p)))
         if grad_norm >= 1e-4:
             raise NoConvergence(
@@ -192,7 +197,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
             )
 
     eta = X @ beta
-    p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+    p = sigmoid(eta)
     w = np.clip(p * (1.0 - p), 1e-12, None)
     cov = np.linalg.inv(X.T @ (X * w[:, None]))
     se = math.sqrt(cov[1, 1])

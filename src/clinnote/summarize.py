@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClinNoteError, InvalidInput, ReplyUnusable, SchemaViolation
-from .extraction import CHARTED_KEYS, CHIEF_KEYS, UNCHARTED_KEYS, VITALS_KEYS
+from .extraction import GROUPS
 from .gateway import chat_with_repair
 from .prompts import load_prompt
 
@@ -114,21 +114,14 @@ class Summarizer:
         )
 
 
-_STRUCTURAL_ORDER = CHARTED_KEYS + UNCHARTED_KEYS + VITALS_KEYS + CHIEF_KEYS
-
-
 def render_structural(record, note_text="") -> SummaryRecord:
     """Deterministic key:value flattening of an extraction record."""
     lines = []
-    flat = {}
-    flat.update(record.charted_sdoh)
-    flat.update(record.uncharted_sdoh)
-    flat.update(record.vitals_raw)
-    flat.update(record.chief_complaint)
-    for key in _STRUCTURAL_ORDER:
-        value = flat.get(key)
-        if value is not None:
-            lines.append(f"{key}: {value}")
+    for name, keys in GROUPS.items():
+        group = getattr(record, name)
+        for key in keys:
+            if (value := group.get(key)) is not None:
+                lines.append(f"{key}: {value}")
     for dx in record.diagnoses:
         if dx.get("details"):
             lines.append(f"diagnosis: {dx['condition']} ({dx['details']})")

@@ -1,16 +1,19 @@
 """Free-text vital sign values -> numbers in canonical units.
 
-Canonical units: temperature °C, height cm, weight kg, blood pressure
-mmHg, heart rate bpm, respiration rate breaths/min, SpO2 %. Blood
-pressure strings like "120/60" split into systolic and diastolic
-components. Out-of-range values are flagged rather than corrected.
+``VITALS`` holds what every stage knows about each canonical vital sign:
+its canonical unit, plausibility range, agreement tolerances and unit
+conversions. Blood pressure strings like "120/60" split into systolic and
+diastolic components. Out-of-range values are flagged rather than
+corrected.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .extraction import VITALS_KEYS
 
 log = logging.getLogger(__name__)
 
@@ -42,27 +45,26 @@ def kg_to_lb(kg):
     return kg / LB_PER_KG
 
 
-# Exclusion bounds in canonical units; values outside are flagged, not clipped.
-PLAUSIBLE_RANGE = {
-    "temperature": (30.0, 45.0),
-    "hr": (20.0, 300.0),
-    "rr": (4.0, 80.0),
-    "spo2": (50.0, 100.0),
-    "height": (100.0, 250.0),
-    "weight": (20.0, 350.0),
-    "bp_sys": (30.0, 300.0),
-    "bp_dia": (30.0, 300.0),
-}
+@dataclass(frozen=True)
+class Vital:
+    """One canonical vital sign. Units are spelled as ``fidelity.normalize_unit``
+    returns them, so ``unit`` is always a key of ``native_tolerances``."""
 
-# Extraction-schema variable -> canonical variable(s)
-RAW_TO_CANONICAL = {
-    "body_temperature": ("temperature",),
-    "heart_rate": ("hr",),
-    "respiration_rate": ("rr",),
-    "spo2": ("spo2",),
-    "height": ("height",),
-    "weight": ("weight",),
-    "blood_pressure": ("bp_sys", "bp_dia"),
+    unit: str
+    plausible: tuple  # (low, high) canonical bounds; values outside are flagged, not clipped
+    native_tolerances: dict  # unit -> +/- agreement bound in that unit
+    conversions: dict = field(default_factory=dict)  # unit -> (to_canonical, from_canonical)
+
+
+VITALS = {
+    "temperature": Vital("C", (30.0, 45.0), {"F": 0.5, "C": 0.3}, {"F": (f_to_c, c_to_f)}),
+    "hr": Vital("bpm", (20.0, 300.0), {"bpm": 5.0}),
+    "rr": Vital("breaths/min", (4.0, 80.0), {"breaths/min": 1.0}),
+    "spo2": Vital("%", (50.0, 100.0), {"%": 1.0}),
+    "height": Vital("cm", (100.0, 250.0), {"cm": 2.0, "in": 1.0}, {"in": (in_to_cm, cm_to_in)}),
+    "weight": Vital("kg", (20.0, 350.0), {"kg": 2.0, "lb": 5.0}, {"lb": (lb_to_kg, kg_to_lb)}),
+    "bp_sys": Vital("mmHg", (30.0, 300.0), {"mmHg": 5.0}),
+    "bp_dia": Vital("mmHg", (30.0, 300.0), {"mmHg": 5.0}),
 }
 
 
@@ -107,7 +109,7 @@ def _first_number(text):
 
 
 def _checked(hadm_id, variable, value, text, unit):
-    lo, hi = PLAUSIBLE_RANGE[variable]
+    lo, hi = VITALS[variable].plausible
     if not (lo <= value <= hi):
         return OutOfRange(hadm_id, variable, text, value, unit)
     return CanonicalVital(hadm_id, variable, value, text, unit)
@@ -188,25 +190,20 @@ def _parse_simple(variable):
         value = _first_number(text)
         if value is None:
             return [Unparseable(hadm_id, variable, text, "no numeric token")]
-        return [_checked(hadm_id, variable, value, text, _SIMPLE_UNIT[variable])]
+        return [_checked(hadm_id, variable, value, text, VITALS[variable].unit)]
 
     return parse
-
-
-_SIMPLE_UNIT = {"hr": "bpm", "rr": "breaths/min", "spo2": "%"}
 
 _PARSERS = {
     "temperature": _parse_temperature,
     "body_temperature": _parse_temperature,
     "hr": _parse_simple("hr"),
     "heart_rate": _parse_simple("hr"),
-    "rr": _parse_simple("rr"),
     "respiration_rate": _parse_simple("rr"),
     "spo2": _parse_simple("spo2"),
     "height": _parse_height,
     "weight": _parse_weight,
     "blood_pressure": _parse_bp,
-    "bp": _parse_bp,
 }
 
 
@@ -226,7 +223,7 @@ def parse_vital(variable, text, hadm_id=""):
 def canonicalize_record(record):
     """All vital outcomes for one ExtractionRecord."""
     out = []
-    for raw_key in RAW_TO_CANONICAL:
+    for raw_key in VITALS_KEYS:
         text = record.vitals_raw.get(raw_key)
         if text is None:
             continue

@@ -24,7 +24,6 @@ from clinnote.cohort import (
 )
 from clinnote.fidelity import (
     JudgeVerdict,
-    TOLERANCE_RULES,
     corpus_judge_summary,
     evaluate_vital,
     icd9_descriptions,
@@ -44,6 +43,7 @@ from clinnote.stats import (
 from clinnote.summarize import Summarizer, contains_digits
 from clinnote.vitals import (
     CanonicalVital,
+    VITALS,
     c_to_f,
     cm_to_in,
     f_to_c,
@@ -142,14 +142,14 @@ def test_03_unit_conversion():
 
 def test_04_tolerance_evaluator_hand_fixture():
     with criterion(4, "tolerance evaluator matches hand-computed metrics"):
-        assert TOLERANCE_RULES["temperature"].native_tolerances == {"F": 0.5, "C": 0.3}
-        assert TOLERANCE_RULES["hr"].native_tolerances == {"bpm": 5.0}
-        assert TOLERANCE_RULES["rr"].native_tolerances == {"breaths/min": 1.0}
-        assert TOLERANCE_RULES["spo2"].native_tolerances == {"%": 1.0}
-        assert TOLERANCE_RULES["height"].native_tolerances == {"cm": 2.0, "in": 1.0}
-        assert TOLERANCE_RULES["weight"].native_tolerances == {"kg": 2.0, "lb": 5.0}
-        assert TOLERANCE_RULES["bp_sys"].native_tolerances == {"mmHg": 5.0}
-        assert TOLERANCE_RULES["bp_dia"].native_tolerances == {"mmHg": 5.0}
+        assert VITALS["temperature"].native_tolerances == {"F": 0.5, "C": 0.3}
+        assert VITALS["hr"].native_tolerances == {"bpm": 5.0}
+        assert VITALS["rr"].native_tolerances == {"breaths/min": 1.0}
+        assert VITALS["spo2"].native_tolerances == {"%": 1.0}
+        assert VITALS["height"].native_tolerances == {"cm": 2.0, "in": 1.0}
+        assert VITALS["weight"].native_tolerances == {"kg": 2.0, "lb": 5.0}
+        assert VITALS["bp_sys"].native_tolerances == {"mmHg": 5.0}
+        assert VITALS["bp_dia"].native_tolerances == {"mmHg": 5.0}
 
         # 10 admissions with truth; 8 extracted; hand-planned hits/misses:
         # H1..H6 within 5 bpm of the truth median (hits), H7/H8 off (misses),

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from clinnote.errors import JudgeFailed, ParseFailure
 from clinnote.fidelity import (
     JudgeVerdict,
-    TOLERANCE_RULES,
     _parse_judge_reply,
     corpus_judge_summary,
     evaluate_categorical,
@@ -18,18 +17,18 @@ from clinnote.fidelity import (
     normalize_unit,
     within_tolerance,
 )
-from clinnote.vitals import CanonicalVital, f_to_c
+from clinnote.vitals import CanonicalVital, VITALS, f_to_c
 
 
 class TestToleranceRules:
     def test_frozen_bounds(self):
-        assert TOLERANCE_RULES["temperature"].native_tolerances == {"F": 0.5, "C": 0.3}
-        assert TOLERANCE_RULES["hr"].native_tolerances == {"bpm": 5.0}
-        assert TOLERANCE_RULES["rr"].native_tolerances == {"breaths/min": 1.0}
-        assert TOLERANCE_RULES["spo2"].native_tolerances == {"%": 1.0}
-        assert TOLERANCE_RULES["height"].native_tolerances == {"cm": 2.0, "in": 1.0}
-        assert TOLERANCE_RULES["weight"].native_tolerances == {"kg": 2.0, "lb": 5.0}
-        assert TOLERANCE_RULES["bp_sys"].native_tolerances == {"mmHg": 5.0}
+        assert VITALS["temperature"].native_tolerances == {"F": 0.5, "C": 0.3}
+        assert VITALS["hr"].native_tolerances == {"bpm": 5.0}
+        assert VITALS["rr"].native_tolerances == {"breaths/min": 1.0}
+        assert VITALS["spo2"].native_tolerances == {"%": 1.0}
+        assert VITALS["height"].native_tolerances == {"cm": 2.0, "in": 1.0}
+        assert VITALS["weight"].native_tolerances == {"kg": 2.0, "lb": 5.0}
+        assert VITALS["bp_sys"].native_tolerances == {"mmHg": 5.0}
 
     @pytest.mark.parametrize("variable,a,b,unit,hit", [
         ("temperature", 98.6, 99.1, "F", True),

@@ -322,6 +322,23 @@ class TestRunner:
                  "summary_overall", "summary_no_number")
         assert seen == {load_prompt(name).text: {512} for name in names}
 
+    def test_temperature_reaches_every_agent_request(self, tmp_path):
+        seen = {}
+
+        class Recording(MockBackend):
+            def chat(self, request):
+                seen.setdefault(request.system_prompt, set()).add(request.temperature)
+                return super().chat(request)
+
+        cfg = fixture_config(tmp_path, temperature=0.7)
+        gateway = LLMGateway(cfg, backend=Recording())
+        Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
+        gateway.close()
+        agents = ("extractor", "normalizer", "labeler", "judge")
+        summaries = ("summary_overall", "summary_no_number")
+        assert seen == {**{load_prompt(name).text: {0.7} for name in agents},
+                        **{load_prompt(name).text: {0.3} for name in summaries}}
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

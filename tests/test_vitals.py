@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from clinnote.extraction import VITALS_KEYS
+from clinnote.fidelity import normalize_unit
 from clinnote.vitals import (
     CanonicalVital,
     OutOfRange,
-    PLAUSIBLE_RANGE,
     Unparseable,
+    VITALS,
     c_to_f,
     cm_to_in,
     f_to_c,
@@ -155,7 +157,7 @@ class TestSimpleVitals:
 
 class TestPlausibleRanges:
     def test_frozen_bounds(self):
-        assert PLAUSIBLE_RANGE == {
+        assert {v: s.plausible for v, s in VITALS.items()} == {
             "temperature": (30.0, 45.0),
             "hr": (20.0, 300.0),
             "rr": (4.0, 80.0),
@@ -172,3 +174,42 @@ class TestPlausibleRanges:
         outcome = one(parse_vital("hr", f"{value:.1f}"))
         in_range = 20.0 <= float(f"{value:.1f}") <= 300.0
         assert isinstance(outcome, CanonicalVital) == in_range
+
+
+# One sample per unit a parser emits, marked and unmarked, keyed by
+# extraction-schema variable.
+UNIT_SAMPLES = {
+    "body_temperature": {"98.6 F": "°F", "101.2": "°F", "37.0 C": "°C", "37": "°C"},
+    "height": {"5'10\"": "ft-in", "67 in": "in", "67": "in", "170 cm": "cm", "170": "cm"},
+    "weight": {"176 lb": "lb", "300": "lb", "80 kg": "kg", "80": "kg"},
+    "blood_pressure": {"130/80 mmHg": "mmHg", "130/80": "mmHg"},
+    "heart_rate": {"88 bpm": "bpm", "88": "bpm"},
+    "respiration_rate": {"18 breaths/min": "breaths/min", "18": "breaths/min"},
+    "spo2": {"97%": "%", "97": "%"},
+}
+
+
+class TestVitalsTable:
+    def test_every_emitted_unit_has_a_tolerance(self):
+        assert set(UNIT_SAMPLES) == set(VITALS_KEYS)
+        reached = set()
+        for raw_key, samples in UNIT_SAMPLES.items():
+            for text, unit in samples.items():
+                for outcome in parse_vital(raw_key, text):
+                    assert isinstance(outcome, CanonicalVital), (raw_key, text)
+                    assert outcome.original_unit == unit, (raw_key, text)
+                    tolerances = VITALS[outcome.variable].native_tolerances
+                    assert normalize_unit(outcome.original_unit) in tolerances, (raw_key, text)
+                    reached.add(outcome.variable)
+        assert reached == set(VITALS)
+
+    def test_canonical_unit_has_a_tolerance(self):
+        for spec in VITALS.values():
+            assert spec.unit in spec.native_tolerances
+            assert set(spec.conversions) <= set(spec.native_tolerances)
+
+    def test_conversions_round_trip(self):
+        for spec in VITALS.values():
+            for to_canonical, from_canonical in spec.conversions.values():
+                for value in (-40.0, 0.0, 37.0, 66.0, 175.3):
+                    assert from_canonical(to_canonical(value)) == pytest.approx(value, abs=1e-9)
