@@ -6,6 +6,7 @@ Run: python3 demos/02_extraction_and_vitals.py
 
 import json
 import tempfile
+from dataclasses import asdict
 
 from clinnote.config import Config
 from clinnote.extraction import Extractor
@@ -25,7 +26,7 @@ def main():
         record = extractor.extract(note, hadm_id=notes[0]["hadm_id"])
 
     print("--- extraction record ---")
-    print(json.dumps(record.to_dict(), indent=2))
+    print(json.dumps(asdict(record), indent=2))
 
     print("--- canonical vitals ---")
     for outcome in canonicalize_record(record):

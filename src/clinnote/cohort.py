@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 
 from .errors import ConfigError
@@ -77,19 +77,6 @@ class CohortSummary:
     age_iqr: tuple | None
     median_los: float
     los_iqr: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "readmission_rate": self.readmission_rate,
-            "n_notes": self.n_notes,
-            "n_discharge_notes": self.n_discharge_notes,
-            "pct_female": self.pct_female,
-            "median_age": self.median_age,
-            "age_iqr": list(self.age_iqr) if self.age_iqr else None,
-            "median_los": self.median_los,
-            "los_iqr": list(self.los_iqr),
-        }
 
 
 @dataclass
@@ -209,12 +196,7 @@ def filter_hf_cohort(store: CohortStore) -> CohortStore:
     """Keep patients with at least one heart-failure admission (all their admissions)."""
     hf_subjects = {rec.subject_id for rec in store.admissions.values() if rec.is_hf()}
     kept = {h: r for h, r in store.admissions.items() if r.subject_id in hf_subjects}
-    return CohortStore(
-        admissions=kept,
-        rejects=store.rejects,
-        note_counts=store.note_counts,
-        gender_by_subject=store.gender_by_subject,
-    )
+    return replace(store, admissions=kept)
 
 
 def build_readmission_pairs(store: CohortStore) -> list:

@@ -64,21 +64,6 @@ class ExtractionRecord:
                 return group[variable]
         raise InvalidVariable(f"unknown extraction variable: {variable}")
 
-    def to_dict(self) -> dict:
-        return {
-            "hadm_id": self.hadm_id,
-            **{name: getattr(self, name) for name in GROUPS},
-            "diagnoses": self.diagnoses,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "ExtractionRecord":
-        return cls(
-            hadm_id=d["hadm_id"],
-            **{name: dict(d.get(name, {})) for name in GROUPS},
-            diagnoses=list(d.get("diagnoses", [])),
-        )
-
 
 @dataclass
 class QuarantinedExtraction:

@@ -109,38 +109,32 @@ def evaluate_vital(variable, extracted, truth):
 
 # --- categorical agreement -------------------------------------------------
 
-_GENDER_SYNONYMS = {
-    "m": "m", "male": "m", "man": "m",
-    "f": "f", "female": "f", "woman": "f",
-}
-
-_MARITAL_SYNONYMS = {
-    "married": "married", "m": "married", "wife": "married", "husband": "married",
-    "widowed": "widowed", "widow": "widowed", "widower": "widowed",
-    "divorced": "divorced/separated", "separated": "divorced/separated",
-    "divorced/separated": "divorced/separated",
-    "single": "single", "never married": "single", "single/never married": "single",
-}
-
-_LANGUAGE_SYNONYMS = {
-    "english": "english", "engl": "english", "en": "english",
-    "spanish": "spanish", "span": "spanish", "es": "spanish",
-    "portuguese": "portuguese", "port": "portuguese",
-    "russian": "russian", "russ": "russian",
-    "mandarin": "chinese", "cantonese": "chinese", "chinese": "chinese",
-    "haitian creole": "haitian creole", "creole": "haitian creole",
+_SYNONYMS = {  # variable -> casefolded spelling -> canonical category
+    "gender": {
+        "m": "m", "male": "m", "man": "m",
+        "f": "f", "female": "f", "woman": "f",
+    },
+    "marital_status": {
+        "married": "married", "m": "married", "wife": "married", "husband": "married",
+        "widowed": "widowed", "widow": "widowed", "widower": "widowed",
+        "divorced": "divorced/separated", "separated": "divorced/separated",
+        "divorced/separated": "divorced/separated",
+        "single": "single", "never married": "single", "single/never married": "single",
+    },
+    "language": {
+        "english": "english", "engl": "english", "en": "english",
+        "spanish": "spanish", "span": "spanish", "es": "spanish",
+        "portuguese": "portuguese", "port": "portuguese",
+        "russian": "russian", "russ": "russian",
+        "mandarin": "chinese", "cantonese": "chinese", "chinese": "chinese",
+        "haitian creole": "haitian creole", "creole": "haitian creole",
+    },
 }
 
 
 def _canon_category(variable, value):
     v = str(value).strip().casefold()
-    if variable == "gender":
-        return _GENDER_SYNONYMS.get(v, v)
-    if variable == "marital_status":
-        return _MARITAL_SYNONYMS.get(v, v)
-    if variable == "language":
-        return _LANGUAGE_SYNONYMS.get(v, v)
-    return v
+    return _SYNONYMS.get(variable, {}).get(v, v)
 
 
 def _age_years(value):
@@ -189,16 +183,6 @@ class JudgeVerdict:
     matched_icd: int
     n_extracted: int
     n_icd: int
-
-    def to_dict(self) -> dict:
-        return {
-            "hadm_id": self.hadm_id,
-            "score": self.score,
-            "matched_extracted": self.matched_extracted,
-            "matched_icd": self.matched_icd,
-            "n_extracted": self.n_extracted,
-            "n_icd": self.n_icd,
-        }
 
 
 def icd9_descriptions() -> dict:

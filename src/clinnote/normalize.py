@@ -193,14 +193,6 @@ class CategoryScheme:
     def fallback(self) -> str:
         return next(l for l in self.labels() if FALLBACK_LABEL in l)
 
-    def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "categories": self.categories,
-            "medoid_examples": self.medoid_examples,
-            "provenance": self.provenance,
-        }
-
 
 @dataclass
 class LabeledEntry:

@@ -33,6 +33,7 @@ from .errors import (
     JudgeFailed,
     NoConvergence,
     SeparationDetected,
+    VectorizerDegenerate,
 )
 from .extraction import CHARTED_KEYS, ExtractionRecord, Extractor
 from .fidelity import (
@@ -255,7 +256,7 @@ class Runner:
         records = []
         with open(self.path("extractions.jsonl")) as fh:
             for line in fh:
-                records.append(ExtractionRecord.from_dict(json.loads(line)))
+                records.append(ExtractionRecord(**json.loads(line)))
         return records
 
     def _outcomes(self):
@@ -285,7 +286,7 @@ class Runner:
         summary = cohort_mod.summarize_cohort(store, pairs)
         cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
         cohort_mod.write_pairs_csv(pairs, self.path("pairs.csv"))
-        _write_json(self.path("cohort_summary.json"), summary.to_dict())
+        _write_json(self.path("cohort_summary.json"), asdict(summary))
         _write_json(self.path("rejects.json"), store.rejects)
         return ["rejects.json"]
 
@@ -293,30 +294,17 @@ class Runner:
         notes = self._modeling_notes()
         extractor = Extractor(self.gateway)
         records, quarantined = extractor.extract_many(notes)
-        write_jsonl(self.path("extractions.jsonl"), [rec.to_dict() for rec in records])
-        write_jsonl(
-            self.path("quarantine.jsonl"),
-            [{"hadm_id": q.hadm_id, "raw_text": q.raw_text, "reason": q.reason}
-             for q in quarantined],
-        )
+        write_jsonl(self.path("extractions.jsonl"), map(asdict, records))
+        write_jsonl(self.path("quarantine.jsonl"), map(asdict, quarantined))
         return ["quarantine.jsonl"]
 
     def _stage_canonicalize(self):
         rows = []
         for rec in self._load_extractions():
-            for outcome in canonicalize_record(rec):
-                value = getattr(outcome, "value", "")
-                unit = getattr(outcome, "original_unit", "")
-                rows.append(
-                    [
-                        outcome.hadm_id,
-                        outcome.variable,
-                        f"{value:.6f}" if isinstance(value, float) else value,
-                        outcome.original_text,
-                        unit,
-                        outcome.status,
-                    ]
-                )
+            for v in canonicalize_record(rec):
+                value = "" if v.value is None else f"{v.value:.6f}"
+                rows.append([v.hadm_id, v.variable, value, v.original_text,
+                             v.original_unit, v.status])
         rows.sort()
         write_csv(
             self.path("canonical_vitals.csv"),
@@ -332,12 +320,7 @@ class Runner:
                 if row["status"] != "ok":
                     continue
                 out.setdefault(row["variable"], {})[row["hadm_id"]] = CanonicalVital(
-                    hadm_id=row["hadm_id"],
-                    variable=row["variable"],
-                    value=float(row["value"]),
-                    original_text=row["original_text"],
-                    original_unit=row["original_unit"],
-                )
+                    **{**row, "value": float(row["value"])})
         return out
 
     def _stage_normalize(self):
@@ -364,7 +347,7 @@ class Runner:
         scheme_files = []
         for variable, (scheme, labeled, clustering) in zip(entries, results):
             scheme_path = os.path.join("schemes", f"{variable}.json")
-            _write_json(self.path(scheme_path), scheme.to_dict())
+            _write_json(self.path(scheme_path), asdict(scheme))
             scheme_files.append(scheme_path)
             log.info("normalize: %s cluster sizes %s", variable,
                      sorted(clustering.cluster_sizes(), reverse=True)[:10])
@@ -426,7 +409,7 @@ class Runner:
         results = self.gateway.map(judge, [rec for rec in records if codes.get(rec.hadm_id)])
         verdicts = [v for v in results if v is not None]
         judge_report = {
-            "per_patient": [v.to_dict() for v in verdicts],
+            "per_patient": list(map(asdict, verdicts)),
             "summary": corpus_judge_summary(verdicts) if verdicts else None,
             "n_failed": len(results) - len(verdicts),
         }
@@ -485,7 +468,7 @@ class Runner:
                 table = stats_mod.build_contingency(entries, outcomes)
                 result = stats_mod.chi_square_test(table, variable=variable)
                 result.unique_values = len({e.raw_text for e in entries})
-                entry = result.to_dict()
+                entry = asdict(result)
                 entry["contingency"] = {
                     "rows": table.rows,
                     "counts": table.counts.astype(int).tolist(),
@@ -513,7 +496,7 @@ class Runner:
             out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]
             if hadm_id in records:
                 out.append(render_structural(records[hadm_id], notes[hadm_id]))
-        write_jsonl(self.path("summaries.jsonl"), [rec.to_dict() for rec in out])
+        write_jsonl(self.path("summaries.jsonl"), map(asdict, out))
 
     def _stage_predict(self):
         outcomes = self._outcomes()
@@ -549,7 +532,7 @@ class Runner:
                     variant=variant,
                 )
                 report[variant] = result.to_dict()
-            except (InvalidInput, CVInfeasible) as exc:
+            except (InvalidInput, CVInfeasible, VectorizerDegenerate) as exc:
                 report[variant] = {"input_variant": variant, "skipped": str(exc),
                                    "n_docs": len(texts)}
         _write_json(self.path("prediction_report.json"), report)

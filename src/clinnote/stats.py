@@ -247,18 +247,6 @@ class ChiSquareResult:
     low_expected: bool
     unique_values: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "n": self.n,
-            "unique_values": self.unique_values,
-            "levels": self.levels,
-            "chi2": self.chi2,
-            "df": self.df,
-            "p_value": self.p_value,
-            "low_expected": self.low_expected,
-        }
-
 
 def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:
     """Pearson chi-square test of independence (no continuity correction)."""

@@ -50,17 +50,6 @@ class SummaryRecord:
     reduction_pct: float
     status: str = "ok"  # ok | contains_numbers | failed
 
-    def to_dict(self) -> dict:
-        return {
-            "hadm_id": self.hadm_id,
-            "variant": self.variant,
-            "text": self.text,
-            "word_count_raw": self.word_count_raw,
-            "word_count_summary": self.word_count_summary,
-            "reduction_pct": self.reduction_pct,
-            "status": self.status,
-        }
-
 
 def _numeral_free(text):
     """The reply itself, or SchemaViolation when it has a numeral."""

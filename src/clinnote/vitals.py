@@ -70,31 +70,18 @@ VITALS = {
 
 @dataclass
 class CanonicalVital:
+    """One parsed vital value; fields in ``canonical_vitals.csv`` column order."""
+
     hadm_id: str
     variable: str
-    value: float
+    value: float | None  # canonical units; None when unparseable
     original_text: str
-    original_unit: str
-    status: str = "ok"  # ok | inconsistent
+    original_unit: str = ""
+    status: str = "ok"  # ok | inconsistent | out_of_range | unparseable
 
 
-@dataclass
-class Unparseable:
-    hadm_id: str
-    variable: str
-    original_text: str
-    reason: str
-    status: str = "unparseable"
-
-
-@dataclass
-class OutOfRange:
-    hadm_id: str
-    variable: str
-    original_text: str
-    value: float
-    original_unit: str
-    status: str = "out_of_range"
+def _unparseable(hadm_id, variable, text):
+    return CanonicalVital(hadm_id, variable, None, text, status="unparseable")
 
 
 _NUM = r"[-+]?\d+(?:\.\d+)?"
@@ -110,15 +97,14 @@ def _first_number(text):
 
 def _checked(hadm_id, variable, value, text, unit):
     lo, hi = VITALS[variable].plausible
-    if not (lo <= value <= hi):
-        return OutOfRange(hadm_id, variable, text, value, unit)
-    return CanonicalVital(hadm_id, variable, value, text, unit)
+    status = "ok" if lo <= value <= hi else "out_of_range"
+    return CanonicalVital(hadm_id, variable, value, text, unit, status)
 
 
 def _parse_temperature(hadm_id, text):
     m = re.search(rf"({_NUM})\s*(?:°\s*)?([FfCc])?\b", text)
     if not m:
-        return [Unparseable(hadm_id, "temperature", text, "no numeric token")]
+        return [_unparseable(hadm_id, "temperature", text)]
     value = float(m.group(1))
     unit = (m.group(2) or "").upper()
     if not unit:
@@ -145,7 +131,7 @@ def _parse_height(hadm_id, text):
         return [_checked(hadm_id, "height", cm, text, "ft-in")]
     value = _first_number(text)
     if value is None:
-        return [Unparseable(hadm_id, "height", text, "no numeric token")]
+        return [_unparseable(hadm_id, "height", text)]
     if "cm" in lowered:
         return [_checked(hadm_id, "height", value, text, "cm")]
     if re.search(r"\bin(?:ch(?:es)?)?\b|\"", lowered):
@@ -158,7 +144,7 @@ def _parse_height(hadm_id, text):
 def _parse_weight(hadm_id, text):
     value = _first_number(text)
     if value is None:
-        return [Unparseable(hadm_id, "weight", text, "no numeric token")]
+        return [_unparseable(hadm_id, "weight", text)]
     lowered = text.lower()
     if re.search(r"\blbs?\b|pounds?|#", lowered):
         return [_checked(hadm_id, "weight", lb_to_kg(value), text, "lb")]
@@ -172,7 +158,7 @@ def _parse_weight(hadm_id, text):
 def _parse_bp(hadm_id, text):
     m = _BP_RE.search(text)
     if not m:
-        return [Unparseable(hadm_id, "bp_sys", text, "no systolic/diastolic pair")]
+        return [_unparseable(hadm_id, "bp_sys", text)]
     sys_v, dia_v = float(m.group(1)), float(m.group(2))
     out = [
         _checked(hadm_id, "bp_sys", sys_v, text, "mmHg"),
@@ -180,7 +166,7 @@ def _parse_bp(hadm_id, text):
     ]
     if sys_v < dia_v:
         for item in out:
-            if isinstance(item, CanonicalVital):
+            if item.status == "ok":
                 item.status = "inconsistent"
     return out
 
@@ -189,7 +175,7 @@ def _parse_simple(variable):
     def parse(hadm_id, text):
         value = _first_number(text)
         if value is None:
-            return [Unparseable(hadm_id, variable, text, "no numeric token")]
+            return [_unparseable(hadm_id, variable, text)]
         return [_checked(hadm_id, variable, value, text, VITALS[variable].unit)]
 
     return parse
@@ -210,13 +196,13 @@ _PARSERS = {
 def parse_vital(variable, text, hadm_id=""):
     """Parse one free-text vital value.
 
-    Returns a list of outcomes (blood pressure yields two), each a
-    CanonicalVital, Unparseable, or OutOfRange. Never drops silently.
+    Returns a list of CanonicalVital outcomes (blood pressure yields two),
+    each with a ``status``. Never drops silently.
     """
     if variable not in _PARSERS:
         raise KeyError(f"unknown vital variable: {variable}")
     if text is None:
-        return [Unparseable(hadm_id, variable, "", "null value")]
+        return [_unparseable(hadm_id, variable, "")]
     return _PARSERS[variable](hadm_id, str(text))
 
 

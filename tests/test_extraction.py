@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,8 +107,7 @@ class TestParseStructuredOutput:
 
     def test_round_trip_to_from_dict(self):
         rec = parse_structured_output(FULL_REPLY, hadm_id="H9")
-        again = ExtractionRecord.from_dict(rec.to_dict())
-        assert again.to_dict() == rec.to_dict()
+        assert ExtractionRecord(**json.loads(json.dumps(asdict(rec)))) == rec
 
     def test_get_unknown_variable_raises(self):
         rec = parse_structured_output(FULL_REPLY)

@@ -251,6 +251,24 @@ class TestRunner:
         assert pred["raw"]["skipped"] == "could not build 5 folds with both classes"
         assert pred["raw"]["n_docs"] == 10
 
+    def test_degenerate_vocabulary_skips_only_its_variant(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_all(fixture_config(tmp_path), out)
+        path = os.path.join(out, "summaries.jsonl")
+        with open(path) as fh:
+            rows = [json.loads(line) for line in fh]
+        structural = [row for row in rows if row["variant"] == "structural"]
+        for i, row in enumerate(structural):
+            row["text"] = f"only{i}"
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        Runner(fixture_config(tmp_path), out).run_stage("predict")
+        with open(os.path.join(out, "prediction_report.json")) as fh:
+            pred = json.load(fh)
+        assert pred["structural"]["skipped"] == "no token appears in >= 2 training documents"
+        for variant in ("raw", "overall", "no_number"):
+            assert "per_fold" in pred[variant], variant
+
     def test_stage_inputs_are_earlier_reports(self):
         produced = set()
         for stage in STAGE_TABLE:
@@ -382,6 +400,26 @@ class TestRunner:
         Runner(fixture_config(tmp_path), out).run_stage("associate")
         assert age_fit() == before
         assert before["n"] == 10
+
+    def test_canonical_vitals_bytes_for_every_status(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        record = {"hadm_id": "H1", "vitals_raw": {
+            "body_temperature": "98.6 F", "heart_rate": "350", "respiration_rate": "fast",
+            "blood_pressure": "80/120", "weight": "150 lbs"}}
+        (out / "extractions.jsonl").write_text(json.dumps(record) + "\n")
+        runner = Runner(make_config(tmp_path), str(out))
+        runner.run_stage("canonicalize")
+        assert (out / "canonical_vitals.csv").read_bytes() == "".join(
+            line + "\r\n" for line in (
+                "hadm_id,variable,value,original_text,original_unit,status",
+                "H1,bp_dia,120.000000,80/120,mmHg,inconsistent",
+                "H1,bp_sys,80.000000,80/120,mmHg,inconsistent",
+                "H1,hr,350.000000,350,bpm,out_of_range",
+                "H1,rr,,fast,,unparseable",
+                "H1,temperature,37.000000,98.6 F,°F,ok",
+                "H1,weight,68.038855,150 lbs,lb,ok",
+            )).encode()
 
     def test_pairs_boundary_labels_from_fixture(self, tmp_path):
         # fixture plan includes 29.5-day (label 1) and 31-day (label 0) gaps

@@ -4,9 +4,6 @@ from hypothesis import given, strategies as st
 from clinnote.extraction import VITALS_KEYS
 from clinnote.fidelity import normalize_unit
 from clinnote.vitals import (
-    CanonicalVital,
-    OutOfRange,
-    Unparseable,
     VITALS,
     c_to_f,
     cm_to_in,
@@ -53,7 +50,7 @@ class TestTemperature:
     ])
     def test_parsing(self, text, celsius, unit):
         v = one(parse_vital("temperature", text, "H1"))
-        assert isinstance(v, CanonicalVital)
+        assert v.status == "ok"
         assert v.value == pytest.approx(celsius, abs=1e-4)
         assert v.original_unit == unit
 
@@ -63,12 +60,11 @@ class TestTemperature:
 
     def test_out_of_range(self):
         v = one(parse_vital("temperature", "12 C", "H1"))
-        assert isinstance(v, OutOfRange)
         assert v.status == "out_of_range"
 
     def test_unparseable(self):
         v = one(parse_vital("temperature", "afebrile"))
-        assert isinstance(v, Unparseable)
+        assert v.status == "unparseable"
 
 
 class TestHeight:
@@ -83,11 +79,11 @@ class TestHeight:
     ])
     def test_parsing(self, text, cm):
         v = one(parse_vital("height", text))
-        assert isinstance(v, CanonicalVital)
+        assert v.status == "ok"
         assert v.value == pytest.approx(cm, abs=0.01)
 
     def test_out_of_range(self):
-        assert isinstance(one(parse_vital("height", "400 cm")), OutOfRange)
+        assert one(parse_vital("height", "400 cm")).status == "out_of_range"
 
 
 class TestWeight:
@@ -100,11 +96,11 @@ class TestWeight:
     ])
     def test_parsing(self, text, kg):
         v = one(parse_vital("weight", text))
-        assert isinstance(v, CanonicalVital)
+        assert v.status == "ok"
         assert v.value == pytest.approx(kg, abs=0.01)
 
     def test_out_of_range(self):
-        assert isinstance(one(parse_vital("weight", "800 kg")), OutOfRange)
+        assert one(parse_vital("weight", "800 kg")).status == "out_of_range"
 
 
 class TestBloodPressure:
@@ -125,12 +121,12 @@ class TestBloodPressure:
 
     def test_no_pair_unparseable(self):
         v = one(parse_vital("blood_pressure", "130"))
-        assert isinstance(v, Unparseable)
+        assert v.status == "unparseable"
 
     def test_out_of_range_component(self):
         sys_v, dia_v = parse_vital("blood_pressure", "320/80")
-        assert isinstance(sys_v, OutOfRange)
-        assert isinstance(dia_v, CanonicalVital)
+        assert sys_v.status == "out_of_range"
+        assert dia_v.status == "ok"
 
 
 class TestSimpleVitals:
@@ -143,12 +139,12 @@ class TestSimpleVitals:
         ("heart_rate", "350"), ("respiration_rate", "2"), ("spo2", "40"),
     ])
     def test_out_of_range(self, variable, text):
-        assert isinstance(one(parse_vital(variable, text)), OutOfRange)
+        assert one(parse_vital(variable, text)).status == "out_of_range"
 
     def test_null_value(self):
         v = one(parse_vital("heart_rate", None, "H1"))
-        assert isinstance(v, Unparseable)
-        assert v.reason == "null value"
+        assert v.status == "unparseable"
+        assert v.value is None and v.original_text == ""
 
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
@@ -173,7 +169,7 @@ class TestPlausibleRanges:
     def test_hr_status_matches_bounds(self, value):
         outcome = one(parse_vital("hr", f"{value:.1f}"))
         in_range = 20.0 <= float(f"{value:.1f}") <= 300.0
-        assert isinstance(outcome, CanonicalVital) == in_range
+        assert (outcome.status == "ok") == in_range
 
 
 # One sample per unit a parser emits, marked and unmarked, keyed by
@@ -196,7 +192,7 @@ class TestVitalsTable:
         for raw_key, samples in UNIT_SAMPLES.items():
             for text, unit in samples.items():
                 for outcome in parse_vital(raw_key, text):
-                    assert isinstance(outcome, CanonicalVital), (raw_key, text)
+                    assert outcome.status == "ok", (raw_key, text)
                     assert outcome.original_unit == unit, (raw_key, text)
                     tolerances = VITALS[outcome.variable].native_tolerances
                     assert normalize_unit(outcome.original_unit) in tolerances, (raw_key, text)
