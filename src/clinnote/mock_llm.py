@@ -136,6 +136,8 @@ class MockResponder:
             return self._summarize(user_content, no_number)
         if "Propose a concise set of normalized categories" in system_prompt:
             return self._scheme(user_content)
+        if "Assign each numbered entry to exactly one" in system_prompt:
+            return self._label_batch(user_content)
         if "Assign the entry to exactly one" in system_prompt:
             return self._label(user_content)
         if "acting as a judge" in system_prompt:
@@ -321,6 +323,14 @@ class MockResponder:
         if best:
             return best
         return next((l for l in allowed if "Unknown/Other" in l), "Unknown/Other")
+
+    def _label_batch(self, user_content):
+        """Label each numbered entry as its own one-entry request would be."""
+        start = user_content.rindex("Entries:\n")
+        header = user_content[:start]
+        # raw_decode: a repair re-prompt appends text after the JSON object
+        items, _ = json.JSONDecoder().raw_decode(user_content, start + len("Entries:\n"))
+        return json.dumps({n: self._label(f"{header}Entry: {text}") for n, text in items.items()})
 
     # -- judging -----------------------------------------------------------
 

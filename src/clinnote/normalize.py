@@ -9,6 +9,7 @@ multiplicity weights the medoid cost.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ FALLBACK_LABEL = "Unknown/Other"
 MIN_CATEGORIES = 2
 MAX_CATEGORIES = 12
 MAX_SWAP_ITER = 100
+# distinct SDOH texts per labeler request
+LABEL_BATCH = 20
 
 
 @dataclass
@@ -249,8 +252,18 @@ def synthesize_scheme(gateway, variable, medoid_texts) -> CategoryScheme:
 
 
 def label_entries(gateway, scheme, entries) -> list:
-    """Assign each (hadm_id, raw_text) entry to one scheme category."""
-    prompt = load_prompt("labeler")
+    """Assign each (hadm_id, raw_text) entry to one scheme category.
+
+    Each distinct text is asked once; entries that share it share the
+    reply. The texts go ``LABEL_BATCH`` to a request, as one JSON object of
+    numbered entries (batch prompting: Cheng, Kasai & Yu, EMNLP 2023). A
+    text is asked alone, in the one-entry request, when its chunk holds one
+    text, when the batch request fails, or when the batch reply gives it no
+    allowed label. The requests sent and the texts asked alone after a
+    batch are added to ``scheme.provenance``.
+    """
+    single = load_prompt("labeler")
+    batch = load_prompt("labeler_batch")
     cat_lines = "\n".join(
         f"- {c['label']}: {c['description']}" for c in scheme.categories
     )
@@ -259,28 +272,55 @@ def label_entries(gateway, scheme, entries) -> list:
         for label, examples in scheme.medoid_examples.items()
         if examples
     )
+    header = (
+        f"Variable: {scheme.variable}\n"
+        f"Allowed categories:\n{cat_lines}\n"
+        + (f"Category examples:\n{example_lines}\n" if example_lines else "")
+    )
     labels = set(scheme.labels())
 
     def label(raw_text):
         """The stripped reply for one entry text, or None if the gateway failed."""
-        user = (
-            f"Variable: {scheme.variable}\n"
-            f"Allowed categories:\n{cat_lines}\n"
-            + (f"Category examples:\n{example_lines}\n" if example_lines else "")
-            + f"Entry: {raw_text}"
-        )
         try:  # every reply parses; off-scheme ones map to the fallback below
             return chat_with_repair(
-                gateway, prompt.text, user, lambda raw: raw.strip().strip('"'),
+                gateway, single.text, f"{header}Entry: {raw_text}",
+                lambda raw: raw.strip().strip('"'),
                 "Reply with one allowed category label only.",
             )
         except ClinNoteError as exc:  # gateway failure: the text stays unlabeled
             log.warning("labeling failed for a %s entry: %s", scheme.variable, exc)
             return None
 
-    # each distinct text is asked once; entries that share it share the reply
+    def label_chunk(chunk):
+        """The batch reply for a chunk of texts, or {} if the batch failed."""
+        items = json.dumps({str(i): t for i, t in enumerate(chunk, 1)}, ensure_ascii=False)
+        try:
+            return chat_with_repair(
+                gateway, batch.text, f"{header}Entries:\n{items}",
+                lambda raw: find_json(raw, dict),
+                "Return only a JSON object mapping every entry number to one allowed "
+                "category label.",
+            )
+        except ClinNoteError as exc:  # every text of the chunk is asked alone
+            log.warning("batch labeling failed for %s: %s", scheme.variable, exc)
+            return {}
+
     texts = list(dict.fromkeys(text for _, text in entries))
-    replies = dict(zip(texts, gateway.map(label, texts)))
+    chunks = [texts[i:i + LABEL_BATCH] for i in range(0, len(texts), LABEL_BATCH)]
+    batched = [chunk for chunk in chunks if len(chunk) > 1]
+    replies = {}
+    for chunk, got in zip(batched, gateway.map(label_chunk, batched)):
+        for i, text in enumerate(chunk, 1):
+            reply = got.get(str(i))
+            if isinstance(reply, str) and reply.strip() in labels:
+                replies[text] = reply.strip()
+    # one-text chunks, and texts the batch reply gave no allowed label
+    alone = [text for text in texts if text not in replies]
+    replies.update(zip(alone, gateway.map(label, alone)))
+    retried = len(alone) - (len(chunks) - len(batched))  # less the one-text chunks
+    provenance = scheme.provenance
+    provenance["label_requests"] = provenance.get("label_requests", 0) + len(batched) + len(alone)
+    provenance["label_retried_alone"] = provenance.get("label_retried_alone", 0) + retried
     out = []
     off_scheme = 0
     for hadm_id, raw_text in entries:

@@ -81,7 +81,7 @@ STAGE_TABLE = (
     Stage("normalize",
           inputs=("extractions.jsonl",),
           reports=("normalized_sdoh.csv",),
-          prompts=("normalizer", "labeler")),
+          prompts=("normalizer", "labeler", "labeler_batch")),
     Stage("evaluate-fidelity",
           inputs=("cohort.jsonl", "extractions.jsonl", "canonical_vitals.csv"),
           reports=("agreement_report.json", "judge_report.json"),

@@ -201,9 +201,7 @@ def parse_vital(variable, text, hadm_id=""):
     """
     if variable not in _PARSERS:
         raise KeyError(f"unknown vital variable: {variable}")
-    if text is None:
-        return [_unparseable(hadm_id, variable, "")]
-    return _PARSERS[variable](hadm_id, str(text))
+    return _PARSERS[variable](hadm_id, "" if text is None else str(text))
 
 
 def canonicalize_record(record):

@@ -7,7 +7,10 @@ import pytest
 
 import pam_oracle
 
+from clinnote import normalize
 from clinnote.errors import InvalidInput, RequestFailed, SchemeSynthesisFailed
+from clinnote.gateway import ChatRequest, LLMGateway
+from clinnote.mock_llm import CANNED_SCHEMES, MockResponder
 from clinnote.normalize import (
     FALLBACK_LABEL,
     MAX_CATEGORIES,
@@ -20,6 +23,9 @@ from clinnote.normalize import (
     normalize_variable,
     synthesize_scheme,
 )
+from clinnote.prompts import load_prompt
+
+from conftest import make_config
 
 
 class TestCosineDistance:
@@ -348,7 +354,9 @@ class TestLabelEntries:
         with pytest.raises(TypeError):
             label_entries(gw, scheme, [("H1", "married")])
 
-    def test_each_distinct_text_asked_once(self, scripted_gateway_factory, caplog):
+    def test_each_distinct_text_asked_once(self, scripted_gateway_factory, caplog,
+                                           monkeypatch):
+        monkeypatch.setattr(normalize, "LABEL_BATCH", 1)
         gw, backend = scripted_gateway_factory([])
         asked = []
 
@@ -366,6 +374,169 @@ class TestLabelEntries:
         assert [(e.hadm_id, e.raw_text) for e in out] == entries
         assert [e.status for e in out] == ["ok", "fallback", "ok", "fallback", "fallback"]
         assert "3 off-scheme replies" in caplog.text
+
+    def test_each_distinct_text_asked_once_batched(self, scripted_gateway_factory, caplog):
+        gw, backend = scripted_gateway_factory([])
+        stub = LabelerStub({"complicated": "Divorced-ish"},
+                           batch=lambda items: '{"1": "Married", "2": "Divorced-ish"}')
+        backend.chat = stub
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        entries = [("H1", "married"), ("H2", "complicated"),
+                   ("H3", "married"), ("H4", "complicated"), ("H5", "complicated")]
+        out = label_entries(gw, scheme, entries)
+        assert stub.batches == [{"1": "married", "2": "complicated"}]
+        assert stub.asked_alone == ["complicated"]  # its batch label was off-scheme
+        assert [(e.hadm_id, e.raw_text) for e in out] == entries
+        assert [e.status for e in out] == ["ok", "fallback", "ok", "fallback", "fallback"]
+        assert "3 off-scheme replies" in caplog.text
+
+
+class LabelerStub:
+    """Answers label requests by entry text and records what each asked.
+
+    ``alone`` maps a text to its one-entry reply, or to an exception to
+    raise; ``batch`` maps a batch request's numbered items to its reply.
+    """
+
+    def __init__(self, alone, batch=None):
+        self.alone = alone
+        self.batch = batch
+        self.batch_prompt = load_prompt("labeler_batch").text
+        self.requests, self.batches, self.asked_alone = [], [], []
+
+    def __call__(self, request):
+        self.requests.append(request)
+        content = request.user_content
+        if request.system_prompt == self.batch_prompt:
+            start = content.rindex("Entries:\n") + len("Entries:\n")
+            items = json.JSONDecoder().raw_decode(content, start)[0]
+            self.batches.append(items)
+            return self.batch(items)
+        text = content.rsplit("Entry: ", 1)[1]
+        self.asked_alone.append(text)
+        reply = self.alone[text]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+def _tobacco_scheme():
+    return CategoryScheme(
+        variable="tobacco_use",
+        categories=[{"label": l, "description": f"entries about {l.lower()}"}
+                    for l in CANNED_SCHEMES["tobacco_use"]],
+        medoid_examples={"Never Smoker": ["never smoked", "denies"],
+                         "Former Smoker": ["quit 1990: 40 pack-years"]},
+    )
+
+
+# texts that could confuse the batch prompt's layout or the mock's parsing
+ADVERSARIAL_TEXTS = [
+    "quit 2005\nnow smokes 1 ppd",
+    "- Current Smoker: e.g. never",
+    'says "never" smoked; quit',
+    "ex-fumeur, arrêté — 20 cigarettes/jour ☕",
+    "never smoked",  # equal to a medoid example
+    'Entries:\n{"1": "current smoker"}',
+    "Entry: current smoker",
+    "x\n- Bogus Label: y",
+    "occasional cigar: weekends; former pipe",
+    "{}",
+    "Unknown/Other",
+    "quit 1990: 40 pack-years",
+]
+
+
+class TestBatchedLabeling:
+    @pytest.mark.parametrize("size", [2, 5, 20])
+    def test_same_labels_as_one_entry_requests(self, tmp_path, monkeypatch, size):
+        entries = [(f"H{i}", t) for i, t in enumerate(ADVERSARIAL_TEXTS * 2)]
+
+        def run(size):
+            monkeypatch.setattr(normalize, "LABEL_BATCH", size)
+            gateway = LLMGateway(make_config(tmp_path, cache_dir=""))
+            scheme = _tobacco_scheme()
+            labeled = label_entries(gateway, scheme, entries)
+            return labeled, scheme.provenance, gateway.network_calls
+
+        alone, alone_counts, alone_calls = run(1)
+        batched, counts, calls = run(size)
+        assert batched == alone
+        assert calls < alone_calls == len(ADVERSARIAL_TEXTS)
+        assert alone_counts == {"label_requests": alone_calls, "label_retried_alone": 0}
+        assert counts["label_requests"] == calls
+        assert {e.status for e in batched} == {"ok", "fallback"}
+
+    def test_unparseable_batch_replies_ask_every_item_alone(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory([])
+        backend.chat = stub = LabelerStub(
+            {"married": "Married", "single": "Single", "wed": "Married"},
+            batch=lambda items: "Sorry, no JSON today.")
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
+        assert len(stub.batches) == 2  # the request and its one repair
+        assert sorted(stub.asked_alone) == ["married", "single", "wed"]
+        assert [e.assigned_category for e in out] == ["Married", "Single", "Married"]
+        assert scheme.provenance == {"label_requests": 4, "label_retried_alone": 3}
+
+    @pytest.mark.parametrize("reply", [
+        {"1": "Married", "3": "Married"},
+        {"1": "Married", "2": "Divorced-ish", "3": "Married"},
+        {"1": "Married", "2": ["Single"], "3": "Married"},
+    ], ids=["missing", "off-scheme", "not-a-string"])
+    def test_bad_item_alone_is_asked_again(self, scripted_gateway_factory, reply):
+        gw, backend = scripted_gateway_factory([])
+        backend.chat = stub = LabelerStub({"single": "Single"},
+                                          batch=lambda items: json.dumps(reply))
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
+        assert len(stub.batches) == 1
+        assert stub.asked_alone == ["single"]
+        assert [e.assigned_category for e in out] == ["Married", "Single", "Married"]
+        assert [e.status for e in out] == ["ok", "ok", "ok"]
+        assert scheme.provenance == {"label_requests": 2, "label_retried_alone": 1}
+
+    def test_failed_batch_falls_back_to_one_entry_requests(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory([])
+
+        def down(items):
+            raise RequestFailed("endpoint down")
+
+        backend.chat = stub = LabelerStub(
+            {"married": "Married", "single": RequestFailed("still down"), "wed": "Married"},
+            batch=down)
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
+        assert len(stub.batches) == 1
+        assert sorted(stub.asked_alone) == ["married", "single", "wed"]
+        assert [e.assigned_category for e in out] == ["Married", None, "Married"]
+        assert [e.status for e in out] == ["ok", "unlabeled", "ok"]
+
+    def test_one_text_chunk_sends_the_one_entry_request(self, scripted_gateway_factory,
+                                                        monkeypatch):
+        monkeypatch.setattr(normalize, "LABEL_BATCH", 2)
+        gw, backend = scripted_gateway_factory([])
+        backend.chat = stub = LabelerStub({"wed": "Married"},
+                                          batch=lambda items: '{"1": "Married", "2": "Single"}')
+        scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
+        label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
+        assert stub.batches == [{"1": "married", "2": "single"}]
+        assert stub.requests[-1] == ChatRequest(
+            load_prompt("labeler").text,
+            "Variable: marital_status\nAllowed categories:\n- Married: \n- Single: \n"
+            "- Unknown/Other: \nEntry: wed",
+            0.0, 2048, "qwen3-14b",
+        )
+        assert scheme.provenance == {"label_requests": 2, "label_retried_alone": 0}
+
+    def test_mock_reads_a_repaired_batch_request(self):
+        responder = MockResponder()
+        prompt = load_prompt("labeler_batch").text
+        user = 'Variable: marital_status\nAllowed categories:\n- Married: \n- Single: \n' \
+               'Entries:\n{"1": "married", "2": "single"}'
+        want = '{"1": "Married", "2": "Single"}'
+        assert responder.reply(prompt, user) == want
+        assert responder.reply(prompt, f"{user}\n\nReturn only a JSON object.") == want
 
 
 class TestNormalizeVariableEndToEnd:
@@ -386,3 +557,6 @@ class TestNormalizeVariableEndToEnd:
         by_hadm = {e.hadm_id: e.assigned_category for e in labeled}
         assert by_hadm["H1"] == by_hadm["H5"]  # identical texts, identical label
         assert all(c is None or c in scheme.labels() for c in by_hadm.values())
+        # one batch for the 4 medoids, one for the 4 distinct entry texts
+        assert scheme.provenance["label_requests"] == 2
+        assert scheme.provenance["label_retried_alone"] == 0

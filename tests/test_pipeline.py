@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from clinnote import fidelity, pipeline
+from clinnote import fidelity, normalize, pipeline
 from clinnote.cli import main
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import CVInfeasible, ConfigError, DependencyMissing, InvalidInput
@@ -92,7 +92,7 @@ class TestConfig:
 FIXTURE_REPORT_HASH = "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
 # SHA-256 of the fixture run's sorted cache keys: the exact bytes of every
 # request (system prompt, user content, temperature, max_tokens, model)
-FIXTURE_REQUEST_KEYS_HASH = "e9846ce38361c7257982cb5754962db77232963a76660e184d971b208d561f8e"
+FIXTURE_REQUEST_KEYS_HASH = "4974b6a54d338e766eb10189706e3ce0fd49270ded8d3dcf28a47ff6de327b2c"
 
 
 def fixture_config(tmp_path, **overrides):
@@ -281,13 +281,19 @@ class TestRunner:
         run_all(cfg, out)
         assert report_hash(out) == FIXTURE_REPORT_HASH
 
-    def test_fixture_request_keys_pinned(self, tmp_path):
-        cfg = fixture_config(tmp_path)
+    @staticmethod
+    def _request_keys(tmp_path, **overrides):
+        cfg = fixture_config(tmp_path, **overrides)
         gateway = LLMGateway(cfg)
-        Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
+        out = str(tmp_path / "run")
+        Runner(cfg, out, gateway=gateway).run_all()
         gateway.close()
-        keys = sorted(gateway.cache._entries)
-        assert len(keys) == 103
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        return sorted(gateway.cache._entries)
+
+    def test_fixture_request_keys_pinned(self, tmp_path):
+        keys = self._request_keys(tmp_path)
+        assert len(keys) == 77
         digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
         assert digest == FIXTURE_REQUEST_KEYS_HASH
 
@@ -324,7 +330,7 @@ class TestRunner:
         assert batches[0] == sorted(set(batches[0]))
         assert report_hash(str(tmp_path / "run")) == FIXTURE_REPORT_HASH
 
-    def test_max_tokens_reaches_every_request(self, tmp_path):
+    def test_max_tokens_reaches_every_request(self, tmp_path, monkeypatch):
         seen = {}
 
         class Recording(MockBackend):
@@ -332,15 +338,17 @@ class TestRunner:
                 seen.setdefault(request.system_prompt, set()).add(request.max_tokens)
                 return super().chat(request)
 
+        # batches of 3 leave one-text chunks, so both labeler prompts are sent
+        monkeypatch.setattr(normalize, "LABEL_BATCH", 3)
         cfg = fixture_config(tmp_path, max_tokens=512)
         gateway = LLMGateway(cfg, backend=Recording())
         Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
         gateway.close()
-        names = ("extractor", "normalizer", "labeler", "judge",
+        names = ("extractor", "normalizer", "labeler", "labeler_batch", "judge",
                  "summary_overall", "summary_no_number")
         assert seen == {load_prompt(name).text: {512} for name in names}
 
-    def test_temperature_reaches_every_agent_request(self, tmp_path):
+    def test_temperature_reaches_every_agent_request(self, tmp_path, monkeypatch):
         seen = {}
 
         class Recording(MockBackend):
@@ -348,11 +356,13 @@ class TestRunner:
                 seen.setdefault(request.system_prompt, set()).add(request.temperature)
                 return super().chat(request)
 
+        # batches of 3 leave one-text chunks, so both labeler prompts are sent
+        monkeypatch.setattr(normalize, "LABEL_BATCH", 3)
         cfg = fixture_config(tmp_path, temperature=0.7)
         gateway = LLMGateway(cfg, backend=Recording())
         Runner(cfg, str(tmp_path / "run"), gateway=gateway).run_all()
         gateway.close()
-        agents = ("extractor", "normalizer", "labeler", "judge")
+        agents = ("extractor", "normalizer", "labeler", "labeler_batch", "judge")
         summaries = ("summary_overall", "summary_no_number")
         assert seen == {**{load_prompt(name).text: {0.7} for name in agents},
                         **{load_prompt(name).text: {0.3} for name in summaries}}
@@ -469,8 +479,8 @@ class TestKillAndResume:
     """A run stopped partway and resumed on the same cache gives the clean
     run's reports, and asks the endpoint only for what the first run missed."""
 
-    # the fixture run sends 85 requests: extract 1-10, normalize 11-55,
-    # evaluate-fidelity 56-65 and summarize 66-85
+    # with one entry per labeler request the fixture run sends 85 requests:
+    # extract 1-10, normalize 11-55, evaluate-fidelity 56-65 and summarize 66-85
     @pytest.mark.parametrize("after, completed", [
         (5, ["ingest"]),
         (40, ["ingest", "extract", "canonicalize"]),
@@ -478,7 +488,25 @@ class TestKillAndResume:
               "associate"]),
     ])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_resume_repeats_no_request(self, tmp_path, workers, after, completed):
+    def test_resume_repeats_no_request(self, tmp_path, monkeypatch, workers, after,
+                                       completed):
+        monkeypatch.setattr(normalize, "LABEL_BATCH", 1)
+        self._kill_and_resume(tmp_path, workers, after, completed)
+
+    # in batches of LABEL_BATCH it sends 59: extract 1-10, normalize 11-29,
+    # evaluate-fidelity 30-39 and summarize 40-59
+    @pytest.mark.parametrize("after, completed", [
+        (5, ["ingest"]),
+        (20, ["ingest", "extract", "canonicalize"]),
+        (50, ["ingest", "extract", "canonicalize", "normalize", "evaluate-fidelity",
+              "associate"]),
+    ])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_batched_resume_repeats_no_request(self, tmp_path, workers, after, completed):
+        self._kill_and_resume(tmp_path, workers, after, completed)
+
+    @staticmethod
+    def _kill_and_resume(tmp_path, workers, after, completed):
         cfg = fixture_config(tmp_path, max_concurrency=workers)
         clean_cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache"))
         clean = LLMGateway(clean_cfg)

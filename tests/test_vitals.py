@@ -146,6 +146,15 @@ class TestSimpleVitals:
         assert v.status == "unparseable"
         assert v.value is None and v.original_text == ""
 
+    @pytest.mark.parametrize("key, variable", [
+        ("heart_rate", "hr"), ("blood_pressure", "bp_sys"),
+        ("body_temperature", "temperature"), ("respiration_rate", "rr"), ("spo2", "spo2"),
+    ])
+    def test_null_value_named_by_canonical_variable(self, key, variable):
+        v = one(parse_vital(key, None, "H1"))
+        assert (v.variable, v.status) == (variable, "unparseable")
+        assert v.value is None and v.original_text == ""
+
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
             parse_vital("cholesterol", "200")
