@@ -100,10 +100,22 @@ class CohortStore:
         return groups
 
 
-def _require_columns(reader, required, path):
-    missing = [c for c in required if c not in (reader.fieldnames or [])]
-    if missing:
-        raise ConfigError(f"{path}: missing required columns {missing}")
+def _read_rows(path, required, rejects):
+    """Yield (line, row) per CSV row; a row with fewer fields than the header
+    goes to ``rejects`` instead, and a missing required column is fatal."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ConfigError(f"{path}: missing required columns {missing}")
+        for lineno, row in enumerate(reader, start=2):
+            if None in row.values():
+                n = sum(value is not None for value in row.values())
+                rejects.append({"file": path, "line": lineno,
+                                "error": f"row has {n} of the header's {len(header)} fields"})
+                continue
+            yield lineno, row
 
 
 def _parse_ts(value):
@@ -122,64 +134,57 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
     rejects: list = []
     genders: dict = {}
 
-    with open(admissions_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader, ["subject_id", "hadm_id", "admit_time", "discharge_time"], admissions_path
-        )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rec = AdmissionRecord(
-                    subject_id=row["subject_id"].strip(),
-                    hadm_id=row["hadm_id"].strip(),
-                    admit_time=_parse_ts(row["admit_time"]),
-                    discharge_time=_parse_ts(row["discharge_time"]),
-                    dob=_parse_ts(row["dob"]) if row.get("dob") else None,
-                )
-                if rec.discharge_time < rec.admit_time:
-                    raise ValueError("discharge_time before admit_time")
-                if rec.hadm_id in admissions:
-                    raise ValueError(f"duplicate hadm_id {rec.hadm_id}")
-            except (ValueError, KeyError) as exc:
-                rejects.append({"file": admissions_path, "line": lineno, "error": str(exc)})
-                continue
-            admissions[rec.hadm_id] = rec
-            if row.get("gender"):
-                genders[rec.subject_id] = row["gender"].strip().upper()
+    for lineno, row in _read_rows(
+        admissions_path, ["subject_id", "hadm_id", "admit_time", "discharge_time"], rejects
+    ):
+        try:
+            rec = AdmissionRecord(
+                subject_id=row["subject_id"].strip(),
+                hadm_id=row["hadm_id"].strip(),
+                admit_time=_parse_ts(row["admit_time"]),
+                discharge_time=_parse_ts(row["discharge_time"]),
+                dob=_parse_ts(row["dob"]) if row.get("dob") else None,
+            )
+            if rec.discharge_time < rec.admit_time:
+                raise ValueError("discharge_time before admit_time")
+            if rec.hadm_id in admissions:
+                raise ValueError(f"duplicate hadm_id {rec.hadm_id}")
+        except (ValueError, KeyError) as exc:
+            rejects.append({"file": admissions_path, "line": lineno, "error": str(exc)})
+            continue
+        admissions[rec.hadm_id] = rec
+        if row.get("gender"):
+            genders[rec.subject_id] = row["gender"].strip().upper()
 
-    with open(diagnoses_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ["hadm_id", "icd9_code"], diagnoses_path)
-        for lineno, row in enumerate(reader, start=2):
-            hadm = row["hadm_id"].strip()
-            code = (row["icd9_code"] or "").strip().replace(".", "")
-            if not code:
-                rejects.append({"file": diagnoses_path, "line": lineno, "error": "empty code"})
-                continue
-            if hadm in admissions:
-                admissions[hadm].icd9_codes.append(code)
+    for lineno, row in _read_rows(diagnoses_path, ["hadm_id", "icd9_code"], rejects):
+        hadm = row["hadm_id"].strip()
+        code = row["icd9_code"].strip().replace(".", "")
+        if not code:
+            rejects.append({"file": diagnoses_path, "line": lineno, "error": "empty code"})
+            continue
+        if hadm in admissions:
+            admissions[hadm].icd9_codes.append(code)
 
     note_counts: dict = {}
     latest: dict = {}  # hadm_id -> (chart_date, row order, text)
-    with open(notes_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ["hadm_id", "category", "chart_date", "text"], notes_path)
-        for lineno, row in enumerate(reader, start=2):
-            hadm = row["hadm_id"].strip()
-            if hadm not in admissions:
-                continue
-            note_counts[hadm] = note_counts.get(hadm, 0) + 1
-            category = (row["category"] or "").strip().lower()
-            if "discharge" not in category:
-                continue
-            try:
-                chart_date = _parse_ts(row["chart_date"])
-            except ValueError as exc:
-                rejects.append({"file": notes_path, "line": lineno, "error": str(exc)})
-                continue
-            key = (chart_date, lineno)
-            if hadm not in latest or key >= latest[hadm][0]:
-                latest[hadm] = (key, row["text"])
+    for lineno, row in _read_rows(
+        notes_path, ["hadm_id", "category", "chart_date", "text"], rejects
+    ):
+        hadm = row["hadm_id"].strip()
+        if hadm not in admissions:
+            continue
+        note_counts[hadm] = note_counts.get(hadm, 0) + 1
+        category = row["category"].strip().lower()
+        if "discharge" not in category:
+            continue
+        try:
+            chart_date = _parse_ts(row["chart_date"])
+        except ValueError as exc:
+            rejects.append({"file": notes_path, "line": lineno, "error": str(exc)})
+            continue
+        key = (chart_date, lineno)
+        if hadm not in latest or key >= latest[hadm][0]:
+            latest[hadm] = (key, row["text"])
 
     for hadm, (_, text) in latest.items():
         admissions[hadm].discharge_note = text

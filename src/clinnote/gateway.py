@@ -385,6 +385,9 @@ class LLMGateway:
                 vectors = self.backend.embed(model, [texts[i] for i in missing])
             with self._lock:
                 self.network_calls += 1
+            if len(vectors) != len(missing):  # checked before any vector is cached
+                raise ProtocolError(
+                    f"asked for {len(missing)} embeddings, got {len(vectors)}")
             for i, vec in zip(missing, vectors):
                 self.cache.put(_embed_key(model, texts[i]), {"values": vec})
                 out[i] = vec

@@ -301,11 +301,14 @@ class MockResponder:
     def _label(self, user_content):
         m = re.search(r"Variable:\s*(\w+)", user_content)
         variable = m.group(1).lower() if m else ""
-        em = re.search(r"Entry:\s*(.*)\Z", user_content, re.DOTALL)
-        entry = em.group(1).strip() if em else ""
-        allowed = re.findall(r"^- ([^:]+):", user_content, re.MULTILINE)
+        # categories and examples come from their header blocks, never the entry
+        header, _, entry = user_content.partition("\nEntry:")
+        entry = entry.strip()
+        allowed_block, _, example_block = header.partition("\nCategory examples:\n")
+        allowed_block = allowed_block.partition("\nAllowed categories:\n")[2]
+        allowed = re.findall(r"^- ([^:]+):", allowed_block, re.MULTILINE)
         # exact match against listed category examples first
-        for xm in re.finditer(r"^- ([^:]+): e\.g\. (.+)$", user_content, re.MULTILINE):
+        for xm in re.finditer(r"^- ([^:]+): e\.g\. (.+)$", example_block, re.MULTILINE):
             examples = [e.strip() for e in xm.group(2).split(";")]
             if entry in examples:
                 return xm.group(1).strip()

@@ -4,7 +4,7 @@ Each stage reads its inputs from and writes its outputs into one run
 directory, atomically, and records input/output content hashes in a run
 manifest. ``STAGE_TABLE`` is the one description of the stages: what each
 reads, which report files it writes, which prompts it sends and which
-outside files it reads. Dependency checks, stage fingerprints and the
+config keys it reads. Dependency checks, stage fingerprints and the
 report hash all come from it. Re-running a completed stage whose
 fingerprint is unchanged is a no-op, which makes long live-LLM runs
 resumable.
@@ -64,44 +64,49 @@ class Stage:
     inputs: tuple = ()  # run-dir files the stage reads
     reports: tuple = ()  # deterministic outputs that report_hash covers
     prompts: tuple = ()  # prompt templates the stage sends
-    sources: tuple = ()  # Config keys naming files outside the run dir
+    config: tuple = ()  # Config keys the stage reads; a *_path key counts by its file
 
+
+# what every chat reply depends on; the seed picks the mock backend's replies
+_CHAT = ("endpoint_url", "mock_mode", "seed", "chat_model", "max_tokens")
 
 STAGE_TABLE = (
     Stage("ingest",
           reports=("cohort.jsonl", "pairs.csv", "cohort_summary.json"),
-          sources=("admissions_path", "diagnoses_path", "notes_path")),
+          config=("admissions_path", "diagnoses_path", "notes_path")),
     Stage("extract",
           inputs=("cohort.jsonl", "pairs.csv"),
           reports=("extractions.jsonl",),
-          prompts=("extractor",)),
+          prompts=("extractor",),
+          config=(*_CHAT, "temperature")),
     Stage("canonicalize",
           inputs=("extractions.jsonl",),
           reports=("canonical_vitals.csv",)),
     Stage("normalize",
           inputs=("extractions.jsonl",),
           reports=("normalized_sdoh.csv",),
-          prompts=("normalizer", "labeler", "labeler_batch")),
+          prompts=("normalizer", "labeler", "labeler_batch"),
+          config=(*_CHAT, "temperature", "embed_model", "k_medoids")),
     Stage("evaluate-fidelity",
           inputs=("cohort.jsonl", "extractions.jsonl", "canonical_vitals.csv"),
           reports=("agreement_report.json", "judge_report.json"),
           prompts=("judge",),
-          sources=("truth_vitals_path", "truth_sdoh_path")),
+          config=(*_CHAT, "temperature", "truth_vitals_path", "truth_sdoh_path")),
     Stage("associate",
           inputs=("pairs.csv", "extractions.jsonl", "canonical_vitals.csv",
                   "normalized_sdoh.csv"),
-          reports=("association_report.json",)),
+          reports=("association_report.json",),
+          config=("standardize",)),
     Stage("summarize",
           inputs=("cohort.jsonl", "pairs.csv", "extractions.jsonl"),
           reports=("summaries.jsonl",),
-          prompts=("summary_overall", "summary_no_number")),
+          prompts=("summary_overall", "summary_no_number"),
+          config=(*_CHAT, "summary_temperature")),
     Stage("predict",
           inputs=("cohort.jsonl", "pairs.csv", "summaries.jsonl"),
-          reports=("prediction_report.json",)),
+          reports=("prediction_report.json",),
+          config=("folds", "seed", "l2_lambda")),
 )
-
-# config keys that change how a run is carried out, never what it outputs
-RUN_ONLY_KEYS = ("max_concurrency", "max_retries", "cache_dir")
 
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
@@ -132,23 +137,11 @@ class Runner:
 
     # -- manifest ----------------------------------------------------------
 
-    def _config_hash(self):
-        """Hash of the config keys that can change a stage's outputs."""
-        keys = {k: v for k, v in asdict(self.config).items() if k not in RUN_ONLY_KEYS}
-        return hashlib.sha256(json.dumps(keys, sort_keys=True).encode()).hexdigest()
-
     def _load_manifest(self):
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path) as fh:
                 return json.load(fh)
-        return {
-            "run_id": hashlib.sha256(
-                f"{self._config_hash()}:{self.config.seed}".encode()
-            ).hexdigest()[:12],
-            "config_hash": self._config_hash(),
-            "seed": self.config.seed,
-            "stages": {},
-        }
+        return {"seed": self.config.seed, "stages": {}}
 
     def _save_manifest(self):
         gw = self._gateway
@@ -160,15 +153,16 @@ class Runner:
         _write_json(self.manifest_path, self.manifest)
 
     def _input_hashes(self, stage: Stage):
-        """A stage's fingerprint besides the config: its run-dir inputs, the
-        outside files it reads and the prompts it sends."""
+        """A stage's fingerprint: its run-dir inputs, the prompts it sends and
+        the config keys it reads, a *_path key by its file's bytes if any."""
         hashes = {name: _sha256_file(self.path(name)) for name in stage.inputs}
-        for key in stage.sources:
-            path = getattr(self.config, key)
-            if os.path.exists(path):
-                hashes[path] = _sha256_file(path)
         for name in stage.prompts:
             hashes[f"prompt:{name}"] = load_prompt(name).sha256
+        for key in stage.config:
+            value = getattr(self.config, key)
+            if key.endswith("_path") and os.path.isfile(value):
+                value = _sha256_file(value)
+            hashes[f"config:{key}"] = value
         return hashes
 
     @property
@@ -198,11 +192,8 @@ class Runner:
 
         input_hashes = self._input_hashes(spec)
         done = self.manifest["stages"].get(stage)
-        if (
-            done
-            and done.get("input_hashes") == input_hashes
-            and done.get("config_hash") == self._config_hash()
-            and all(os.path.exists(self.path(f)) for f in done.get("output_hashes", {}))
+        if done and done.get("input_hashes") == input_hashes and all(
+            os.path.exists(self.path(f)) for f in done.get("output_hashes", {})
         ):
             log.info("stage %s up to date; skipping", stage)
             return done
@@ -215,7 +206,6 @@ class Runner:
             "output_hashes": {
                 f: _sha256_file(self.path(f)) for f in [*spec.reports, *side_outputs]
             },
-            "config_hash": self._config_hash(),
             "started": started,
             "finished": time.time(),
         }

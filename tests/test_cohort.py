@@ -104,6 +104,25 @@ class TestLoadTables:
         assert len(store.rejects) == 1
         assert store.rejects[0]["line"] == 2
 
+    @pytest.mark.parametrize("short", ["admissions", "diagnoses", "notes"])
+    def test_short_row_collected(self, tmp_path, short):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00")],
+            [{"subject_id": "S1", "hadm_id": "H1", "icd9_code": "42822"}],
+            [{"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+              "chart_date": "2100-01-05T00:00:00", "text": "note body"}],
+        )
+        path = {"admissions": a, "diagnoses": d, "notes": n}[short]
+        with open(path, "a") as fh:
+            fh.write("S1\n")
+        store = load_tables(a, d, n)
+        width = {"admissions": 5, "diagnoses": 3, "notes": 5}[short]
+        assert store.rejects == [{"file": path, "line": 3,
+                                  "error": f"row has 1 of the header's {width} fields"}]
+        rec = store.admissions["H1"]
+        assert (rec.icd9_codes, rec.discharge_note) == (["42822"], "note body")
+
     def test_missing_column_fatal(self, tmp_path):
         a = tmp_path / "admissions.csv"
         _write_csv(a, ["subject_id", "hadm_id"], [])

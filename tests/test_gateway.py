@@ -402,6 +402,29 @@ class TestEmbeddings:
         finally:
             gw.close()
 
+    def test_short_reply_raises_before_caching(self, tmp_path):
+        asked = []
+
+        class Short(MockBackend):
+            def embed(self, model, texts):
+                return super().embed(model, texts)[:-1]
+
+        class Recording(MockBackend):
+            def embed(self, model, texts):
+                asked.append(list(texts))
+                return super().embed(model, texts)
+
+        gw = LLMGateway(make_config(tmp_path), backend=Short())
+        try:
+            with pytest.raises(ProtocolError, match="asked for 3 embeddings, got 2"):
+                gw.embed(["a", "b", "c"])
+            gw.backend = Recording()
+            vectors = gw.embed(["a", "b", "c"])
+        finally:
+            gw.close()
+        assert asked == [["a", "b", "c"]]
+        assert [v.values.tolist() for v in vectors] == [mock_embedding(t) for t in "abc"]
+
 
 class _FakeResponse:
     def __init__(self, status_code, payload=None, text="", headers=None):

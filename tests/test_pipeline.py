@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 
@@ -118,6 +119,36 @@ def run_all(cfg, out):
         runner.close()
 
 
+def rerun_after(cfg, out, **changes):
+    """The stages a completed run re-runs after ``changes`` to its config,
+    and the network calls that second run makes."""
+    first = run_all(cfg, out)["stages"]
+    changed = dataclasses.replace(cfg, **changes)
+    gateway = LLMGateway(changed)
+    try:
+        second = Runner(changed, out, gateway=gateway).run_all()["stages"]
+    finally:
+        gateway.close()
+    rerun = [s for s in STAGES if second[s]["finished"] != first[s]["finished"]]
+    return rerun, gateway.network_calls
+
+
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(Config))
+
+
+class RecordingConfig(Config):
+    """A Config that notes in ``reads`` each field read while ``stage`` is set."""
+
+    stage = None
+
+    def __getattribute__(self, name):
+        if name in CONFIG_KEYS:
+            stage = object.__getattribute__(self, "stage")
+            if stage is not None:
+                object.__getattribute__(self, "reads").setdefault(stage, set()).add(name)
+        return object.__getattribute__(self, name)
+
+
 class TestRunner:
     def test_run_all_produces_reports(self, tmp_path):
         cfg = fixture_config(tmp_path)
@@ -135,9 +166,11 @@ class TestRunner:
         out = str(tmp_path / "run")
         manifest = run_all(cfg, out)
         assert set(manifest["stages"]) == set(STAGES)
-        for entry in manifest["stages"].values():
+        for stage in STAGE_TABLE:
+            entry = manifest["stages"][stage.name]
             assert entry["output_hashes"]
-            assert entry["config_hash"] == manifest["config_hash"]
+            keys = {k for k in entry["input_hashes"] if k.startswith("config:")}
+            assert keys == {f"config:{key}" for key in stage.config}, stage.name
 
     def test_unknown_stage(self, tmp_path):
         runner = Runner(fixture_config(tmp_path), str(tmp_path / "run"))
@@ -172,12 +205,50 @@ class TestRunner:
         assert second["finished"] > first["finished"]
 
     def test_config_change_triggers_rerun(self, tmp_path):
+        rerun, _ = rerun_after(fixture_config(tmp_path), str(tmp_path / "run"), seed=99)
+        assert "predict" in rerun
+        assert "ingest" not in rerun and "canonicalize" not in rerun
+
+    @pytest.mark.parametrize("key, value, rerun", [
+        ("folds", 4, ["predict"]),
+        ("standardize", False, ["associate"]),
+        ("l2_lambda", 0.5, ["predict"]),
+        ("summary_temperature", 0.7, ["summarize"]),
+    ])
+    def test_config_key_reruns_only_the_stages_reading_it(self, tmp_path, key, value,
+                                                          rerun):
+        got, network_calls = rerun_after(
+            fixture_config(tmp_path), str(tmp_path / "run"), **{key: value})
+        assert got == rerun
+        if "summarize" not in rerun:
+            assert network_calls == 0
+
+    def test_same_bytes_input_at_new_path_reruns_nothing(self, tmp_path):
         cfg = fixture_config(tmp_path)
-        out = str(tmp_path / "run")
-        first = Runner(cfg, out).run_stage("ingest")
-        cfg.seed = 99
-        second = Runner(cfg, out).run_stage("ingest")
-        assert second["finished"] > first["finished"]
+        moved = str(tmp_path / "moved_notes.csv")
+        shutil.copyfile(cfg.notes_path, moved)
+        assert rerun_after(cfg, str(tmp_path / "run"), notes_path=moved) == ([], 0)
+
+    def test_each_stage_reads_only_its_config_keys(self, tmp_path, monkeypatch):
+        cfg = RecordingConfig(**dataclasses.asdict(fixture_config(tmp_path)))
+        cfg.reads = {}
+        for stage in STAGES:
+            method = "_stage_" + stage.replace("-", "_")
+
+            def recorded(runner, _run=getattr(Runner, method), _stage=stage):
+                runner.config.stage = _stage
+                try:
+                    return _run(runner)
+                finally:
+                    runner.config.stage = None
+
+            monkeypatch.setattr(Runner, method, recorded)
+        run_all(cfg, str(tmp_path / "run"))
+        run_only = CONFIG_KEYS - {key for stage in STAGE_TABLE for key in stage.config}
+        assert run_only == {"api_key_env", "cache_dir", "max_concurrency", "max_retries"}
+        for stage in STAGE_TABLE:
+            assert cfg.reads.get(stage.name, set()) - set(stage.config) <= run_only, stage.name
+        assert cfg.reads["predict"] == {"folds", "seed", "l2_lambda"}
 
     @pytest.mark.parametrize("key, value", [
         ("max_concurrency", 1), ("max_retries", 0), ("cache_dir", "elsewhere"),
