@@ -101,21 +101,25 @@ class CohortStore:
 
 
 def _read_rows(path, required, rejects):
-    """Yield (line, row) per CSV row; a row with fewer fields than the header
-    goes to ``rejects`` instead, and a missing required column is fatal."""
+    """Yield (line, row) per CSV record, ``line`` being the file line it
+    starts on; blank lines are skipped, a record with fewer fields than the
+    header goes to ``rejects`` instead, and a missing required column is fatal."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise ConfigError(f"{path}: missing required columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row.values():
-                n = sum(value is not None for value in row.values())
-                rejects.append({"file": path, "line": lineno,
-                                "error": f"row has {n} of the header's {len(header)} fields"})
+        end = reader.line_num
+        for fields in reader:  # a quoted field may span several lines
+            lineno, end = end + 1, reader.line_num
+            if not fields:
                 continue
-            yield lineno, row
+            if len(fields) < len(header):
+                rejects.append({"file": path, "line": lineno, "error":
+                                f"row has {len(fields)} of the header's {len(header)} fields"})
+                continue
+            yield lineno, dict(zip(header, fields))
 
 
 def _parse_ts(value):

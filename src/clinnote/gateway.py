@@ -2,9 +2,9 @@
 
 Speaks the OpenAI-compatible JSON protocol so any local model server can
 be plugged in. Every request is cached on disk keyed by a SHA-256 of the
-canonicalized request, which makes interrupted runs resumable and repeat
-runs free. A deterministic mock backend keeps the whole pipeline runnable
-offline.
+canonicalized request and the backend's identity, which makes interrupted
+runs resumable and repeat runs free. A deterministic mock backend keeps the
+whole pipeline runnable offline.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ _FENCE_RE = re.compile(r"```(?:json)?")
 _JSON_OPENERS = {dict: "{", list: "["}
 
 MOCK_EMBED_DIM = 64
+EMBED_BATCH = 2048  # most texts in one embeddings request; OpenAI allows 2 048
 
 
 def strip_thinking(text):
@@ -64,22 +65,6 @@ class ChatRequest:
             raise InvalidInput("chat prompts must be non-empty")
         if self.temperature < 0:
             raise InvalidInput("temperature must be >= 0")
-
-
-@dataclass
-class ChatResponse:
-    raw_text: str
-    thinking_text: str | None = None
-    usage: dict = field(default_factory=dict)
-    latency_ms: float = 0.0
-    cached: bool = False
-
-
-@dataclass
-class EmbeddingVector:
-    values: np.ndarray
-    source_text: str
-    model_name: str
 
 
 class JsonlCache:
@@ -131,10 +116,11 @@ class JsonlCache:
                 self._fh = None
 
 
-def _chat_key(request: ChatRequest) -> str:
+def _chat_key(backend_id, request: ChatRequest) -> str:
     canon = json.dumps(
         {
             "kind": "chat",
+            "backend": backend_id,
             "model": request.model_name,
             "system": request.system_prompt,
             "user": request.user_content,
@@ -146,8 +132,10 @@ def _chat_key(request: ChatRequest) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _embed_key(model, text) -> str:
-    canon = json.dumps({"kind": "embed", "model": model, "text": text}, sort_keys=True)
+def _embed_key(backend_id, model, text) -> str:
+    canon = json.dumps(
+        {"kind": "embed", "backend": backend_id, "model": model, "text": text}, sort_keys=True
+    )
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -280,6 +268,9 @@ class LLMGateway:
                     max_retries=config.max_retries,
                 )
         self.backend = backend
+        # in every cache key, so replies never cross between backends; a
+        # live endpoint's keys leave out the seed, which only the mock reads
+        self.backend_id = f"mock:{config.seed}" if config.mock_mode else config.endpoint_url
         cache_path = None
         if config.cache_dir:
             os.makedirs(config.cache_dir, exist_ok=True)
@@ -292,14 +283,15 @@ class LLMGateway:
         # the one bound on backend calls in flight, however maps are nested
         self._slots = threading.BoundedSemaphore(config.max_concurrency)
 
-    def chat(self, request: ChatRequest) -> ChatResponse:
-        """Cached chat; identical in-flight requests share one backend call.
+    def chat(self, request: ChatRequest) -> str:
+        """The reply text, thinking stripped, from the cache or the backend.
 
-        The first caller of a key asks the backend. Later callers wait for
-        it, holding no concurrency slot, then read the cache as hits; if it
-        failed, one of them asks.
+        Identical in-flight requests share one backend call: the first
+        caller of a key asks the backend. Later callers wait for it, holding
+        no concurrency slot, then read the cache as hits; if it failed, one
+        of them asks.
         """
-        key = _chat_key(request)
+        key = _chat_key(self.backend_id, request)
         while True:
             with self._lock:
                 cached = self.cache.get(key)
@@ -312,12 +304,7 @@ class LLMGateway:
                     break
             pending.wait()
         if cached is not None:
-            return ChatResponse(
-                raw_text=cached["raw_text"],
-                thinking_text=cached.get("thinking_text"),
-                usage=cached.get("usage", {}),
-                cached=True,
-            )
+            return cached["raw_text"]
         try:
             return self._fetch(key, request)
         finally:
@@ -326,21 +313,14 @@ class LLMGateway:
 
     def _fetch(self, key, request):
         with self._slots:
-            start = time.monotonic()
             text = self.backend.chat(request)
-            latency = (time.monotonic() - start) * 1000.0
         with self._lock:
             self.network_calls += 1
         if not text or not text.strip():
             raise EmptyResponse("endpoint returned an empty completion")
         raw, thinking = strip_thinking(text)
-        usage = {
-            "prompt_tokens": len(request.system_prompt.split())
-            + len(request.user_content.split()),
-            "completion_tokens": len(text.split()),
-        }
-        self.cache.put(key, {"raw_text": raw, "thinking_text": thinking, "usage": usage})
-        return ChatResponse(raw_text=raw, thinking_text=thinking, usage=usage, latency_ms=latency)
+        self.cache.put(key, {"raw_text": raw, "thinking_text": thinking})
+        return raw
 
     def map(self, fn, items):
         """``fn`` over ``items`` on at most max_concurrency threads.
@@ -369,35 +349,31 @@ class LLMGateway:
         self.cache.close()
 
     def embed(self, texts):
+        """One embedding row per text, in input order, as an (n, d) array.
+
+        Texts missing from the cache are sent EMBED_BATCH to a request.
+        """
         if not texts:
             raise InvalidInput("embed() requires a non-empty list of texts")
         model = self.config.embed_model
-        out = [None] * len(texts)
-        missing = []
-        for i, text in enumerate(texts):
-            cached = self.cache.get(_embed_key(model, text))
-            if cached is not None:
-                out[i] = cached["values"]
-            else:
-                missing.append(i)
-        if missing:
+        keys = [_embed_key(self.backend_id, model, text) for text in texts]
+        rows = [(self.cache.get(key) or {}).get("values") for key in keys]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        for start in range(0, len(missing), EMBED_BATCH):
+            chunk = missing[start:start + EMBED_BATCH]
             with self._slots:
-                vectors = self.backend.embed(model, [texts[i] for i in missing])
+                vectors = self.backend.embed(model, [texts[i] for i in chunk])
             with self._lock:
                 self.network_calls += 1
-            if len(vectors) != len(missing):  # checked before any vector is cached
-                raise ProtocolError(
-                    f"asked for {len(missing)} embeddings, got {len(vectors)}")
-            for i, vec in zip(missing, vectors):
-                self.cache.put(_embed_key(model, texts[i]), {"values": vec})
-                out[i] = vec
-        dims = {len(v) for v in out}
+            if len(vectors) != len(chunk):  # checked before any vector is cached
+                raise ProtocolError(f"asked for {len(chunk)} embeddings, got {len(vectors)}")
+            for i, vec in zip(chunk, vectors):
+                self.cache.put(keys[i], {"values": vec})
+                rows[i] = vec
+        dims = {len(row) for row in rows}
         if len(dims) != 1:
             raise ProtocolError(f"embedding dimension mismatch in batch: {sorted(dims)}")
-        return [
-            EmbeddingVector(values=np.asarray(v, dtype=float), source_text=t, model_name=model)
-            for v, t in zip(out, texts)
-        ]
+        return np.array(rows, dtype=float)
 
 
 def find_json(text, kind):
@@ -431,13 +407,13 @@ def chat_with_repair(gateway, system, user, parse, repair, temperature=None):
         temperature = gateway.config.temperature
     content = user
     for attempt in range(2):
-        response = gateway.chat(ChatRequest(
+        reply = gateway.chat(ChatRequest(
             system, content, temperature, gateway.config.max_tokens, gateway.config.chat_model
         ))
         try:
-            return parse(response.raw_text)
+            return parse(reply)
         except (ParseFailure, SchemaViolation) as err:
             if attempt:
-                raise ReplyUnusable(str(err), response.raw_text) from err
+                raise ReplyUnusable(str(err), reply) from err
             log.info("agent reply unusable (%s); re-prompting once", err)
         content = f"{user}\n\n{repair}"

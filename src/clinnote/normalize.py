@@ -131,11 +131,10 @@ def _pam_swap(D, medoids, w, cost_path):
     return medoids
 
 
-def cluster_entries(entries, k, embeddings=None, gateway=None, weights=None):
-    """PAM k-medoids over deduplicated entry texts.
+def cluster_entries(entries, k, embeddings, weights=None):
+    """PAM k-medoids over deduplicated entry texts, one embedding row each.
 
-    Embeddings come from the gateway unless supplied directly. Result is
-    deterministic given the inputs.
+    Result is deterministic given the inputs.
     """
     if k <= 0:
         raise InvalidInput("k must be positive")
@@ -147,8 +146,6 @@ def cluster_entries(entries, k, embeddings=None, gateway=None, weights=None):
     if k > n:
         log.warning("k=%d exceeds %d distinct entries; lowering", k, n)
         k = n
-    if embeddings is None:
-        embeddings = np.array([v.values for v in gateway.embed(list(entries))])
     w = np.asarray(weights if weights is not None else np.ones(n), dtype=float)
 
     D = cosine_distance_matrix(embeddings)
@@ -351,7 +348,7 @@ def normalize_variable(gateway, variable, entries, k=200):
     counts = Counter(t for _, t in entries)
     uniq = sorted(counts)
     weights = np.array([counts[t] for t in uniq], dtype=float)
-    clustering = cluster_entries(uniq, min(k, len(uniq)), gateway=gateway, weights=weights)
+    clustering = cluster_entries(uniq, min(k, len(uniq)), gateway.embed(uniq), weights=weights)
     medoid_texts = [uniq[i] for i in clustering.medoid_indices]
     scheme = synthesize_scheme(gateway, variable, medoid_texts)
     # attach medoid examples per category by labeling the medoids first

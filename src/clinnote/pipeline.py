@@ -138,19 +138,16 @@ class Runner:
     # -- manifest ----------------------------------------------------------
 
     def _load_manifest(self):
-        if os.path.exists(self.manifest_path):
-            with open(self.manifest_path) as fh:
-                return json.load(fh)
-        return {"seed": self.config.seed, "stages": {}}
+        if not os.path.exists(self.manifest_path):
+            return {"seed": self.config.seed, "stages": {}}
+        with open(self.manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest.pop("gateway", None)  # whole-run counts of older runs, now per stage
+        return manifest
 
-    def _save_manifest(self):
+    def _gateway_counts(self):
         gw = self._gateway
-        if gw is not None:
-            self.manifest["gateway"] = {
-                "network_calls": gw.network_calls,
-                "cache_hits": gw.cache_hits,
-            }
-        _write_json(self.manifest_path, self.manifest)
+        return (gw.network_calls, gw.cache_hits) if gw is not None else (0, 0)
 
     def _input_hashes(self, stage: Stage):
         """A stage's fingerprint: its run-dir inputs, the prompts it sends and
@@ -199,8 +196,10 @@ class Runner:
             return done
 
         started = time.time()
+        calls, hits = self._gateway_counts()
         # a stage method returns the files it wrote besides its reports
         side_outputs = getattr(self, "_stage_" + stage.replace("-", "_"))() or []
+        calls_after, hits_after = self._gateway_counts()
         entry = {
             "input_hashes": input_hashes,
             "output_hashes": {
@@ -208,9 +207,12 @@ class Runner:
             },
             "started": started,
             "finished": time.time(),
+            # this run's requests: sent to the backend, answered by the cache
+            "network_calls": calls_after - calls,
+            "cache_hits": hits_after - hits,
         }
         self.manifest["stages"][stage] = entry
-        self._save_manifest()
+        _write_json(self.manifest_path, self.manifest)
         return entry
 
     def run_all(self):

@@ -203,6 +203,12 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
     se = math.sqrt(cov[1, 1])
     z = beta[1] / se
     p_value = 2.0 * normal_sf(abs(z))
+    try:
+        ci95 = (math.exp(beta[1] - 1.96 * se), math.exp(beta[1] + 1.96 * se))
+    except OverflowError as exc:  # unstandardized, the separation bound does not cap beta1
+        raise DegeneratePredictor(
+            f"odds ratio per unit of {variable!r} overflows a float; standardize it"
+        ) from exc
     return LogisticFit(
         variable=variable,
         coef=float(beta[1]),
@@ -210,7 +216,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
         std_err=se,
         p_value=p_value,
         odds_ratio=math.exp(beta[1]),
-        ci95=(math.exp(beta[1] - 1.96 * se), math.exp(beta[1] + 1.96 * se)),
+        ci95=ci95,
         n=n,
         standardized=standardize,
         n_iter=it,

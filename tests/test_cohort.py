@@ -104,6 +104,23 @@ class TestLoadTables:
         assert len(store.rejects) == 1
         assert store.rejects[0]["line"] == 2
 
+    def test_reject_line_is_the_file_line_a_record_starts_on(self, tmp_path):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00")],
+            [],
+            [{"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+              "chart_date": "2100-01-05T00:00:00", "text": "one\ntwo\nthree\nfour"},
+             {"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+              "chart_date": "not-a-date", "text": "late"}],
+        )
+        with open(n) as fh:
+            assert fh.read().splitlines()[5].startswith("S1,H1,Discharge summary,not-a-date")
+        store = load_tables(a, d, n)
+        assert store.rejects == [{"file": n, "line": 6,
+                                  "error": "Invalid isoformat string: 'not-a-date'"}]
+        assert store.admissions["H1"].discharge_note == "one\ntwo\nthree\nfour"
+
     @pytest.mark.parametrize("short", ["admissions", "diagnoses", "notes"])
     def test_short_row_collected(self, tmp_path, short):
         a, d, n = _tables(

@@ -16,6 +16,7 @@ from clinnote.errors import (
     RequestFailed,
 )
 from clinnote.gateway import (
+    MOCK_EMBED_DIM,
     ChatRequest,
     HttpBackend,
     JsonlCache,
@@ -26,7 +27,7 @@ from clinnote.gateway import (
     strip_thinking,
 )
 
-from conftest import make_config
+from conftest import ScriptedBackend, make_config
 
 
 class TestStripThinking:
@@ -150,8 +151,7 @@ class TestGatewayCache:
         assert backend.calls == 1
         assert gw.network_calls == 1
         assert gw.cache_hits == 1
-        assert first.raw_text == second.raw_text == "reply one"
-        assert second.cached and not first.cached
+        assert first == second == "reply one"
 
     def test_different_temperature_misses_cache(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory(["a", "b"])
@@ -164,17 +164,16 @@ class TestGatewayCache:
         req = ChatRequest(system_prompt="s", user_content="u")
         gw.chat(req)
         gw2 = LLMGateway(make_config(tmp_path), backend=backend)
-        resp = gw2.chat(req)
-        assert resp.cached
+        assert gw2.chat(req) == "persisted"
         assert backend.calls == 1
+        assert gw2.cache_hits == 1
 
     def test_thinking_stripped_before_cache(self, scripted_gateway_factory):
         gw, _ = scripted_gateway_factory(["<think>w</think>clean"])
         req = ChatRequest(system_prompt="s", user_content="u")
-        assert gw.chat(req).raw_text == "clean"
-        cached = gw.chat(req)
-        assert cached.raw_text == "clean"
-        assert cached.thinking_text == "w"
+        assert gw.chat(req) == "clean"
+        assert gw.chat(req) == "clean"
+        assert list(gw.cache._entries.values()) == [{"raw_text": "clean", "thinking_text": "w"}]
 
     def test_empty_reply_raises(self, scripted_gateway_factory):
         gw, _ = scripted_gateway_factory(["   "])
@@ -188,10 +187,40 @@ class TestGatewayCache:
         mock_gateway.backend = backend
         reqs = [ChatRequest(system_prompt="s", user_content=f"q{i}") for i in range(8)]
         out = mock_gateway.chat_many(reqs)
-        assert [r.raw_text for r in out] == [f"r{i}" for i in range(8)]
+        assert out == [f"r{i}" for i in range(8)]
 
     def test_chat_many_empty(self, mock_gateway):
         assert mock_gateway.chat_many([]) == []
+
+
+class TestCacheIdentity:
+    """The backend is part of every cache key: mock replies never reach a
+    live run, a mock seed gets its own replies, and a live key leaves the
+    seed out so a seed change does not re-bill the endpoint."""
+
+    LIVE = dict(mock_mode=False, endpoint_url="http://127.0.0.1:9/v1")
+
+    @staticmethod
+    def _ask(tmp_path, replies, **overrides):
+        """One chat and one embed; the reply and the backend calls made."""
+        backend = ScriptedBackend(replies)
+        gw = LLMGateway(make_config(tmp_path, **overrides), backend=backend)
+        try:
+            reply = gw.chat(ChatRequest("s", "u"))
+            gw.embed(["a"])
+            return reply, backend.calls
+        finally:
+            gw.close()
+
+    def test_live_gateway_misses_a_mock_filled_cache(self, tmp_path):
+        assert self._ask(tmp_path, ["mock reply"]) == ("mock reply", 2)
+        assert self._ask(tmp_path, ["live reply"], **self.LIVE) == ("live reply", 2)
+        assert self._ask(tmp_path, [], **self.LIVE, seed=7) == ("live reply", 0)
+        assert self._ask(tmp_path, []) == ("mock reply", 0)
+
+    def test_mock_seed_change_misses(self, tmp_path):
+        self._ask(tmp_path, ["seed 0"])
+        assert self._ask(tmp_path, ["seed 1"], seed=1) == ("seed 1", 2)
 
 
 class _BlockingBackend:
@@ -256,8 +285,7 @@ class TestConcurrency:
         assert backend.calls == 1
         assert gw.network_calls == 1
         assert gw.cache_hits == 7
-        assert [r.raw_text for r in out] == ["reply to u"] * 8
-        assert sum(r.cached for r in out) == 7
+        assert out == ["reply to u"] * 8
 
     def test_waiter_takes_over_when_first_caller_fails(self, tmp_path):
         backend = _BlockingBackend(fail_first=True)
@@ -271,7 +299,7 @@ class TestConcurrency:
             assert not t.is_alive()
         assert backend.calls == 2
         assert sum(isinstance(r, RequestFailed) for r in out) == 1
-        assert [r.raw_text for r in out if not isinstance(r, Exception)] == ["reply to u"] * 3
+        assert [r for r in out if not isinstance(r, Exception)] == ["reply to u"] * 3
 
     @pytest.mark.parametrize("limit", [1, 3])
     def test_map_bounds_overlap_and_keeps_order(self, tmp_path, limit):
@@ -284,7 +312,7 @@ class TestConcurrency:
             return gw.chat(ChatRequest(system_prompt="s", user_content=f"q{i}"))
 
         out = gw.map(slow_chat, range(12))
-        assert [r.raw_text for r in out] == [f"reply to q{i}" for i in range(12)]
+        assert out == [f"reply to q{i}" for i in range(12)]
         assert backend.max_inflight <= limit
 
     def test_nested_map_reaches_but_never_exceeds_the_bound(self, tmp_path):
@@ -299,7 +327,7 @@ class TestConcurrency:
             )
 
         out = gw.map(inner, range(4))  # up to 16 threads, 4 slots
-        assert [[r.raw_text for r in row] for row in out] == [
+        assert out == [
             [f"reply to q{i}.{j}" for j in range(4)] for i in range(4)
         ]
         assert backend.calls == 16
@@ -362,7 +390,7 @@ class TestConcurrency:
             assert not threads[0].is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert [r.raw_text for r in out[0]] == [f"reply to {r.user_content}" for r in requests]
+        assert out[0] == [f"reply to {r.user_content}" for r in requests]
         assert backend.calls == gw.network_calls == 25
         assert gw.cache_hits == 375
 
@@ -382,9 +410,8 @@ class TestEmbeddings:
         calls_after_first = gw.network_calls
         second = gw.embed(["beta", "alpha", "gamma"])
         assert gw.network_calls == calls_after_first + 1  # only "gamma" fetched
-        by_text = {v.source_text: v.values for v in second}
-        assert np.allclose(by_text["alpha"], first[0].values)
-        assert np.allclose(by_text["beta"], first[1].values)
+        assert second.shape == (3, MOCK_EMBED_DIM)
+        assert np.array_equal(second[:2], first[::-1])
 
     def test_embed_empty_list_rejected(self, mock_gateway):
         with pytest.raises(InvalidInput):
@@ -423,7 +450,47 @@ class TestEmbeddings:
         finally:
             gw.close()
         assert asked == [["a", "b", "c"]]
-        assert [v.values.tolist() for v in vectors] == [mock_embedding(t) for t in "abc"]
+        assert vectors.tolist() == [mock_embedding(t) for t in "abc"]
+
+
+    def test_missing_texts_sent_in_capped_requests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("clinnote.gateway.EMBED_BATCH", 2)
+        asked = []
+
+        class Recording(MockBackend):
+            def embed(self, model, texts):
+                asked.append(list(texts))
+                return super().embed(model, texts)
+
+        gw = LLMGateway(make_config(tmp_path, cache_dir=""), backend=Recording())
+        texts = ["e", "d", "c", "b", "a"]
+        rows = gw.embed(texts)
+        assert [len(batch) for batch in asked] == [2, 2, 1]
+        assert gw.network_calls == 3
+        assert rows.tolist() == [mock_embedding(t) for t in texts]
+
+    def test_short_chunk_caches_only_the_chunks_before_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("clinnote.gateway.EMBED_BATCH", 2)
+        asked = []
+
+        class Recording(MockBackend):
+            """Records each request; drops a vector from request number ``short``."""
+
+            short = 2
+
+            def embed(self, model, texts):
+                asked.append(list(texts))
+                vectors = super().embed(model, texts)
+                return vectors[:-1] if len(asked) == self.short else vectors
+
+        gw = LLMGateway(make_config(tmp_path, cache_dir=""), backend=Recording())
+        texts = ["a", "b", "c", "d", "e"]
+        with pytest.raises(ProtocolError, match="asked for 2 embeddings, got 1"):
+            gw.embed(texts)
+        asked.clear()
+        gw.backend.short = None
+        assert gw.embed(texts).tolist() == [mock_embedding(t) for t in texts]
+        assert asked == [["c", "d"], ["e"]]
 
 
 class _FakeResponse:

@@ -116,7 +116,7 @@ class TestPam:
         with pytest.raises(InvalidInput):
             cluster_entries(["a"], 0, embeddings=np.eye(1))
         with pytest.raises(InvalidInput):
-            cluster_entries([], 1)
+            cluster_entries([], 1, np.empty((0, 2)))
 
     def test_weights_pull_medoid(self):
         # two near-identical points and one heavy outlier direction:

@@ -92,8 +92,9 @@ class TestConfig:
 
 FIXTURE_REPORT_HASH = "fde6e7ff59b91e685f7d2e9d6020100f92bf3018503969f0cb4476ae700e7074"
 # SHA-256 of the fixture run's sorted cache keys: the exact bytes of every
-# request (system prompt, user content, temperature, max_tokens, model)
-FIXTURE_REQUEST_KEYS_HASH = "4974b6a54d338e766eb10189706e3ce0fd49270ded8d3dcf28a47ff6de327b2c"
+# request (system prompt, user content, temperature, max_tokens, model) and
+# the backend it went to
+FIXTURE_REQUEST_KEYS_HASH = "bfffe1c38ab5b999d95281f4bfd584569befd9c59fee6d764bb04876bbaac59c"
 
 
 def fixture_config(tmp_path, **overrides):
@@ -208,6 +209,37 @@ class TestRunner:
         rerun, _ = rerun_after(fixture_config(tmp_path), str(tmp_path / "run"), seed=99)
         assert "predict" in rerun
         assert "ingest" not in rerun and "canonicalize" not in rerun
+
+    def test_seed_change_asks_the_backend_again(self, tmp_path):
+        # the mock seed is in every cache key, so seed 99 gets seed-99 replies
+        out = str(tmp_path / "run")
+        rerun, network_calls = rerun_after(fixture_config(tmp_path), out, seed=99)
+        assert network_calls > 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            stages = json.load(fh)["stages"]
+        assert stages["extract"]["network_calls"] == 10  # one per index note
+        assert sum(stages[s]["network_calls"] for s in rerun) == network_calls
+
+    def test_manifest_counts_belong_to_the_run_of_each_stage(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        gateway = LLMGateway(cfg)
+        try:
+            first = Runner(cfg, out, gateway=gateway).run_all()
+        finally:
+            gateway.close()
+        stages = first["stages"]
+        assert sum(e["network_calls"] for e in stages.values()) == gateway.network_calls
+        assert sum(e["cache_hits"] for e in stages.values()) == gateway.cache_hits
+        first["gateway"] = {"network_calls": 59}  # as a run before per-stage counts wrote it
+        with open(os.path.join(out, "manifest.json"), "w") as fh:
+            json.dump(first, fh)
+        second = run_all(dataclasses.replace(cfg, folds=4), out)
+        assert "gateway" not in second
+        assert second["stages"]["predict"]["network_calls"] == 0
+        assert second["stages"]["predict"]["cache_hits"] == 0
+        assert second["stages"]["extract"] == stages["extract"]
+        assert second["stages"]["extract"]["network_calls"] == 10
 
     @pytest.mark.parametrize("key, value, rerun", [
         ("folds", 4, ["predict"]),

@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from clinnote.errors import (
+    ClinNoteError,
     DegeneratePredictor,
     DegenerateTable,
     InvalidInput,
@@ -235,6 +236,12 @@ class TestLogistic:
         with pytest.raises(DegeneratePredictor):
             fit_univariate_logistic(np.ones(20), y)
 
+    def test_overflowing_odds_ratio_is_a_degenerate_predictor(self):
+        x, y = _simulated_logit_data()
+        with pytest.raises(DegeneratePredictor, match="overflows a float"):
+            fit_univariate_logistic(x / 1000.0, y, standardize=False)
+        assert fit_univariate_logistic(x / 1000.0, y).p_value > 0.0
+
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInput):
             fit_univariate_logistic(np.arange(20.0), np.zeros(20))
@@ -261,3 +268,82 @@ class TestLogistic:
         y = (rng.random(400) < p).astype(float)
         fit = fit_univariate_logistic(x, y)
         assert fit.coef > 0
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestScipyOracles:
+    """Differential tests against scipy. Each bound is about ten to a hundred
+    times the worst relative error seen over wide random sweeps: 9e-13 for
+    the gamma tail, 4e-13 for the normal tail, 3e-14 for the chi-square
+    p-value and 4e-8 for the logistic fit, which is the optimizer's own
+    tolerance."""
+
+    @given(_log_uniform(0.05, 500.0), _log_uniform(1e-6, 3000.0))
+    @example(0.05, 1e-6)
+    @example(500.0, 3000.0)
+    @example(500.0, 499.0)
+    @settings(max_examples=300, deadline=None)
+    def test_gamma_q_matches_gammaincc(self, a, x):
+        special = pytest.importorskip("scipy.special")
+        expected = float(special.gammaincc(a, x))
+        assert regularized_gamma_q(a, x) == pytest.approx(expected, rel=1e-11, abs=1e-300)
+
+    @given(st.floats(-40.0, 37.5))
+    @example(37.0)
+    @example(-37.0)
+    @example(0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_normal_sf_matches_norm_sf(self, z):
+        stats = pytest.importorskip("scipy.stats")
+        assert normal_sf(z) == pytest.approx(float(stats.norm.sf(z)), rel=1e-11, abs=1e-300)
+
+    @given(st.lists(
+        st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 200), st.integers(0, 200))),
+        min_size=2, max_size=8,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_chi_square_matches_chi2_contingency(self, rows):
+        stats = pytest.importorskip("scipy.stats")
+        counts = np.array(rows, dtype=float)
+        try:
+            res = chi_square_test(ContingencyTable([f"r{i}" for i in range(len(rows))], counts))
+        except DegenerateTable:
+            assume(False)
+        kept = counts[counts.sum(axis=1) > 0]  # scipy rejects an all-zero row
+        chi2, p, dof, expected = stats.chi2_contingency(kept, correction=False)
+        assert (res.levels, res.df, res.n) == (len(kept), dof, int(kept.sum()))
+        assert res.chi2 == pytest.approx(chi2, rel=1e-12, abs=1e-12)
+        assert res.p_value == pytest.approx(p, rel=1e-12)
+        assert res.low_expected == bool(np.any(expected < 5))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(10, 3000), st.floats(-6.0, 6.0),
+           _log_uniform(0.01, 100.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_logistic_matches_minimize_with_wald_errors(self, seed, n, beta, scale,
+                                                        standardize):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-beta * x / scale))).astype(float)
+        try:
+            fit = fit_univariate_logistic(x, y, standardize=standardize)
+        except ClinNoteError:  # one class, separation or no convergence
+            assume(False)
+
+        xs = (x - x.mean()) / x.std() if standardize else x
+        X = np.column_stack([np.ones(n), xs])
+
+        def nll(b):
+            eta = X @ b
+            return np.sum(np.logaddexp(0.0, eta) - y * eta), X.T @ (1.0 / (1.0 + np.exp(-eta)) - y)
+
+        b = optimize.minimize(nll, np.zeros(2), jac=True, method="BFGS",
+                              options={"gtol": 1e-10}).x
+        p = 1.0 / (1.0 + np.exp(-(X @ b)))
+        se = math.sqrt(np.linalg.inv(X.T @ (X * (p * (1.0 - p))[:, None]))[1, 1])
+        assert fit.coef == pytest.approx(b[1], rel=1e-6, abs=1e-7)
+        assert fit.intercept == pytest.approx(b[0], rel=1e-6, abs=1e-7)
+        assert fit.std_err == pytest.approx(se, rel=1e-6)
