@@ -1,15 +1,18 @@
 """Mock ``run-all`` at several cohort sizes: wall time, peak RSS and LLM calls
 per note per stage, for each labeler batch size (``normalize.LABEL_BATCH``).
 
-    PYTHONPATH=src python3 bench/scale.py [--sizes 200,2000] [--batches 1,20]
+    PYTHONPATH=src python3 bench/scale.py --label after [--sizes 200,2000,5000] [--batches 20]
 
 Inputs come from perfbench's ``diverse_cohort`` generator (seed 0). Each
 (size, batch size) cell runs all eight stages in its own process, with
 the mock backend, an in-memory cache, ``max_concurrency`` 4,
-``k_medoids`` 200 and ``folds`` 3, so its peak RSS is that of one run.
-Results go to BENCH_scale.json. Batch size 1 sends one entry per labeler
-request, as the paper does; equal ``report_hash`` values for one size mean
-that batching left the report bytes unchanged.
+``k_medoids`` 200 and ``folds`` 3, so its peak RSS is that of one run; each
+stage also records the peak RSS reached by its end. The results are stored
+under ``--label`` in BENCH_scale.json (other labels in the file are kept),
+so two versions of the code can sit side by side: run the script once per
+checkout, with PYTHONPATH pointing at that checkout's ``src``. Batch size 1
+sends one entry per labeler request, as the paper does; equal
+``report_hash`` values for one size mean that the report bytes are the same.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ CONFIG = {"mock_mode": True, "cache_dir": "", "max_concurrency": 4,
           "k_medoids": 200, "folds": 3, "seed": SEED}
 
 
+def _peak_rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
 def cell(inputs, out, label_batch):
     """One run in this process; returns its measurements."""
     normalize.LABEL_BATCH = label_batch
@@ -58,7 +65,8 @@ def cell(inputs, out, label_batch):
         began, calls = time.perf_counter(), gateway.network_calls
         runner.run_stage(stage)
         stages[stage] = {"s": round(time.perf_counter() - began, 3),
-                         "llm_calls": gateway.network_calls - calls}
+                         "llm_calls": gateway.network_calls - calls,
+                         "peak_rss_mb": _peak_rss_mb()}
     wall_s = time.perf_counter() - start
     gateway.close()
     notes = 0  # index notes: each is extracted or quarantined
@@ -71,7 +79,7 @@ def cell(inputs, out, label_batch):
         "label_batch": label_batch,
         "notes": notes,
         "wall_s": round(wall_s, 2),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": _peak_rss_mb(),
         "llm_calls": gateway.network_calls,
         "calls_per_note": round(gateway.network_calls / notes, 3),
         "report_hash": report_hash(out),
@@ -81,8 +89,9 @@ def cell(inputs, out, label_batch):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sizes", default="200,2000", help="patients per cohort")
-    ap.add_argument("--batches", default="1,20", help="labeler batch sizes")
+    ap.add_argument("--label", help="key the results are stored under")
+    ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort")
+    ap.add_argument("--batches", default="20", help="labeler batch sizes")
     ap.add_argument("--out", default="BENCH_scale.json")
     ap.add_argument("--cell", nargs=3, metavar=("INPUTS", "OUT", "LABEL_BATCH"),
                     help=argparse.SUPPRESS)  # one measured run, started by main
@@ -91,6 +100,8 @@ def main():
         inputs, out, label_batch = args.cell
         print(json.dumps(cell(inputs, out, int(label_batch))))
         return
+    if not args.label:
+        ap.error("--label is required")
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
@@ -107,14 +118,18 @@ def main():
                 print(json.dumps({k: v for k, v in rows[-1].items() if k != "stages"}),
                       flush=True)
 
-    bench = {
+    bench = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            bench = json.load(fh)
+    bench.update({
         "what": "mock run-all on perfbench's diverse_cohort generator, one process per "
                 "cell: wall time, peak RSS, LLM calls per note per stage",
         "config": CONFIG,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
-        "results": rows,
-    }
+    })
+    bench.setdefault("results", {})[args.label] = rows
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")

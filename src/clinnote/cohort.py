@@ -100,10 +100,11 @@ class CohortStore:
         return groups
 
 
-def _read_rows(path, required, rejects):
+def read_rows(path, required, rejects):
     """Yield (line, row) per CSV record, ``line`` being the file line it
-    starts on; blank lines are skipped, a record with fewer fields than the
-    header goes to ``rejects`` instead, and a missing required column is fatal."""
+    starts on; blank lines are skipped, a record with fewer or more fields
+    than the header goes to ``rejects`` instead, and a missing required
+    column is fatal."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -115,9 +116,11 @@ def _read_rows(path, required, rejects):
             lineno, end = end + 1, reader.line_num
             if not fields:
                 continue
-            if len(fields) < len(header):
-                rejects.append({"file": path, "line": lineno, "error":
-                                f"row has {len(fields)} of the header's {len(header)} fields"})
+            if len(fields) != len(header):  # more: an unquoted comma split a field
+                error = (f"row has {len(fields)} of the header's {len(header)} fields"
+                         if len(fields) < len(header) else
+                         f"row has {len(fields)} fields, more than the header's {len(header)}")
+                rejects.append({"file": path, "line": lineno, "error": error})
                 continue
             yield lineno, dict(zip(header, fields))
 
@@ -138,7 +141,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
     rejects: list = []
     genders: dict = {}
 
-    for lineno, row in _read_rows(
+    for lineno, row in read_rows(
         admissions_path, ["subject_id", "hadm_id", "admit_time", "discharge_time"], rejects
     ):
         try:
@@ -160,7 +163,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
         if row.get("gender"):
             genders[rec.subject_id] = row["gender"].strip().upper()
 
-    for lineno, row in _read_rows(diagnoses_path, ["hadm_id", "icd9_code"], rejects):
+    for lineno, row in read_rows(diagnoses_path, ["hadm_id", "icd9_code"], rejects):
         hadm = row["hadm_id"].strip()
         code = row["icd9_code"].strip().replace(".", "")
         if not code:
@@ -171,7 +174,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
 
     note_counts: dict = {}
     latest: dict = {}  # hadm_id -> (chart_date, row order, text)
-    for lineno, row in _read_rows(
+    for lineno, row in read_rows(
         notes_path, ["hadm_id", "category", "chart_date", "text"], rejects
     ):
         hadm = row["hadm_id"].strip()

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 import statistics
 from dataclasses import dataclass
 from importlib import resources
 
+from .cohort import read_rows
 from .errors import JudgeFailed, ParseFailure, ReplyUnusable
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
@@ -274,24 +276,48 @@ def corpus_judge_summary(verdicts, macro=False) -> dict:
     }
 
 
+def _warn_skipped(skipped):
+    for reject in skipped:
+        log.warning("%s line %d: %s; truth row skipped",
+                    reject["file"], reject["line"], reject["error"])
+
+
 def load_truth_vitals(path) -> dict:
-    """truth_vitals.csv -> variable -> hadm_id -> [(value, unit)]."""
+    """truth_vitals.csv -> variable -> hadm_id -> [(value, unit)].
+
+    A row with too few or too many fields, or whose value is blank or not
+    a finite number, is skipped with a warning naming its file and line.
+    """
     out: dict = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            var = row["variable"].strip()
-            out.setdefault(var, {}).setdefault(row["hadm_id"].strip(), []).append(
-                (float(row["value"]), row["unit"].strip())
-            )
+    skipped: list = []
+    for lineno, row in read_rows(path, ["hadm_id", "variable", "value", "unit"], skipped):
+        try:
+            value = float(row["value"])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            skipped.append({"file": path, "line": lineno,
+                            "error": f"value {row['value']!r} is not a number"})
+            continue
+        out.setdefault(row["variable"].strip(), {}).setdefault(
+            row["hadm_id"].strip(), []).append((value, row["unit"].strip()))
+    _warn_skipped(skipped)
     return out
 
 
 def load_truth_sdoh(path) -> dict:
-    """truth_sdoh.csv -> variable -> hadm_id -> value."""
+    """truth_sdoh.csv -> variable -> hadm_id -> value.
+
+    A row with too few or too many fields, or a blank value, is skipped
+    with a warning naming its file and line.
+    """
     out: dict = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["variable"].strip(), {})[row["hadm_id"].strip()] = row[
-                "value"
-            ].strip()
+    skipped: list = []
+    for lineno, row in read_rows(path, ["hadm_id", "variable", "value"], skipped):
+        value = row["value"].strip()
+        if not value:
+            skipped.append({"file": path, "line": lineno, "error": "value is blank"})
+            continue
+        out.setdefault(row["variable"].strip(), {})[row["hadm_id"].strip()] = value
+    _warn_skipped(skipped)
     return out

@@ -72,6 +72,9 @@ class JsonlCache:
 
     On load the last line for a key wins. A torn last line, left by a run
     killed mid-write, is skipped with a warning and cut off the file.
+    An embedding response's ``values`` are held in memory as a float64
+    array, 8 bytes a value where a list of floats takes 32, and written as
+    the same JSON list.
     """
 
     def __init__(self, path):
@@ -87,7 +90,10 @@ class JsonlCache:
                         break
                     try:
                         rec = json.loads(line)
-                        self._entries[rec["key"]] = rec["response"]
+                        response = rec["response"]
+                        if "values" in response:  # an embedding, held as an array row
+                            response["values"] = np.array(response["values"], dtype=float)
+                        self._entries[rec["key"]] = response
                     except (ValueError, KeyError, TypeError):
                         log.warning("skipping an unreadable line in cache %s", path)
         if torn:
@@ -106,7 +112,8 @@ class JsonlCache:
                 if self._fh is None:
                     self._fh = open(self.path, "a")
                 rec = {"key": key, "response": response}
-                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                # an array is written as its list: the line of a list of floats
+                self._fh.write(json.dumps(rec, sort_keys=True, default=np.ndarray.tolist) + "\n")
                 self._fh.flush()
 
     def close(self):
@@ -368,8 +375,8 @@ class LLMGateway:
             if len(vectors) != len(chunk):  # checked before any vector is cached
                 raise ProtocolError(f"asked for {len(chunk)} embeddings, got {len(vectors)}")
             for i, vec in zip(chunk, vectors):
-                self.cache.put(keys[i], {"values": vec})
-                rows[i] = vec
+                rows[i] = np.asarray(vec, dtype=float)
+                self.cache.put(keys[i], {"values": rows[i]})
         dims = {len(row) for row in rows}
         if len(dims) != 1:
             raise ProtocolError(f"embedding dimension mismatch in batch: {sorted(dims)}")

@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 MIN_TOKEN_LEN = 2
 MIN_DF = 2
+TRANSFORM_CHUNK = 8  # documents whose token keys are sorted together
 
 
 def tokenize(text):
@@ -85,23 +86,32 @@ class Vectorizer:
         return hashlib.sha256("\x00".join(terms).encode()).hexdigest()
 
     def transform(self, docs) -> CsrMatrix:
-        """tf * idf rows, L2-normalized (rows with no known term stay empty)."""
-        docs = _as_tokens(docs)
+        """tf * idf rows, L2-normalized (rows with no known term stay empty).
+
+        Rows are built TRANSFORM_CHUNK documents at a time, so the work
+        arrays are as long as a chunk's tokens, not the whole corpus's.
+        """
         n, d = len(docs), len(self.vocabulary)
-        # one key per token, row * (d + 1) + column, where column d stands for
-        # every out-of-vocabulary token; sorting runs equal keys together
-        keys = np.repeat(np.arange(n) * (d + 1), [len(tokens) for tokens in docs])
-        keys += np.fromiter(map(self.vocabulary.get, chain.from_iterable(docs), repeat(d)),
-                            dtype=np.int64, count=len(keys))
-        keys.sort(kind="stable")
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        rows, indices = np.divmod(keys[starts], d + 1)
-        known = indices < d
-        rows, indices = rows[known], indices[known]
-        data = np.diff(starts, append=len(keys))[known] * self.idf[indices]
-        data /= np.sqrt(np.bincount(rows, weights=data * data, minlength=n))[rows]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        return CsrMatrix(indptr, indices, data, (n, d))
+        counts, indices, data = [], [], []
+        for start in range(0, max(n, 1), TRANSFORM_CHUNK):  # one pass when n == 0
+            chunk = _as_tokens(docs[start:start + TRANSFORM_CHUNK])
+            # one key per token, row * (d + 1) + column, where column d stands
+            # for every out-of-vocabulary token; sorting runs equal keys together
+            keys = np.repeat(np.arange(len(chunk)) * (d + 1), [len(tokens) for tokens in chunk])
+            keys += np.fromiter(map(self.vocabulary.get, chain.from_iterable(chunk), repeat(d)),
+                                dtype=np.int64, count=len(keys))
+            keys.sort(kind="stable")
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            rows, cols = np.divmod(keys[starts], d + 1)
+            known = cols < d
+            rows, cols = rows[known], cols[known]
+            vals = np.diff(starts, append=len(keys))[known] * self.idf[cols]
+            vals /= np.sqrt(np.bincount(rows, weights=vals * vals, minlength=len(chunk)))[rows]
+            counts.append(np.bincount(rows, minlength=len(chunk)))
+            indices.append(cols)
+            data.append(vals)
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        return CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (n, d))
 
 
 def fit_vectorizer(train_docs) -> Vectorizer:

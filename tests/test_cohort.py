@@ -140,6 +140,41 @@ class TestLoadTables:
         rec = store.admissions["H1"]
         assert (rec.icd9_codes, rec.discharge_note) == (["42822"], "note body")
 
+    def test_unquoted_comma_in_note_rejected_not_truncated(self, tmp_path):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00")],
+            [{"subject_id": "S1", "hadm_id": "H1", "icd9_code": "42822"}],
+            [{"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+              "chart_date": "2100-01-04T00:00:00", "text": "one\ntwo"}],
+        )
+        with open(n, "a") as fh:
+            fh.write("S1,H1,Discharge summary,2100-01-05T00:00:00,BP 120/80, HR 72, on lasix\n")
+        store = load_tables(a, d, n)
+        assert store.rejects == [{"file": n, "line": 4,
+                                  "error": "row has 7 fields, more than the header's 5"}]
+        assert store.admissions["H1"].discharge_note == "one\ntwo"
+
+    @pytest.mark.parametrize("long", ["admissions", "diagnoses", "notes"])
+    def test_long_row_collected(self, tmp_path, long):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00")],
+            [{"subject_id": "S1", "hadm_id": "H1", "icd9_code": "42822"}],
+            [{"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+              "chart_date": "2100-01-05T00:00:00", "text": "note body"}],
+        )
+        path = {"admissions": a, "diagnoses": d, "notes": n}[long]
+        width = {"admissions": 5, "diagnoses": 3, "notes": 5}[long]
+        with open(path, "a") as fh:
+            fh.write(",".join(["S2", "H2"] + ["x"] * width) + "\n")
+        store = load_tables(a, d, n)
+        assert store.rejects == [{"file": path, "line": 3, "error":
+                                  f"row has {width + 2} fields, more than the header's {width}"}]
+        assert set(store.admissions) == {"H1"}
+        rec = store.admissions["H1"]
+        assert (rec.icd9_codes, rec.discharge_note) == (["42822"], "note body")
+
     def test_missing_column_fatal(self, tmp_path):
         a = tmp_path / "admissions.csv"
         _write_csv(a, ["subject_id", "hadm_id"], [])

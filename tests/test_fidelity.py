@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import JudgeFailed, ParseFailure
+from clinnote.errors import ConfigError, JudgeFailed, ParseFailure
 from clinnote.fidelity import (
     JudgeVerdict,
     _parse_judge_reply,
@@ -284,3 +284,45 @@ class TestBundledDescriptionsAndLoaders:
         assert tv["hr"]["H1"] == [(80.0, "bpm"), (84.0, "bpm")]
         ts = load_truth_sdoh(str(sdoh))
         assert ts["gender"]["H1"] == "M"
+
+    def test_unusable_truth_vitals_skipped_with_file_and_line(self, tmp_path, caplog):
+        vit = tmp_path / "truth_vitals.csv"
+        vit.write_text(
+            "hadm_id,variable,value,unit,charttime\n"
+            "H1,hr,80,bpm,t1\n"
+            "H1,hr,,bpm,t2\n"
+            "H1,hr,eighty,bpm,t3\n"
+            "H1,hr,nan,bpm,t4\n"
+            "H1,hr,90\n"
+            "H1,hr,95,bpm,t6,extra\n"
+            "H1,hr,84,bpm,t7\n"
+        )
+        assert load_truth_vitals(str(vit)) == {"hr": {"H1": [(80.0, "bpm"), (84.0, "bpm")]}}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{vit} line 3: value '' is not a number; truth row skipped",
+            f"{vit} line 4: value 'eighty' is not a number; truth row skipped",
+            f"{vit} line 5: value 'nan' is not a number; truth row skipped",
+            f"{vit} line 6: row has 3 of the header's 5 fields; truth row skipped",
+            f"{vit} line 7: row has 6 fields, more than the header's 5; truth row skipped",
+        ]
+
+    def test_unusable_truth_sdoh_skipped_with_file_and_line(self, tmp_path, caplog):
+        sdoh = tmp_path / "truth_sdoh.csv"
+        sdoh.write_text("hadm_id,variable,value\nH1,gender,M\nH2,gender, \nH3,gender\n"
+                        "H4,gender,F,extra\n")
+        assert load_truth_sdoh(str(sdoh)) == {"gender": {"H1": "M"}}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{sdoh} line 3: value is blank; truth row skipped",
+            f"{sdoh} line 4: row has 2 of the header's 3 fields; truth row skipped",
+            f"{sdoh} line 5: row has 4 fields, more than the header's 3; truth row skipped",
+        ]
+
+    @pytest.mark.parametrize("loader, header", [
+        (load_truth_vitals, "hadm_id,variable,unit\n"),
+        (load_truth_sdoh, "hadm_id,value\n"),
+    ])
+    def test_truth_missing_column_fatal(self, tmp_path, loader, header):
+        path = tmp_path / "truth.csv"
+        path.write_text(header)
+        with pytest.raises(ConfigError, match="missing required columns"):
+            loader(str(path))

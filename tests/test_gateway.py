@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import os
 import sys
 import threading
 import time
@@ -22,6 +24,7 @@ from clinnote.gateway import (
     JsonlCache,
     LLMGateway,
     MockBackend,
+    _embed_key,
     find_json,
     mock_embedding,
     strip_thinking,
@@ -491,6 +494,60 @@ class TestEmbeddings:
         gw.backend.short = None
         assert gw.embed(texts).tolist() == [mock_embedding(t) for t in texts]
         assert asked == [["c", "d"], ["e"]]
+
+    def test_rows_held_as_float64_arrays(self, tmp_path):
+        cfg = make_config(tmp_path)
+        gw = LLMGateway(cfg)
+        try:
+            gw.embed(["alpha", "beta"])
+        finally:
+            gw.close()
+        key = _embed_key(gw.backend_id, cfg.embed_model, "alpha")
+        reloaded = JsonlCache(gw.cache.path)
+        for cache in (gw.cache, reloaded):
+            row = cache.get(key)["values"]
+            assert isinstance(row, np.ndarray) and row.dtype == np.float64
+            assert row.tolist() == mock_embedding("alpha")
+
+    def test_cache_bytes_unchanged(self, tmp_path):
+        gw = LLMGateway(make_config(tmp_path))
+        try:
+            gw.embed(["alpha", "beta"])
+        finally:
+            gw.close()
+        with open(gw.cache.path, "rb") as fh:
+            data = fh.read()
+        # the file that a cache holding lists of floats wrote for these rows
+        assert hashlib.sha256(data).hexdigest() == (
+            "516db07b8736211c215bbe359943e2bd640e755299268e2b3d882a298afff2fc")
+        assert data == b"".join(
+            json.dumps({"key": _embed_key(gw.backend_id, gw.config.embed_model, text),
+                        "response": {"values": mock_embedding(text)}},
+                       sort_keys=True).encode() + b"\n"
+            for text in ("alpha", "beta"))
+
+    def test_list_written_cache_loads_the_same_rows(self, tmp_path):
+        cfg = make_config(tmp_path)
+        values = {"a": [0.1, 1 / 3, -0.0, 5e-324], "b": [0.1 + 0.2, -2.5, 1e300, 7.0]}
+        os.makedirs(cfg.cache_dir)
+        with open(os.path.join(cfg.cache_dir, "llm_cache.jsonl"), "w") as fh:
+            for text, row in values.items():
+                key = _embed_key(f"mock:{cfg.seed}", cfg.embed_model, text)
+                fh.write(json.dumps({"key": key, "response": {"values": row}},
+                                    sort_keys=True) + "\n")
+
+        class NoEmbed(MockBackend):
+            def embed(self, model, texts):
+                raise AssertionError("every row should come from the cache")
+
+        gw = LLMGateway(cfg, backend=NoEmbed())
+        try:
+            rows = gw.embed(["b", "a"])
+        finally:
+            gw.close()
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == np.array([values["b"], values["a"]]).tobytes()
+        assert gw.network_calls == 0
 
 
 class _FakeResponse:

@@ -335,6 +335,18 @@ class TestRunner:
         rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_truth)
         assert rerun == ["evaluate-fidelity"]
 
+    def test_malformed_truth_rows_skipped(self, tmp_path, caplog):
+        cfg = fixture_config(tmp_path)
+        with open(cfg.truth_vitals_path, "a") as fh:
+            fh.write("H001,hr,,bpm,2130-02-02T13:00:00\nH001,hr,80.0,bpm,x,extra\n")
+        with open(cfg.truth_sdoh_path, "a") as fh:
+            fh.write("H001,language,\n")
+        out = str(tmp_path / "run")
+        run_all(cfg, out)
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        skipped = [r.getMessage() for r in caplog.records if "truth row skipped" in r.message]
+        assert len(skipped) == 3
+
     def test_unfillable_folds_fail_before_any_request(self, tmp_path):
         runner = Runner(fixture_config(tmp_path, folds=5), str(tmp_path / "run"))
         try:

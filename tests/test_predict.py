@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clinnote import predict
 from clinnote.errors import CVInfeasible, InvalidInput, VectorizerDegenerate
 from clinnote.predict import (
     MIN_DF,
@@ -88,6 +90,45 @@ class TestVectorizer:
         v, r = rng.standard_normal(X.shape[1]), rng.standard_normal(X.shape[0])
         assert np.allclose(X @ v, X.toarray() @ v, rtol=0, atol=1e-14)
         assert np.allclose(r @ X, r @ X.toarray(), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_chunked_rows_equal_one_pass(self, monkeypatch, chunk):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(40)]
+        docs = [[words[j] for j in rng.integers(0, 40, size=rng.integers(0, 30))]
+                for _ in range(50)]
+        docs[3] = docs[21] = []  # empty documents, one at a chunk edge for chunk=3 and 7
+        docs[10], docs[20] = ["unseen", "unseen"], ["novel"]  # only words in < MIN_DF docs
+        vec = fit_vectorizer(docs)
+        monkeypatch.setattr(predict, "TRANSFORM_CHUNK", len(docs))
+        one_pass = vec.transform(docs)
+        monkeypatch.setattr(predict, "TRANSFORM_CHUNK", chunk)
+        chunked = vec.transform(docs)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(one_pass, name), getattr(chunked, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert chunked.shape == one_pass.shape == (50, len(vec.vocabulary))
+        assert list(np.diff(chunked.indptr)[[3, 10, 20, 21]]) == [0, 0, 0, 0]
+
+    def test_no_documents(self):
+        X = fit_vectorizer(["aa bb", "aa bb"]).transform([])
+        assert X.shape == (0, 2) and list(X.indptr) == [0] and len(X.data) == 0
+
+    def test_transform_memory_does_not_grow_with_the_token_stream(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(200)]
+        docs = [[words[j] for j in row] for row in rng.integers(0, 200, size=(1000, 1000))]
+        vec = fit_vectorizer(docs)
+        tracemalloc.start()
+        try:
+            X = vec.transform(docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (1000, 200)
+        # a pass over all 10**6 tokens at once peaks at about 24 bytes a token;
+        # rows built a chunk of documents at a time stay under 10
+        assert peak < 10 * 10**6
 
     def test_vocabulary_hash_tracks_content(self):
         a = fit_vectorizer(["aa bb", "aa bb"])
