@@ -150,14 +150,3 @@ class Extractor:
             )
         except ReplyUnusable as err:
             return QuarantinedExtraction(hadm_id=hadm_id, raw_text=err.raw_text, reason=str(err))
-
-    def extract_many(self, notes_by_hadm):
-        """Map hadm_id -> note over the gateway's concurrency limit."""
-        items = sorted(notes_by_hadm.items())
-        records, quarantined = [], []
-        for result in self.gateway.map(lambda item: self.extract(item[1], item[0]), items):
-            if isinstance(result, QuarantinedExtraction):
-                quarantined.append(result)
-            else:
-                records.append(result)
-        return records, quarantined

@@ -201,14 +201,15 @@ def _parse_judge_reply(raw_text, n_extracted, n_icd):
     obj = find_json(raw_text, dict)
     score = obj.get("score")
     matches = obj.get("matches")
-    if not isinstance(score, int) or not 0 <= score <= 5 or not isinstance(matches, list):
+    # type(), not isinstance: a JSON true or false is a bool, a subclass of int
+    if type(score) is not int or not 0 <= score <= 5 or not isinstance(matches, list):
         raise ParseFailure("judge reply must carry integer score 0-5 and matches list")
     seen_e, seen_i = set(), set()
     for m in matches:
         if not isinstance(m, dict):
             raise ParseFailure("each match must be an object")
         e, i = m.get("extracted_index"), m.get("icd_index")
-        if not isinstance(e, int) or not isinstance(i, int):
+        if type(e) is not int or type(i) is not int:
             raise ParseFailure("match indices must be integers")
         if not (0 <= e < n_extracted and 0 <= i < n_icd):
             raise ParseFailure("match index out of range")
@@ -250,21 +251,15 @@ def judge_diagnoses(gateway, hadm_id, extracted_dx, icd_codes, descriptions=None
     )
 
 
-def corpus_judge_summary(verdicts, macro=False) -> dict:
-    """Corpus-level judge metrics; micro-averaged accuracies by default."""
+def corpus_judge_summary(verdicts) -> dict:
+    """Corpus-level judge metrics, with micro-averaged accuracies."""
     if not verdicts:
         raise ParseFailure("need at least one verdict")
     scores = [v.score for v in verdicts]
-    if macro:
-        cond = [v.matched_extracted / v.n_extracted for v in verdicts if v.n_extracted]
-        absr = [v.matched_icd / v.n_icd for v in verdicts if v.n_icd]
-        cond_acc = statistics.mean(cond) if cond else None
-        abs_acc = statistics.mean(absr) if absr else None
-    else:
-        tot_e = sum(v.n_extracted for v in verdicts)
-        tot_i = sum(v.n_icd for v in verdicts)
-        cond_acc = sum(v.matched_extracted for v in verdicts) / tot_e if tot_e else None
-        abs_acc = sum(v.matched_icd for v in verdicts) / tot_i if tot_i else None
+    tot_e = sum(v.n_extracted for v in verdicts)
+    tot_i = sum(v.n_icd for v in verdicts)
+    cond_acc = sum(v.matched_extracted for v in verdicts) / tot_e if tot_e else None
+    abs_acc = sum(v.matched_icd for v in verdicts) / tot_i if tot_i else None
     return {
         "mean_score": statistics.mean(scores),
         "median_score": statistics.median(scores),

@@ -5,6 +5,14 @@ be plugged in. Every request is cached on disk keyed by a SHA-256 of the
 canonicalized request and the backend's identity, which makes interrupted
 runs resumable and repeat runs free. A deterministic mock backend keeps the
 whole pipeline runnable offline.
+
+Every agent request follows one failure policy. A gateway error
+(RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
+its retries are spent or by ``LLMGateway.chat``, is never cached and fails
+the stage: it propagates out of ``map``, so running the stage again asks
+only for what is not cached. A reply that still fails to parse after its
+one repair raises ReplyUnusable, which the agent records as that item's
+outcome.
 """
 
 from __future__ import annotations
@@ -189,7 +197,10 @@ class HttpBackend:
                 last_err = exc
             else:
                 if resp.status_code == 200:
-                    return resp.json()
+                    try:
+                        return resp.json()
+                    except ValueError as exc:  # requests' JSONDecodeError
+                        raise ProtocolError(f"{route} reply is not JSON: {exc}") from exc
                 last_err = RequestFailed(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 if 400 <= resp.status_code < 500 and resp.status_code != 429:
                     break  # client errors will not improve on retry
@@ -223,7 +234,7 @@ class HttpBackend:
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             return [list(map(float, r["embedding"])) for r in rows]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed embeddings payload: {exc}") from exc
 
 
@@ -323,9 +334,9 @@ class LLMGateway:
             text = self.backend.chat(request)
         with self._lock:
             self.network_calls += 1
-        if not text or not text.strip():
+        raw, thinking = strip_thinking(text or "")
+        if not raw:  # nothing but whitespace or thinking
             raise EmptyResponse("endpoint returned an empty completion")
-        raw, thinking = strip_thinking(text)
         self.cache.put(key, {"raw_text": raw, "thinking_text": thinking})
         return raw
 

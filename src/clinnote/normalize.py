@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ClinNoteError,
-    InvalidInput,
-    ParseFailure,
-    ReplyUnusable,
-    SchemeSynthesisFailed,
-)
+from .errors import InvalidInput, ParseFailure, ReplyUnusable, SchemeSynthesisFailed
 from .extraction import UNCHARTED_KEYS
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
@@ -199,8 +193,8 @@ class LabeledEntry:
     hadm_id: str
     variable: str
     raw_text: str
-    assigned_category: str | None
-    status: str = "ok"  # ok | fallback | unlabeled
+    assigned_category: str
+    status: str = "ok"  # ok | fallback
 
 
 def _parse_categories(raw_text):
@@ -255,8 +249,8 @@ def label_entries(gateway, scheme, entries) -> list:
     reply. The texts go ``LABEL_BATCH`` to a request, as one JSON object of
     numbered entries (batch prompting: Cheng, Kasai & Yu, EMNLP 2023). A
     text is asked alone, in the one-entry request, when its chunk holds one
-    text, when the batch request fails, or when the batch reply gives it no
-    allowed label. The requests sent and the texts asked alone after a
+    text, when the batch reply is unusable, or when the batch reply gives
+    it no allowed label. The requests sent and the texts asked alone after a
     batch are added to ``scheme.provenance``.
     """
     single = load_prompt("labeler")
@@ -277,19 +271,16 @@ def label_entries(gateway, scheme, entries) -> list:
     labels = set(scheme.labels())
 
     def label(raw_text):
-        """The stripped reply for one entry text, or None if the gateway failed."""
-        try:  # every reply parses; off-scheme ones map to the fallback below
-            return chat_with_repair(
-                gateway, single.text, f"{header}Entry: {raw_text}",
-                lambda raw: raw.strip().strip('"'),
-                "Reply with one allowed category label only.",
-            )
-        except ClinNoteError as exc:  # gateway failure: the text stays unlabeled
-            log.warning("labeling failed for a %s entry: %s", scheme.variable, exc)
-            return None
+        """The stripped reply for one entry text."""
+        # every reply parses; off-scheme ones map to the fallback below
+        return chat_with_repair(
+            gateway, single.text, f"{header}Entry: {raw_text}",
+            lambda raw: raw.strip().strip('"'),
+            "Reply with one allowed category label only.",
+        )
 
     def label_chunk(chunk):
-        """The batch reply for a chunk of texts, or {} if the batch failed."""
+        """The batch reply for a chunk of texts, or {} if it is unusable."""
         items = json.dumps({str(i): t for i, t in enumerate(chunk, 1)}, ensure_ascii=False)
         try:
             return chat_with_repair(
@@ -298,8 +289,8 @@ def label_entries(gateway, scheme, entries) -> list:
                 "Return only a JSON object mapping every entry number to one allowed "
                 "category label.",
             )
-        except ClinNoteError as exc:  # every text of the chunk is asked alone
-            log.warning("batch labeling failed for %s: %s", scheme.variable, exc)
+        except ReplyUnusable as exc:  # every text of the chunk is asked alone
+            log.warning("batch labeling reply unusable for %s: %s", scheme.variable, exc)
             return {}
 
     texts = list(dict.fromkeys(text for _, text in entries))
@@ -322,9 +313,7 @@ def label_entries(gateway, scheme, entries) -> list:
     off_scheme = 0
     for hadm_id, raw_text in entries:
         reply = replies[raw_text]
-        if reply is None:
-            out.append(LabeledEntry(hadm_id, scheme.variable, raw_text, None, "unlabeled"))
-        elif reply in labels:
+        if reply in labels:
             out.append(LabeledEntry(hadm_id, scheme.variable, raw_text, reply))
         else:
             off_scheme += 1
@@ -356,9 +345,6 @@ def normalize_variable(gateway, variable, entries, k=200):
         gateway, scheme, [("", t) for t in medoid_texts]
     )
     for entry in medoid_labels:
-        if entry.assigned_category:
-            scheme.medoid_examples.setdefault(entry.assigned_category, []).append(
-                entry.raw_text
-            )
+        scheme.medoid_examples.setdefault(entry.assigned_category, []).append(entry.raw_text)
     labeled = label_entries(gateway, scheme, entries)
     return scheme, labeled, clustering

@@ -35,7 +35,7 @@ from .errors import (
     SeparationDetected,
     VectorizerDegenerate,
 )
-from .extraction import CHARTED_KEYS, ExtractionRecord, Extractor
+from .extraction import CHARTED_KEYS, ExtractionRecord, Extractor, QuarantinedExtraction
 from .fidelity import (
     _age_years,
     corpus_judge_summary,
@@ -285,7 +285,9 @@ class Runner:
     def _stage_extract(self):
         notes = self._modeling_notes()
         extractor = Extractor(self.gateway)
-        records, quarantined = extractor.extract_many(notes)
+        results = self.gateway.map(lambda h: extractor.extract(notes[h], h), sorted(notes))
+        quarantined = [r for r in results if isinstance(r, QuarantinedExtraction)]
+        records = [r for r in results if not isinstance(r, QuarantinedExtraction)]
         write_jsonl(self.path("extractions.jsonl"), map(asdict, records))
         write_jsonl(self.path("quarantine.jsonl"), map(asdict, quarantined))
         return ["quarantine.jsonl"]
@@ -346,7 +348,7 @@ class Runner:
             for entry in labeled:
                 all_rows.append(
                     [entry.hadm_id, entry.variable, entry.raw_text,
-                     entry.assigned_category or "", entry.status]
+                     entry.assigned_category, entry.status]
                 )
         all_rows.sort()
         write_csv(
@@ -446,6 +448,7 @@ class Runner:
         labeled_by_var: dict = {}
         with open(self.path("normalized_sdoh.csv"), newline="") as fh:
             for row in csv.DictReader(fh):
+                # a run dir written by earlier code can hold unlabeled rows
                 if row["status"] == "unlabeled" or not row["category"]:
                     continue
                 labeled_by_var.setdefault(row["variable"], []).append(LabeledEntry(
@@ -505,7 +508,7 @@ class Runner:
             for hadm_id, d in summaries.get(variant, {}).items():
                 if variant == "no_number" and d["status"] == "contains_numbers":
                     continue
-                if d["status"] == "failed":
+                if d["status"] == "failed":  # written by earlier code only
                     continue
                 docs[hadm_id] = d["text"]
             corpora[variant] = docs

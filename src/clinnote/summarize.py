@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import ClinNoteError, InvalidInput, ReplyUnusable, SchemaViolation
+from .errors import InvalidInput, ReplyUnusable, SchemaViolation
 from .extraction import GROUPS
 from .gateway import chat_with_repair
 from .prompts import load_prompt
@@ -48,7 +48,7 @@ class SummaryRecord:
     word_count_raw: int
     word_count_summary: int
     reduction_pct: float
-    status: str = "ok"  # ok | contains_numbers | failed
+    status: str = "ok"  # ok | contains_numbers
 
 
 def _numeral_free(text):
@@ -87,9 +87,6 @@ class Summarizer:
         except ReplyUnusable as err:
             text, status = err.raw_text, "contains_numbers"
             log.warning("no-number summary for %s still has digits", hadm_id)
-        except ClinNoteError as exc:
-            log.warning("summary failed for %s: %s", hadm_id, exc)
-            return SummaryRecord(hadm_id, variant, "", word_count(note), 0, 0.0, "failed")
         raw_words = word_count(note)
         sum_words = word_count(text)
         return SummaryRecord(

@@ -161,14 +161,15 @@ class TestExtractorRepairFlow:
         assert result.hadm_id == "H1"
         assert backend.calls == 2
 
-    def test_extract_many_partitions(self, mock_gateway):
+    def test_concurrent_extracts_quarantine_per_note(self, mock_gateway):
         # replies keyed by note text, so any order of the concurrent calls works
         backend = mock_gateway.backend
         backend.register("good note", FULL_REPLY)
         backend.register("bad note", "bad")
         backend.register(f"bad note\n\n{REPAIR_INSTRUCTION}", "bad again")
-        records, quarantined = Extractor(mock_gateway).extract_many(
-            {"H1": "good note", "H2": "bad note"}
+        extractor = Extractor(mock_gateway)
+        good, bad = mock_gateway.map(
+            lambda item: extractor.extract(*item), [("good note", "H1"), ("bad note", "H2")]
         )
-        assert [r.hadm_id for r in records] == ["H1"]
-        assert [q.hadm_id for q in quarantined] == ["H2"]
+        assert isinstance(good, ExtractionRecord) and good.hadm_id == "H1"
+        assert isinstance(bad, QuarantinedExtraction) and bad.hadm_id == "H2"

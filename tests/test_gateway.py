@@ -183,6 +183,15 @@ class TestGatewayCache:
         with pytest.raises(EmptyResponse):
             gw.chat(ChatRequest(system_prompt="s", user_content="u"))
 
+    def test_thinking_only_reply_raises_and_is_not_cached(self, scripted_gateway_factory):
+        gw, backend = scripted_gateway_factory(["<think>no answer yet</think>\n", "answer"])
+        req = ChatRequest(system_prompt="s", user_content="u")
+        with pytest.raises(EmptyResponse):
+            gw.chat(req)
+        assert gw.cache._entries == {}
+        assert gw.chat(req) == "answer"
+        assert backend.calls == 2
+
     def test_chat_many_preserves_order(self, mock_gateway):
         backend = MockBackend(seed=0)
         for i in range(8):
@@ -558,6 +567,8 @@ class _FakeResponse:
         self.headers = headers or {}
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
@@ -658,6 +669,24 @@ class TestHttpBackend:
         backend = HttpBackend("http://x")
         with pytest.raises(ProtocolError):
             backend.chat(ChatRequest(system_prompt="s", user_content="u"))
+
+    def test_non_json_body_is_protocol_error(self, monkeypatch):
+        import requests
+
+        body = requests.JSONDecodeError("Expecting value", "<html>", 0)
+        calls = self._patch_post(monkeypatch, [_FakeResponse(200, body)])
+        backend = HttpBackend("http://x", max_retries=2)
+        with pytest.raises(ProtocolError):
+            backend.chat(ChatRequest(system_prompt="s", user_content="u"))
+        with pytest.raises(ProtocolError):
+            backend.embed("m", ["a"])
+        assert len(calls) == 2
+
+    def test_non_numeric_embedding_is_protocol_error(self, monkeypatch):
+        payload = {"data": [{"index": 0, "embedding": [0.5, "n/a"]}]}
+        self._patch_post(monkeypatch, [_FakeResponse(200, payload)])
+        with pytest.raises(ProtocolError):
+            HttpBackend("http://x").embed("m", ["a"])
 
     def test_embeddings_reordered_by_index(self, monkeypatch):
         payload = {

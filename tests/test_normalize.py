@@ -331,7 +331,7 @@ class TestLabelEntries:
         assert entry.assigned_category == FALLBACK_LABEL
         assert entry.status == "fallback"
 
-    def test_gateway_failure_leaves_unlabeled(self, scripted_gateway_factory):
+    def test_gateway_failure_propagates(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory([])
 
         def boom(request):
@@ -339,9 +339,8 @@ class TestLabelEntries:
 
         backend.chat = boom
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
-        [entry] = label_entries(gw, scheme, [("H1", "married")])
-        assert entry.assigned_category is None
-        assert entry.status == "unlabeled"
+        with pytest.raises(RequestFailed):
+            label_entries(gw, scheme, [("H1", "married")])
 
     def test_programming_error_propagates(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory([])
@@ -496,21 +495,20 @@ class TestBatchedLabeling:
         assert [e.status for e in out] == ["ok", "ok", "ok"]
         assert scheme.provenance == {"label_requests": 2, "label_retried_alone": 1}
 
-    def test_failed_batch_falls_back_to_one_entry_requests(self, scripted_gateway_factory):
+    def test_failed_batch_request_is_not_asked_alone(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory([])
 
         def down(items):
             raise RequestFailed("endpoint down")
 
         backend.chat = stub = LabelerStub(
-            {"married": "Married", "single": RequestFailed("still down"), "wed": "Married"},
-            batch=down)
+            {"married": "Married", "single": "Single", "wed": "Married"}, batch=down)
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
-        out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
-        assert len(stub.batches) == 1
-        assert sorted(stub.asked_alone) == ["married", "single", "wed"]
-        assert [e.assigned_category for e in out] == ["Married", None, "Married"]
-        assert [e.status for e in out] == ["ok", "unlabeled", "ok"]
+        with pytest.raises(RequestFailed):
+            label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
+        assert len(stub.batches) == 1  # neither repaired nor split into one-entry requests
+        assert stub.asked_alone == []
+        assert scheme.provenance == {}
 
     def test_one_text_chunk_sends_the_one_entry_request(self, scripted_gateway_factory,
                                                         monkeypatch):

@@ -11,7 +11,13 @@ import pytest
 from clinnote import fidelity, normalize, pipeline
 from clinnote.cli import main
 from clinnote.config import Config, config_from_dict, validate_config
-from clinnote.errors import CVInfeasible, ConfigError, DependencyMissing, InvalidInput
+from clinnote.errors import (
+    CVInfeasible,
+    ConfigError,
+    DependencyMissing,
+    InvalidInput,
+    RequestFailed,
+)
 from clinnote.fixture import write_fixture
 from clinnote.gateway import LLMGateway, MockBackend
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, report_hash
@@ -567,11 +573,12 @@ class Killed(BaseException):
 
 
 class KillingBackend(MockBackend):
-    """Answers the first ``after`` requests, then raises Killed on every one."""
+    """Answers the first ``after`` requests, then raises ``error`` on every one."""
 
-    def __init__(self, after):
+    def __init__(self, after, error=Killed):
         super().__init__()
         self.after = after
+        self.error = error
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -579,7 +586,7 @@ class KillingBackend(MockBackend):
         with self._lock:
             self.calls += 1
             if self.calls > self.after:
-                raise Killed()
+                raise self.error()
 
     def chat(self, request):
         self._count()
@@ -620,8 +627,22 @@ class TestKillAndResume:
     def test_batched_resume_repeats_no_request(self, tmp_path, workers, after, completed):
         self._kill_and_resume(tmp_path, workers, after, completed)
 
+    # RequestFailed is what HttpBackend raises once its retries are spent: it
+    # fails the stage it hits, also inside normalize and summarize, and the
+    # re-run asks only for what is not cached
+    @pytest.mark.parametrize("after, completed", [
+        (5, ["ingest"]),
+        (20, ["ingest", "extract", "canonicalize"]),
+        (35, ["ingest", "extract", "canonicalize", "normalize"]),
+        (50, ["ingest", "extract", "canonicalize", "normalize", "evaluate-fidelity",
+              "associate"]),
+    ])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_gateway_error_fails_the_stage(self, tmp_path, workers, after, completed):
+        self._kill_and_resume(tmp_path, workers, after, completed, error=RequestFailed)
+
     @staticmethod
-    def _kill_and_resume(tmp_path, workers, after, completed):
+    def _kill_and_resume(tmp_path, workers, after, completed, error=Killed):
         cfg = fixture_config(tmp_path, max_concurrency=workers)
         clean_cfg = dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache"))
         clean = LLMGateway(clean_cfg)
@@ -629,9 +650,9 @@ class TestKillAndResume:
         clean.close()
 
         out = str(tmp_path / "run")
-        killed = LLMGateway(cfg, backend=KillingBackend(after))
+        killed = LLMGateway(cfg, backend=KillingBackend(after, error))
         runner = Runner(cfg, out, gateway=killed)
-        with pytest.raises(Killed):
+        with pytest.raises(error):
             runner.run_all()
         killed.close()
         assert list(runner.manifest["stages"]) == completed

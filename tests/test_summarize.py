@@ -116,16 +116,15 @@ class TestSummarizer:
         assert rec.text == "Still HR 88."
         assert backend.calls == 2
 
-    def test_gateway_failure_yields_failed_record(self, scripted_gateway_factory):
+    def test_gateway_failure_propagates(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory([])
 
         def boom(request):
             raise RequestFailed("down")
 
         backend.chat = boom
-        rec = Summarizer(gw).summarize(NOTE, "overall", hadm_id="H1")
-        assert rec.status == "failed"
-        assert rec.text == ""
+        with pytest.raises(RequestFailed):
+            Summarizer(gw).summarize(NOTE, "overall", hadm_id="H1")
 
     def test_programming_error_propagates(self, scripted_gateway_factory):
         gw, backend = scripted_gateway_factory([])
