@@ -1,11 +1,14 @@
-"""PAM k-medoids wall times at n in {500, 1000, 2000}, k = n/10.
+"""PAM k-medoids wall time and peak RSS at several n, k = n/10 unless --k.
 
-    PYTHONPATH=src python3 bench/pam.py --label after [--sizes 500,1000,2000]
+    PYTHONPATH=src python3 bench/pam.py --label after [--sizes 500,1000,2000] [--k 200]
 
 Random 64-dimensional Gaussian embeddings and integer multiplicity weights
 from a fixed seed, clustered by the BUILD and SWAP phases of
-``clinnote.normalize``. The results are stored under ``--label`` in
-BENCH_pam.json (other labels in the file are kept), so numbers for two
+``clinnote.normalize``. Each size runs in its own process, so its peak RSS
+is that of one clustering: the interpreter and numpy, the embeddings, the
+distance matrix D and the work arrays. The rows are stored under
+``--label`` in BENCH_pam.json, replacing that label's rows of the same n
+and k (other labels and rows in the file are kept), so numbers for two
 versions of the code can sit side by side: run the script once per
 checkout, with PYTHONPATH pointing at that checkout's ``src``.
 """
@@ -17,6 +20,9 @@ import hashlib
 import json
 import os
 import platform
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -33,6 +39,7 @@ def instance(n, seed=SEED):
 
 
 def run(n, k):
+    """One clustering in this process; returns its measurements."""
     E, w = instance(n)
     D = normalize.cosine_distance_matrix(E)
     start = time.perf_counter()
@@ -47,6 +54,7 @@ def run(n, k):
         "build_s": round(built - start, 3),
         "swap_s": round(done - built, 3),
         "total_s": round(done - start, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "swaps": len(cost_path) - 1,
         "final_cost": cost_path[-1],
         # equal digests mean equal medoids and a bit-equal cost path
@@ -56,14 +64,25 @@ def run(n, k):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key the results are stored under")
+    ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--sizes", default="500,1000,2000")
+    ap.add_argument("--k", type=int, help="medoids at every size (default n/10)")
     ap.add_argument("--out", default="BENCH_pam.json")
+    ap.add_argument("--cell", nargs=2, type=int, metavar=("N", "K"),
+                    help=argparse.SUPPRESS)  # one measured clustering, started by main
     args = ap.parse_args()
+    if args.cell:
+        print(json.dumps(run(*args.cell)))
+        return
+    if not args.label:
+        ap.error("--label is required")
 
     rows = []
     for n in map(int, args.sizes.split(",")):
-        rows.append(run(n, n // 10))
+        k = args.k or n // 10
+        done = subprocess.run([sys.executable, __file__, "--cell", str(n), str(k)],
+                              check=True, capture_output=True, text=True)
+        rows.append(json.loads(done.stdout))
         print(json.dumps(rows[-1]), flush=True)
 
     bench = {}
@@ -71,11 +90,15 @@ def main():
         with open(args.out) as fh:
             bench = json.load(fh)
     bench.update({
-        "what": "PAM BUILD + SWAP wall time, random 64-d embeddings, weights 1-3, k = n/10",
+        "what": "PAM BUILD + SWAP wall time and peak RSS, one process per row, random "
+                "64-d embeddings, weights 1-3, k = n/10 unless stated",
         "seed": SEED,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, numpy {np.__version__}",
     })
-    bench.setdefault("results", {})[args.label] = rows
+    new = {(row["n"], row["k"]) for row in rows}
+    kept = [row for row in bench.setdefault("results", {}).get(args.label, [])
+            if (row["n"], row["k"]) not in new]
+    bench["results"][args.label] = sorted(kept + rows, key=lambda row: (row["n"], row["k"]))
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 
-# smallest allowed value of the numeric keys that have one; a semaphore of
-# 0 slots would hang, and the others fail only after paid LLM calls
+# smallest allowed value of the numeric keys that have one, which must also
+# be finite; a semaphore of 0 slots would hang, a NaN temperature makes every
+# request body invalid JSON, and the others fail only after paid LLM calls
 _MINIMUM = {
     "max_concurrency": 1,
     "max_retries": 0,
     "max_tokens": 1,
     "k_medoids": 1,
     "folds": 2,
+    "temperature": 0,
+    "summary_temperature": 0,
+    "l2_lambda": 0,
 }
 
 
@@ -53,8 +58,10 @@ class Config:
     def __post_init__(self):
         for key, low in _MINIMUM.items():
             value = getattr(self, key)
-            if value < low:
-                raise ConfigError(f"config key '{key}': must be at least {low}, got {value}")
+            if not low <= value < math.inf:  # also false for NaN
+                raise ConfigError(
+                    f"config key '{key}': must be at least {low} and finite, got {value}"
+                )
 
     def api_key(self) -> str:
         return os.environ.get(self.api_key_env, "")

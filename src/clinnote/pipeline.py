@@ -47,7 +47,7 @@ from .fidelity import (
     load_truth_vitals,
 )
 from .gateway import LLMGateway
-from .normalize import NORMALIZED_VARIABLES, LabeledEntry, normalize_variable
+from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
 from .predict import evaluate_cv
 from .prompts import load_prompt
 from .summarize import Summarizer, render_structural
@@ -330,21 +330,31 @@ class Runner:
             entries[variable] = found
         if entries:  # one embedding request; clustering then reads the cache
             self.gateway.embed(sorted({text for found in entries.values() for _, text in found}))
+
+        def clustered():
+            """Each variable with its clustering, made on this thread one at a
+            time, so one PAM's memory is held at once, whatever max_concurrency."""
+            for variable, found in entries.items():
+                clustering = cluster_variable(self.gateway, found, self.config.k_medoids)
+                log.info("normalize: %s cluster sizes %s", variable,
+                         sorted(clustering.cluster_sizes(), reverse=True)[:10])
+                yield variable, clustering
+
+        # map draws a clustered variable at a time, so the scheme and label
+        # requests of the variables handed over run while the next clusters
         results = self.gateway.map(
-            lambda variable: normalize_variable(
-                self.gateway, variable, entries[variable], k=self.config.k_medoids
+            lambda item: normalize_variable(
+                self.gateway, item[0], entries[item[0]], clustering=item[1]
             ),
-            entries,
+            clustered(),
         )
         os.makedirs(self.path("schemes"), exist_ok=True)
         all_rows = []
         scheme_files = []
-        for variable, (scheme, labeled, clustering) in zip(entries, results):
+        for variable, (scheme, labeled, _) in zip(entries, results):
             scheme_path = os.path.join("schemes", f"{variable}.json")
             _write_json(self.path(scheme_path), asdict(scheme))
             scheme_files.append(scheme_path)
-            log.info("normalize: %s cluster sizes %s", variable,
-                     sorted(clustering.cluster_sizes(), reverse=True)[:10])
             for entry in labeled:
                 all_rows.append(
                     [entry.hadm_id, entry.variable, entry.raw_text,

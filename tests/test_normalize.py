@@ -208,8 +208,12 @@ class TestFastPam:
         assert _pam_swap(D, [0, 1], np.ones(4), path) == [2, 1]
         assert path[1] == pytest.approx(1 / 6)
 
-    def test_work_memory_at_most_two_n_by_n_arrays(self):
+    def test_work_memory_is_d_plus_row_blocks(self, monkeypatch):
+        # 10-row blocks; k = 8 makes clusters of about 50 rows, which SWAP
+        # reads in column strips, each under two blocks
         n, k = 400, 8
+        block = 10 * 8 * n
+        monkeypatch.setattr(normalize, "PAM_BLOCK_BYTES", block)
         rng = np.random.default_rng(5)
         D = cosine_distance_matrix(rng.standard_normal((n, 16)))
         w = np.ones(n)
@@ -222,9 +226,110 @@ class TestFastPam:
             _, swap_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        square = D.nbytes
-        assert build_peak < 1.1 * square
-        assert swap_peak < 2.1 * square
+        vector = 8 * n
+        ufunc_buffer = 8192 * 8  # numpy's broadcasting ufuncs buffer 8192 values
+        assert build_peak < block + ufunc_buffer + 4 * vector
+        # two strips of work, the k x n deltas and D[:, medoids], O(n) besides
+        assert swap_peak < 4 * block + ufunc_buffer + 2 * k * vector + 16 * vector
+        assert swap_peak < 0.2 * D.nbytes
+
+    def test_distance_matrix_is_built_in_place(self):
+        E = np.random.default_rng(6).standard_normal((600, 8))
+        tracemalloc.start()
+        try:
+            D = cosine_distance_matrix(E)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < D.nbytes + 4 * E.nbytes
+
+
+class TestPamBlocks:
+    """Blocked BUILD and SWAP against one block and the oracle.
+
+    numpy adds the rows of a C-ordered array of two or more columns in
+    sequence along axis 0, so a blocked sum is bit-equal when each block
+    starts from the running row; ``np.add.reduceat`` does not add rows in
+    sequence, so each cluster's rows go to one reduceat call.
+    """
+
+    @pytest.mark.parametrize("n", [170, 1000])
+    @pytest.mark.parametrize("step", [1, 7, 64])
+    def test_blocked_row_sum_is_bit_equal(self, n, step):
+        A = np.random.default_rng(n).standard_normal((n, n)) * 1e3
+        total = np.empty(n)
+        for r0 in range(0, n, step):
+            normalize._sum_rows(A[r0:r0 + step].copy(), total, r0 > 0)
+        assert np.array_equal(total, A.sum(axis=0))
+
+    @pytest.mark.parametrize("n, rows, step", [(10, 5, 1), (9, 40, 1), (3, 3, 1),
+                                               (1000, 300, 7), (1000, 8, 64)])
+    def test_column_strips_cover_every_column_at_least_two_wide(self, n, rows, step):
+        strips = normalize._column_strips(n, rows, step)
+        assert strips[0][0] == 0 and strips[-1][1] == n
+        assert all(a == prev for (_, prev), (a, _) in zip(strips, strips[1:]))
+        assert all(b - a >= 2 for a, b in strips)
+        if rows <= step:
+            assert strips == [(0, n)]
+
+    @pytest.mark.parametrize("kind", ["embeddings", "duplicate points", "duplicate distances"])
+    @pytest.mark.parametrize("step", [1, 3, 10_000])  # one row, not dividing n, one block
+    def test_same_medoids_and_cost_path_as_one_block(self, monkeypatch, kind, step):
+        rng = np.random.default_rng([step, len(kind)])
+        cases = [_pam_instance(rng, kind) for _ in range(60)]
+
+        def solve(D, k, w, start):
+            built = _pam_build(D, k, w)
+            path = [float((w * D[:, built].min(axis=1)).sum())]
+            swapped = _pam_swap(D, built, w, path)
+            random_path = [0.0]
+            return built, swapped, path, _pam_swap(D, start, w, random_path), random_path
+
+        starts = [rng.choice(len(D), size=k, replace=False).tolist() for D, k, _ in cases]
+        want = [solve(D, k, w, s) for (D, k, w), s in zip(cases, starts)]
+        monkeypatch.setattr(normalize, "_block_rows", lambda n: step)
+        straddled = 0
+        for (D, k, w), start, expected in zip(cases, starts, want):
+            got = solve(D, k, w, start)
+            assert got == expected
+            built, _, path, _, _ = got
+            assert built == pam_oracle.pam_build(D, k, w)
+            oracle_path = [path[0]]
+            assert got[1] == pam_oracle.pam_swap(D, built, w, oracle_path)
+            assert path == oracle_path
+            sizes = np.bincount(D[:, got[1]].argmin(axis=1), minlength=k)
+            straddled += step < 10_000 and bool((sizes > step).any())
+        assert step == 10_000 or straddled >= 20
+
+    @pytest.mark.parametrize("step", [1, 3, 7, 40])
+    def test_gains_and_deltas_bit_equal_to_one_block(self, monkeypatch, step):
+        rng = np.random.default_rng(step)
+        for n, k in [(150, 4), (150, 15), (97, 30), (60, 1)]:
+            D = cosine_distance_matrix(rng.standard_normal((n, 8)))
+            w = rng.random(n) * 3 + 0.1
+            medoids = rng.choice(n, size=k, replace=False).tolist()
+            nearest = D[:, medoids].min(axis=1)
+            gains = normalize._build_gains(D, nearest, w)
+            deltas = normalize._swap_deltas(D, medoids, w)
+            with monkeypatch.context() as m:
+                m.setattr(normalize, "_block_rows", lambda n: step)
+                assert np.array_equal(normalize._build_gains(D, nearest, w), gains)
+                assert np.array_equal(normalize._swap_deltas(D, medoids, w), deltas)
+
+    def test_bench_instance_spans_blocks_bit_equal(self, monkeypatch):
+        # n = 600 is 2 blocks at the module budget; 17 rows cut clusters too
+        rng = np.random.default_rng([0, 600])
+        E, w = rng.standard_normal((600, 64)), rng.integers(1, 4, 600).astype(float)
+        D = cosine_distance_matrix(E)
+        results = []
+        for step in (600, normalize._block_rows(600), 17):
+            monkeypatch.setattr(normalize, "_block_rows", lambda n, step=step: step)
+            built = _pam_build(D, 60, w)
+            path = [float((w * D[:, built].min(axis=1)).sum())]
+            results.append((built, _pam_swap(D, built, w, path), path))
+        assert normalize._block_rows(600) < 600
+        assert results[0] == results[1] == results[2]
+        assert len(results[0][2]) > 5
 
 
 def _scheme(labels, variable="marital_status"):

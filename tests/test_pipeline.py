@@ -59,6 +59,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}': must be at least"):
             Config(**{key: value})
 
+    @pytest.mark.parametrize("key", ["temperature", "summary_temperature", "l2_lambda"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_float_fatal(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': must be at least 0 and finite"):
+            config_from_dict({key: value})
+
+    def test_non_finite_float_in_json_file_fatal(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"summary_temperature": NaN}')  # Python's json reads NaN
+        with pytest.raises(ConfigError, match="summary_temperature"):
+            validate_config(str(path))
+
     def test_smallest_allowed_values_accepted(self):
         cfg = config_from_dict({"max_concurrency": 1, "k_medoids": 1, "folds": 2,
                                 "max_tokens": 1, "max_retries": 0})
@@ -566,6 +578,104 @@ class TestRunner:
                        for p in pairs}
         assert by_interval[29.5] == 1
         assert by_interval[31.0] == 0
+
+
+class TestNormalizeStage:
+    """Normalize clusters each variable on the stage's own thread, one at a
+    time, and hands its scheme and label requests to ``gateway.map``."""
+
+    @staticmethod
+    def _extracted(tmp_path, **overrides):
+        runner = Runner(fixture_config(tmp_path, **overrides), str(tmp_path / "run"))
+        for stage in ("ingest", "extract"):
+            runner.run_stage(stage)
+        return runner
+
+    def test_clusters_one_variable_at_a_time_on_the_stage_thread(self, tmp_path,
+                                                                 monkeypatch):
+        runner = self._extracted(tmp_path, max_concurrency=4)
+        original = normalize.cluster_entries
+        lock = threading.Lock()
+        active, calls = [0], []
+
+        def cluster_entries(*args, **kwargs):
+            with lock:
+                active[0] += 1
+                calls.append((threading.get_ident(), active[0]))
+            try:
+                time.sleep(0.05)  # time for a second call to overlap
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(normalize, "cluster_entries", cluster_entries)
+        try:
+            runner.run_stage("normalize")
+        finally:
+            runner.close()
+        assert len(calls) >= 3
+        assert calls == [(threading.get_ident(), 1)] * len(calls)
+        assert "normalize" in runner.manifest["stages"]
+
+    def test_first_scheme_request_sent_before_the_last_clustering_ends(self, tmp_path,
+                                                                       monkeypatch):
+        runner = self._extracted(tmp_path, max_concurrency=4)
+        cluster, scheme = normalize.cluster_entries, normalize.synthesize_scheme
+        sent = threading.Event()
+        schemes, waited = [], []
+
+        def synthesize_scheme(gateway, variable, medoid_texts):
+            schemes.append(variable)
+            sent.set()
+            return scheme(gateway, variable, medoid_texts)
+
+        def cluster_entries(*args, **kwargs):
+            if waited or sent.is_set():  # not the first: wait for its requests
+                waited.append(sent.wait(timeout=10))
+            else:
+                waited.append(None)
+            return cluster(*args, **kwargs)
+
+        monkeypatch.setattr(normalize, "synthesize_scheme", synthesize_scheme)
+        monkeypatch.setattr(normalize, "cluster_entries", cluster_entries)
+        try:
+            runner.run_stage("normalize")
+        finally:
+            runner.close()
+        assert len(waited) >= 3 and waited[1:] == [True] * (len(waited) - 1)
+        schemes_dir = tmp_path / "run" / "schemes"
+        normalized = [v for v in normalize.NORMALIZED_VARIABLES
+                      if (schemes_dir / f"{v}.json").exists()]
+        assert schemes[0] == normalized[0]
+
+    def test_clustering_error_raised_after_handed_over_chains_finish(self, tmp_path,
+                                                                     monkeypatch):
+        runner = self._extracted(tmp_path, max_concurrency=4)
+        cluster, chain = normalize.cluster_entries, pipeline.normalize_variable
+        clustered, finished = [], []
+
+        def cluster_entries(*args, **kwargs):
+            if len(clustered) == 2:
+                raise InvalidInput("cannot cluster the third variable")
+            clustered.append(args[0])
+            return cluster(*args, **kwargs)
+
+        def normalize_variable(*args, **kwargs):
+            time.sleep(0.2)
+            result = chain(*args, **kwargs)
+            finished.append(args[1])
+            return result
+
+        monkeypatch.setattr(normalize, "cluster_entries", cluster_entries)
+        monkeypatch.setattr(pipeline, "normalize_variable", normalize_variable)
+        try:
+            with pytest.raises(InvalidInput, match="third variable"):
+                runner.run_stage("normalize")
+        finally:
+            runner.close()
+        assert len(finished) == 2  # both chains handed over ran to the end
+        assert "normalize" not in runner.manifest["stages"]
 
 
 class Killed(BaseException):
