@@ -25,9 +25,7 @@ import random
 import re
 import threading
 import time
-from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +168,6 @@ class HttpBackend:
 
     Connection errors, HTTP 5xx and HTTP 429 are retried; a numeric
     Retry-After header sets the wait. Other 4xx errors are not retried.
-    Requests go through pooled ``requests.Session`` objects, which keep
-    their connections open: a request takes an idle session, or makes one
-    when none is idle, and gives it back when done, so the pool never holds
-    more sessions than the most requests in flight at once.
     """
 
     def __init__(self, endpoint_url, api_key="", max_retries=3, backoff_s=1.0, timeout_s=120):
@@ -182,21 +176,6 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self._idle = []  # sessions not in use
-        self._idle_lock = threading.Lock()
-
-    @contextmanager
-    def _session(self):
-        """An idle session, or a new one when none is idle; given back after."""
-        import requests
-
-        with self._idle_lock:
-            session = self._idle.pop() if self._idle else requests.Session()
-        try:
-            yield session
-        finally:
-            with self._idle_lock:
-                self._idle.append(session)
 
     def _post(self, route, payload):
         import requests
@@ -208,13 +187,12 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             delay = None
             try:
-                with self._session() as session:
-                    resp = session.post(
-                        f"{self.endpoint_url}{route}",
-                        json=payload,
-                        headers=headers,
-                        timeout=self.timeout_s,
-                    )
+                resp = requests.post(
+                    f"{self.endpoint_url}{route}",
+                    json=payload,
+                    headers=headers,
+                    timeout=self.timeout_s,
+                )
             except requests.RequestException as exc:
                 last_err = exc
             else:
@@ -265,13 +243,6 @@ class HttpBackend:
                 f"embedding indices {indices[:10]} are not 0..{len(texts) - 1}"
             )
         return vectors
-
-    def close(self):
-        """Close the pooled sessions and their connections."""
-        with self._idle_lock:
-            sessions, self._idle = self._idle, []
-        for session in sessions:
-            session.close()
 
 
 def mock_embedding(text, seed=0, dim=MOCK_EMBED_DIM):
@@ -379,31 +350,18 @@ class LLMGateway:
     def map(self, fn, items):
         """``fn`` over ``items`` on at most max_concurrency threads.
 
-        ``items`` may be any iterable. It is drawn on the calling thread,
-        and each item goes to a worker as soon as it is drawn, so the work
-        that makes the next item runs beside the calls already handed over.
         Backend calls made by ``fn``, also from a nested ``map``, share the
         gateway's max_concurrency slots. Results keep input order. The
-        exception of the first failing item, in input order, propagates once
-        the items already started have finished; one raised while drawing
-        an item counts as that item's. Items not yet started are cancelled.
+        exception of the first failing item, in input order, propagates;
+        items not yet started are cancelled.
         """
-        workers = self.config.max_concurrency
-        if isinstance(items, Sized):
-            workers = min(workers, len(items))
+        items = list(items)
+        workers = min(self.config.max_concurrency, len(items))
         if workers <= 1:
             return [fn(item) for item in items]
         pool = ThreadPoolExecutor(max_workers=workers)
-        futures = []
         try:
-            try:
-                for item in items:
-                    futures.append(pool.submit(fn, item))
-            except BaseException:
-                for future in futures:  # an earlier item's failure comes first
-                    future.result()
-                raise
-            return [future.result() for future in futures]
+            return list(pool.map(fn, items))
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -412,12 +370,8 @@ class LLMGateway:
         return self.map(self.chat, requests)
 
     def close(self):
-        """Close the cache file and the backend's connections; a later
-        request opens them again."""
+        """Close the cache file; a later put opens it again."""
         self.cache.close()
-        close_backend = getattr(self.backend, "close", None)
-        if close_backend is not None:
-            close_backend()
 
     def embed(self, texts):
         """One embedding row per text, in input order, as an (n, d) array.

@@ -427,16 +427,13 @@ def cluster_variable(gateway, entries, k=200):
     return cluster_entries(uniq, min(k, len(uniq)), gateway.embed(uniq), weights=weights)
 
 
-def normalize_variable(gateway, variable, entries, k=200, clustering=None):
-    """Full pipeline for one variable: cluster, synthesize, label.
+def normalize_variable(gateway, variable, entries, clustering):
+    """Scheme synthesis and labeling for one variable clustered by
+    ``cluster_variable``.
 
     ``entries`` is a list of (hadm_id, raw_text) with possible duplicate
-    texts; duplicates weight the clustering and every entry gets labeled.
-    A caller that has clustered already, with ``cluster_variable``, passes
-    the ``clustering`` and only the scheme and labeling requests are made.
+    texts; every entry gets labeled.
     """
-    if clustering is None:
-        clustering = cluster_variable(gateway, entries, k)
     uniq = sorted({t for _, t in entries})
     medoid_texts = [uniq[i] for i in clustering.medoid_indices]
     scheme = synthesize_scheme(gateway, variable, medoid_texts)
@@ -447,4 +444,4 @@ def normalize_variable(gateway, variable, entries, k=200, clustering=None):
     for entry in medoid_labels:
         scheme.medoid_examples.setdefault(entry.assigned_category, []).append(entry.raw_text)
     labeled = label_entries(gateway, scheme, entries)
-    return scheme, labeled, clustering
+    return scheme, labeled

@@ -331,27 +331,23 @@ class Runner:
         if entries:  # one embedding request; clustering then reads the cache
             self.gateway.embed(sorted({text for found in entries.values() for _, text in found}))
 
-        def clustered():
-            """Each variable with its clustering, made on this thread one at a
-            time, so one PAM's memory is held at once, whatever max_concurrency."""
-            for variable, found in entries.items():
-                clustering = cluster_variable(self.gateway, found, self.config.k_medoids)
-                log.info("normalize: %s cluster sizes %s", variable,
-                         sorted(clustering.cluster_sizes(), reverse=True)[:10])
-                yield variable, clustering
-
-        # map draws a clustered variable at a time, so the scheme and label
-        # requests of the variables handed over run while the next clusters
+        # clustered here, one variable at a time, so one PAM's memory is held
+        # at once whatever max_concurrency; the workers carry only requests
+        clusterings = {}
+        for variable, found in entries.items():
+            clusterings[variable] = cluster_variable(self.gateway, found, self.config.k_medoids)
+            log.info("normalize: %s cluster sizes %s", variable,
+                     sorted(clusterings[variable].cluster_sizes(), reverse=True)[:10])
         results = self.gateway.map(
-            lambda item: normalize_variable(
-                self.gateway, item[0], entries[item[0]], clustering=item[1]
+            lambda variable: normalize_variable(
+                self.gateway, variable, entries[variable], clusterings[variable]
             ),
-            clustered(),
+            entries,
         )
         os.makedirs(self.path("schemes"), exist_ok=True)
         all_rows = []
         scheme_files = []
-        for variable, (scheme, labeled, _) in zip(entries, results):
+        for variable, (scheme, labeled) in zip(entries, results):
             scheme_path = os.path.join("schemes", f"{variable}.json")
             _write_json(self.path(scheme_path), asdict(scheme))
             scheme_files.append(scheme_path)

@@ -385,57 +385,6 @@ class TestConcurrency:
         with pytest.raises(ValueError, match="2"):
             mock_gateway.map(fn, range(8))
 
-    def test_map_draws_an_iterator_as_it_hands_items_over(self, tmp_path):
-        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4))
-        started = [threading.Event() for _ in range(3)]
-        drawn = []
-
-        def items():
-            for i in range(3):
-                if i:  # item i - 1 runs before item i is drawn
-                    assert started[i - 1].wait(timeout=10)
-                drawn.append(threading.get_ident())
-                yield i
-
-        def fn(i):
-            started[i].set()
-            return i * 10
-
-        assert gw.map(fn, items()) == [0, 10, 20]
-        assert drawn == [threading.get_ident()] * 3
-
-    def test_drawing_error_raised_after_started_items_finish(self, tmp_path):
-        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4))
-        finished = []
-
-        def items():
-            yield 0
-            yield 1
-            raise KeyError("drawing item 2")
-
-        def fn(i):
-            time.sleep(0.1)
-            finished.append(i)
-
-        with pytest.raises(KeyError, match="drawing item 2"):
-            gw.map(fn, items())
-        assert sorted(finished) == [0, 1]
-
-    def test_failed_item_comes_before_a_later_drawing_error(self, tmp_path):
-        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4))
-
-        def items():
-            yield 0
-            yield 1
-            raise KeyError("drawing item 2")
-
-        def fn(i):
-            if i == 1:
-                raise ValueError(i)
-
-        with pytest.raises(ValueError, match="1"):
-            gw.map(fn, items())
-
     def test_stress_counts_each_call_once(self, tmp_path):
         # more threads than cores and a tiny switch interval, so a lost
         # counter update or a doubly sent request would show
@@ -628,23 +577,8 @@ class _FakeResponse:
         return self._payload
 
 
-class _FakeSession:
-    """A ``requests.Session`` stand-in that posts through ``post``."""
-
-    made = []
-
-    def __init__(self, post):
-        self.post = post
-        self.closed = 0
-        _FakeSession.made.append(self)
-
-    def close(self):
-        self.closed += 1
-
-
 class TestHttpBackend:
     def _patch_post(self, monkeypatch, responses):
-        """Answer every session post from ``responses``; the last one repeats."""
         calls = []
 
         def fake_post(url, json=None, headers=None, timeout=None):
@@ -656,7 +590,7 @@ class TestHttpBackend:
 
         import requests
 
-        monkeypatch.setattr(requests, "Session", lambda: _FakeSession(fake_post))
+        monkeypatch.setattr(requests, "post", fake_post)
         return calls
 
     def test_chat_parses_openai_payload(self, monkeypatch):
@@ -765,35 +699,6 @@ class TestHttpBackend:
         self._patch_post(monkeypatch, [_FakeResponse(200, payload)])
         with pytest.raises(ProtocolError, match="indices"):
             HttpBackend("http://x").embed("m", ["a", "b", "c"])
-
-    def test_sessions_pooled_across_threads_and_closed_once(self, tmp_path, monkeypatch):
-        payload = {"choices": [{"message": {"content": "ok"}}]}
-        _FakeSession.made = []
-        inflight, most = [0], [0]
-        lock = threading.Lock()
-
-        def post(url, json=None, headers=None, timeout=None):
-            with lock:
-                inflight[0] += 1
-                most[0] = max(most[0], inflight[0])
-            time.sleep(0.002)
-            with lock:
-                inflight[0] -= 1
-            return _FakeResponse(200, payload)
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", None)  # every post goes through a session
-        monkeypatch.setattr(requests, "Session", lambda: _FakeSession(post))
-        backend = HttpBackend("http://x")
-        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4), backend=backend)
-        out = gw.map(lambda i: gw.chat(ChatRequest("s", f"q{i}")), range(200))
-        assert out == ["ok"] * 200 and gw.network_calls == 200
-        assert 1 <= len(_FakeSession.made) <= 4 and most[0] <= 4
-        gw.close()
-        assert [s.closed for s in _FakeSession.made] == [1] * len(_FakeSession.made)
-        gw.close()  # nothing left to close
-        assert [s.closed for s in _FakeSession.made] == [1] * len(_FakeSession.made)
 
     def test_embeddings_reordered_by_index(self, monkeypatch):
         payload = {

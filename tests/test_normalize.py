@@ -18,6 +18,7 @@ from clinnote.normalize import (
     _pam_build,
     _pam_swap,
     cluster_entries,
+    cluster_variable,
     cosine_distance_matrix,
     label_entries,
     normalize_variable,
@@ -651,8 +652,9 @@ class TestNormalizeVariableEndToEnd:
             ("H4", "single, never married"),
             ("H5", "Married"),
         ]
-        scheme, labeled, clustering = normalize_variable(
-            mock_gateway, "marital_status", entries, k=4
+        clustering = cluster_variable(mock_gateway, entries, 4)
+        scheme, labeled = normalize_variable(
+            mock_gateway, "marital_status", entries, clustering
         )
         scheme.validate()
         assert len(labeled) == 5

@@ -582,7 +582,7 @@ class TestRunner:
 
 class TestNormalizeStage:
     """Normalize clusters each variable on the stage's own thread, one at a
-    time, and hands its scheme and label requests to ``gateway.map``."""
+    time, then hands the scheme and label requests to ``gateway.map``."""
 
     @staticmethod
     def _extracted(tmp_path, **overrides):
@@ -618,42 +618,11 @@ class TestNormalizeStage:
         assert calls == [(threading.get_ident(), 1)] * len(calls)
         assert "normalize" in runner.manifest["stages"]
 
-    def test_first_scheme_request_sent_before_the_last_clustering_ends(self, tmp_path,
-                                                                       monkeypatch):
+    def test_clustering_error_raised_before_any_request_is_sent(self, tmp_path,
+                                                               monkeypatch):
         runner = self._extracted(tmp_path, max_concurrency=4)
-        cluster, scheme = normalize.cluster_entries, normalize.synthesize_scheme
-        sent = threading.Event()
-        schemes, waited = [], []
-
-        def synthesize_scheme(gateway, variable, medoid_texts):
-            schemes.append(variable)
-            sent.set()
-            return scheme(gateway, variable, medoid_texts)
-
-        def cluster_entries(*args, **kwargs):
-            if waited or sent.is_set():  # not the first: wait for its requests
-                waited.append(sent.wait(timeout=10))
-            else:
-                waited.append(None)
-            return cluster(*args, **kwargs)
-
-        monkeypatch.setattr(normalize, "synthesize_scheme", synthesize_scheme)
-        monkeypatch.setattr(normalize, "cluster_entries", cluster_entries)
-        try:
-            runner.run_stage("normalize")
-        finally:
-            runner.close()
-        assert len(waited) >= 3 and waited[1:] == [True] * (len(waited) - 1)
-        schemes_dir = tmp_path / "run" / "schemes"
-        normalized = [v for v in normalize.NORMALIZED_VARIABLES
-                      if (schemes_dir / f"{v}.json").exists()]
-        assert schemes[0] == normalized[0]
-
-    def test_clustering_error_raised_after_handed_over_chains_finish(self, tmp_path,
-                                                                     monkeypatch):
-        runner = self._extracted(tmp_path, max_concurrency=4)
-        cluster, chain = normalize.cluster_entries, pipeline.normalize_variable
-        clustered, finished = [], []
+        cluster = normalize.cluster_entries
+        clustered, schemes = [], []
 
         def cluster_entries(*args, **kwargs):
             if len(clustered) == 2:
@@ -661,20 +630,15 @@ class TestNormalizeStage:
             clustered.append(args[0])
             return cluster(*args, **kwargs)
 
-        def normalize_variable(*args, **kwargs):
-            time.sleep(0.2)
-            result = chain(*args, **kwargs)
-            finished.append(args[1])
-            return result
-
         monkeypatch.setattr(normalize, "cluster_entries", cluster_entries)
-        monkeypatch.setattr(pipeline, "normalize_variable", normalize_variable)
+        monkeypatch.setattr(normalize, "synthesize_scheme",
+                            lambda gateway, variable, medoid_texts: schemes.append(variable))
         try:
             with pytest.raises(InvalidInput, match="third variable"):
                 runner.run_stage("normalize")
         finally:
             runner.close()
-        assert len(finished) == 2  # both chains handed over ran to the end
+        assert len(clustered) == 2 and schemes == []
         assert "normalize" not in runner.manifest["stages"]
 
 
