@@ -6,6 +6,11 @@ canonicalized request and the backend's identity, which makes interrupted
 runs resumable and repeat runs free. A deterministic mock backend keeps the
 whole pipeline runnable offline.
 
+Threads overlap backend waits; calls that compute in this interpreter, as
+the mock backend's do, run one at a time on the stage thread, where threads
+would only take turns on the interpreter lock. So ``LLMGateway.map`` starts
+threads only once a backend call has been seen to wait.
+
 Every agent request follows one failure policy. A gateway error
 (RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
 its retries are spent or by ``LLMGateway.chat``, is never cached and fails
@@ -303,10 +308,15 @@ class LLMGateway:
         self.cache = JsonlCache(cache_path)
         self.network_calls = 0
         self.cache_hits = 0
-        self._lock = threading.Lock()  # guards the counters and _inflight
+        self._lock = threading.Lock()  # guards the counters, the sums and _inflight
         self._inflight = {}  # chat key -> Event set when its first caller is done
         # the one bound on backend calls in flight, however maps are nested
         self._slots = threading.BoundedSemaphore(config.max_concurrency)
+        # seconds backend calls spent waiting and computing, summed until
+        # the waits outweigh the computing; from then on map uses threads
+        self._wait_s = 0.0
+        self._cpu_s = 0.0
+        self._calls_wait = False
 
     def chat(self, request: ChatRequest) -> str:
         """The reply text, thinking stripped, from the cache or the backend.
@@ -337,31 +347,62 @@ class LLMGateway:
                 self._inflight.pop(key).set()
 
     def _fetch(self, key, request):
-        with self._slots:
-            text = self.backend.chat(request)
-        with self._lock:
-            self.network_calls += 1
+        text = self._call_backend(self.backend.chat, request)
         raw, thinking = strip_thinking(text or "")
         if not raw:  # nothing but whitespace or thinking
             raise EmptyResponse("endpoint returned an empty completion")
         self.cache.put(key, {"raw_text": raw, "thinking_text": thinking})
         return raw
 
-    def map(self, fn, items):
-        """``fn`` over ``items`` on at most max_concurrency threads.
+    def _call_backend(self, call, *args):
+        """``call(*args)`` holding a slot, counted in ``network_calls``.
 
+        Until backend calls are known to wait, each call adds its wall time
+        less its thread's CPU time to a wait sum, and that CPU time to a CPU
+        sum. Calls wait once the wait sum exceeds the CPU sum; the decision
+        never reverses, and calls are no longer timed.
+        """
+        timed = not self._calls_wait
+        with self._slots:
+            if timed:  # the clocks' own cost falls in the CPU time
+                cpu, wall = time.thread_time(), time.perf_counter()
+            result = call(*args)
+            if timed:
+                wall = time.perf_counter() - wall
+                cpu = time.thread_time() - cpu
+        with self._lock:
+            self.network_calls += 1
+            if timed and not self._calls_wait:
+                self._wait_s += wall - cpu
+                self._cpu_s += cpu
+                self._calls_wait = self._wait_s > self._cpu_s
+        return result
+
+    def map(self, fn, items):
+        """``fn`` over ``items``, on threads only once backend calls wait.
+
+        Threads overlap backend waits; calls that compute in this
+        interpreter only take turns on its lock. So items run one at a time
+        on the calling thread until a backend call has been seen to wait
+        (``_call_backend``), and the items left then run on at most
+        max_concurrency threads. The serial timings are free of lock
+        contention, and summed, so one preempted call does not decide.
         Backend calls made by ``fn``, also from a nested ``map``, share the
         gateway's max_concurrency slots. Results keep input order. The
         exception of the first failing item, in input order, propagates;
-        items not yet started are cancelled.
+        items not yet started are never run.
         """
         items = list(items)
-        workers = min(self.config.max_concurrency, len(items))
+        results = []
+        while len(results) < len(items) and not self._calls_wait:
+            results.append(fn(items[len(results)]))
+        rest = items[len(results):]
+        workers = min(self.config.max_concurrency, len(rest))
         if workers <= 1:
-            return [fn(item) for item in items]
+            return results + [fn(item) for item in rest]
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            return list(pool.map(fn, items))
+            return results + list(pool.map(fn, rest))
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -386,10 +427,7 @@ class LLMGateway:
         missing = [i for i, row in enumerate(rows) if row is None]
         for start in range(0, len(missing), EMBED_BATCH):
             chunk = missing[start:start + EMBED_BATCH]
-            with self._slots:
-                vectors = self.backend.embed(model, [texts[i] for i in chunk])
-            with self._lock:
-                self.network_calls += 1
+            vectors = self._call_backend(self.backend.embed, model, [texts[i] for i in chunk])
             if len(vectors) != len(chunk):  # checked before any vector is cached
                 raise ProtocolError(f"asked for {len(chunk)} embeddings, got {len(vectors)}")
             for i, vec in zip(chunk, vectors):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +18,9 @@ class PromptTemplate:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
+@functools.cache
 def load_prompt(name: str) -> PromptTemplate:
+    """The template ``name``, read from the package once per process."""
     path = resources.files("clinnote.prompts").joinpath(f"{name}.txt")
     return PromptTemplate(name=name, text=path.read_text())
 

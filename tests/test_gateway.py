@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import clinnote.gateway as gateway_module
 from clinnote.errors import (
     EmptyResponse,
     InvalidInput,
@@ -29,6 +30,8 @@ from clinnote.gateway import (
     mock_embedding,
     strip_thinking,
 )
+from clinnote.fixture import build_fixture
+from clinnote.prompts import load_prompt
 
 from conftest import ScriptedBackend, make_config
 
@@ -320,7 +323,7 @@ class TestConcurrency:
 
     @pytest.mark.parametrize("limit", [1, 3])
     def test_map_bounds_overlap_and_keeps_order(self, tmp_path, limit):
-        backend = _BlockingBackend()
+        backend = _BlockingBackend(delay_s=0.02)  # calls that wait, so map uses threads
         backend.release.set()
         gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=limit), backend=backend)
 
@@ -330,7 +333,7 @@ class TestConcurrency:
 
         out = gw.map(slow_chat, range(12))
         assert out == [f"reply to q{i}" for i in range(12)]
-        assert backend.max_inflight <= limit
+        assert backend.max_inflight == limit
 
     def test_nested_map_reaches_but_never_exceeds_the_bound(self, tmp_path):
         backend = _BlockingBackend(delay_s=0.01)
@@ -371,8 +374,11 @@ class TestConcurrency:
         assert backend.calls == gw.network_calls == 2
 
     def test_map_runs_calls_concurrently(self, tmp_path):
+        backend = _BlockingBackend(delay_s=0.01)
+        backend.release.set()
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=3), backend=backend)
+        gw.chat(ChatRequest("s", "u"))  # a call that waits: map now uses threads
         barrier = threading.Barrier(3, timeout=10)
-        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=3))
         # each call returns only once three are in flight together
         assert gw.map(lambda i: (barrier.wait(), i)[1], range(6)) == list(range(6))
 
@@ -410,6 +416,115 @@ class TestConcurrency:
         assert out[0] == [f"reply to {r.user_content}" for r in requests]
         assert backend.calls == gw.network_calls == 25
         assert gw.cache_hits == 375
+
+
+class _Clock:
+    """Stands in for the gateway's ``time`` module; backend calls move it."""
+
+    def __init__(self):
+        self.wall = self.cpu = 0.0
+
+    def perf_counter(self):
+        return self.wall
+
+    def thread_time(self):
+        return self.cpu
+
+
+class TestThreadsOnlyForWaits:
+    def test_computing_backend_keeps_every_item_on_the_calling_thread(self, tmp_path):
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4))
+        notes = [row["text"] for row in build_fixture(seed=0)[2]][:16]
+        system = load_prompt("extractor").text
+        threads = []
+
+        def ask(note):
+            threads.append(threading.get_ident())
+            return gw.chat(ChatRequest(system, note))
+
+        def inner(i):
+            threads.append(threading.get_ident())
+            return gw.map(ask, notes[4 * i:4 * i + 4])
+
+        out = gw.map(inner, range(4))
+        assert [reply for replies in out for reply in replies] == [
+            gw.backend.chat(ChatRequest(system, note)) for note in notes
+        ]
+        assert gw.network_calls == 16
+        assert threads == [threading.get_ident()] * 20
+
+    def test_all_cache_hits_start_no_thread(self, tmp_path, monkeypatch):
+        requests = [ChatRequest("s", f"q{i}") for i in range(8)]
+        replies = [f"reply to q{i}" for i in range(8)]
+        backend = _BlockingBackend(delay_s=0.01)
+        backend.release.set()
+        filler = LLMGateway(make_config(tmp_path), backend=backend)
+        assert filler.map(filler.chat, requests) == replies
+        filler.close()
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", None)  # a pool would fail
+        gw = LLMGateway(make_config(tmp_path), backend=backend)
+        assert gw.map(gw.chat, requests) == replies
+        assert gw.network_calls == 0
+        assert gw.cache_hits == 8
+        gw.close()
+
+    def test_waiting_backend_moves_the_rest_to_threads(self, tmp_path):
+        backend = _BlockingBackend(delay_s=0.01)
+        backend.release.set()
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4), backend=backend)
+        first = []
+
+        def ask(i):
+            reply = gw.chat(ChatRequest("s", f"q{i}"))
+            if i == 0:
+                first.append((threading.get_ident(), backend.max_inflight))
+            return reply
+
+        assert gw.map(ask, range(13)) == [f"reply to q{i}" for i in range(13)]
+        assert first == [(threading.get_ident(), 1)]  # the first call ran alone
+        assert backend.max_inflight == 4
+
+    def test_serial_failure_stops_before_later_items(self, tmp_path):
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4))
+        called = []
+
+        def fn(i):
+            called.append(i)
+            if i == 2:
+                raise ValueError(i)
+            return gw.chat(ChatRequest("s", f"q{i}"))
+
+        with pytest.raises(ValueError, match="2"):
+            gw.map(fn, range(8))
+        assert called == [0, 1, 2]
+
+    @pytest.mark.parametrize("preempted, serial", [(30, True), (0, False)])
+    def test_calls_wait_once_summed_waits_exceed_summed_cpu(
+        self, tmp_path, monkeypatch, preempted, serial
+    ):
+        clock = _Clock()
+        monkeypatch.setattr(gateway_module, "time", clock)
+
+        class Computing(ScriptedBackend):
+            def chat(self, request):
+                clock.cpu += 0.001
+                clock.wall += 0.001
+                if request.user_content == f"q{preempted}":
+                    clock.wall += 0.02  # the VM ran something else for 20 ms
+                return "reply"
+
+        gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4),
+                        backend=Computing([]))
+        threads = []
+
+        def ask(i):
+            threads.append(threading.get_ident())
+            return gw.chat(ChatRequest("s", f"q{i}"))
+
+        assert gw.map(ask, range(60)) == ["reply"] * 60
+        me = threading.get_ident()
+        # 20 ms of waiting against 31 ms of CPU at q30, against 1 ms at q0
+        assert threads.count(me) == (60 if serial else 1)
 
 
 class TestEmbeddings:

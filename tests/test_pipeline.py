@@ -343,6 +343,9 @@ class TestRunner:
         rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_judge_prompt)
         assert rerun == ["evaluate-fidelity"]
 
+    def test_each_prompt_is_read_once(self):
+        assert load_prompt("judge") is load_prompt("judge")
+
     def test_truth_edit_triggers_rerun(self, tmp_path):
         cfg = fixture_config(tmp_path)
 
