@@ -35,6 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # Linux counts, per thread, the times it blocked
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:
+    RUSAGE_THREAD = None
+
 from .errors import (
     EmptyResponse,
     InvalidInput,
@@ -53,6 +58,18 @@ _JSON_OPENERS = {dict: "{", list: "["}
 
 MOCK_EMBED_DIM = 64
 EMBED_BATCH = 2048  # most texts in one embeddings request; OpenAI allows 2 048
+
+
+def _thread_blocks():
+    """How often the calling thread has blocked (its voluntary context
+    switches), or None where the platform does not count them.
+
+    A thread that waits on a socket or a sleep blocks; one the scheduler
+    or the VM preempts does not, though its wall time runs on as well.
+    """
+    if RUSAGE_THREAD is None:
+        return None
+    return getrusage(RUSAGE_THREAD).ru_nvcsw
 
 
 def strip_thinking(text):
@@ -357,23 +374,28 @@ class LLMGateway:
     def _call_backend(self, call, *args):
         """``call(*args)`` holding a slot, counted in ``network_calls``.
 
-        Until backend calls are known to wait, each call adds its wall time
-        less its thread's CPU time to a wait sum, and that CPU time to a CPU
-        sum. Calls wait once the wait sum exceeds the CPU sum; the decision
-        never reverses, and calls are no longer timed.
+        Until backend calls are known to wait, each call adds its thread's
+        CPU time to a CPU sum and, if its thread blocked during the call,
+        its wall time less that CPU time to a wait sum. Calls wait once the
+        wait sum exceeds the CPU sum; the decision never reverses, and calls
+        are no longer timed. A call that was only preempted adds no wait,
+        so a busy machine cannot send computing calls to threads; where
+        blocking is not counted, every call's wall time less CPU is a wait.
         """
         timed = not self._calls_wait
         with self._slots:
             if timed:  # the clocks' own cost falls in the CPU time
-                cpu, wall = time.thread_time(), time.perf_counter()
+                blocks, cpu, wall = _thread_blocks(), time.thread_time(), time.perf_counter()
             result = call(*args)
             if timed:
                 wall = time.perf_counter() - wall
                 cpu = time.thread_time() - cpu
+                blocked = blocks is None or _thread_blocks() > blocks
         with self._lock:
             self.network_calls += 1
             if timed and not self._calls_wait:
-                self._wait_s += wall - cpu
+                if blocked:
+                    self._wait_s += wall - cpu
                 self._cpu_s += cpu
                 self._calls_wait = self._wait_s > self._cpu_s
         return result
@@ -386,7 +408,8 @@ class LLMGateway:
         on the calling thread until a backend call has been seen to wait
         (``_call_backend``), and the items left then run on at most
         max_concurrency threads. The serial timings are free of lock
-        contention, and summed, so one preempted call does not decide.
+        contention, and a call counts as waiting only if its thread blocked,
+        so preempted calls do not decide.
         Backend calls made by ``fn``, also from a nested ``map``, share the
         gateway's max_concurrency slots. Results keep input order. The
         exception of the first failing item, in input order, propagates;

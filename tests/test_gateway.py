@@ -423,6 +423,7 @@ class _Clock:
 
     def __init__(self):
         self.wall = self.cpu = 0.0
+        self.blocks = 0  # the calling thread's voluntary context switches
 
     def perf_counter(self):
         return self.wall
@@ -498,19 +499,25 @@ class TestThreadsOnlyForWaits:
             gw.map(fn, range(8))
         assert called == [0, 1, 2]
 
-    @pytest.mark.parametrize("preempted, serial", [(30, True), (0, False)])
+    @pytest.mark.parametrize("late, blocked, serial", [
+        (30, True, True),  # 20 ms of waiting against 31 ms of CPU
+        (0, True, False),  # against 1 ms
+        (0, False, True),  # preempted, not blocked: no wait at all
+    ])
     def test_calls_wait_once_summed_waits_exceed_summed_cpu(
-        self, tmp_path, monkeypatch, preempted, serial
+        self, tmp_path, monkeypatch, late, blocked, serial
     ):
         clock = _Clock()
         monkeypatch.setattr(gateway_module, "time", clock)
+        monkeypatch.setattr(gateway_module, "_thread_blocks", lambda: clock.blocks)
 
         class Computing(ScriptedBackend):
             def chat(self, request):
                 clock.cpu += 0.001
                 clock.wall += 0.001
-                if request.user_content == f"q{preempted}":
-                    clock.wall += 0.02  # the VM ran something else for 20 ms
+                if request.user_content == f"q{late}":
+                    clock.wall += 0.02  # 20 ms off the CPU
+                    clock.blocks += blocked
                 return "reply"
 
         gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4),
@@ -522,9 +529,17 @@ class TestThreadsOnlyForWaits:
             return gw.chat(ChatRequest("s", f"q{i}"))
 
         assert gw.map(ask, range(60)) == ["reply"] * 60
-        me = threading.get_ident()
-        # 20 ms of waiting against 31 ms of CPU at q30, against 1 ms at q0
-        assert threads.count(me) == (60 if serial else 1)
+        assert threads.count(threading.get_ident()) == (60 if serial else 1)
+
+    def test_thread_blocks_counts_a_sleep_not_a_computation(self):
+        if gateway_module.RUSAGE_THREAD is None:
+            pytest.skip("the platform does not count a thread's blocks")
+        before = gateway_module._thread_blocks()
+        sum(i * i for i in range(100_000))
+        computed = gateway_module._thread_blocks()
+        time.sleep(0.005)
+        assert computed - before <= 1  # at most a stray page-in
+        assert gateway_module._thread_blocks() > computed
 
 
 class TestEmbeddings:
