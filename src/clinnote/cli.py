@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 dependency error, 4 stage failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -36,15 +37,14 @@ def main(argv=None):
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        config = validate_config(args.config)
+    overrides = {"mock_mode": True} if args.mock else {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    try:  # replace runs Config's checks on the overrides too
+        config = dataclasses.replace(validate_config(args.config), **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.mock:
-        config.mock_mode = True
-    if args.seed is not None:
-        config.seed = args.seed
 
     runner = Runner(config, args.out)
     try:

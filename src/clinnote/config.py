@@ -23,6 +23,7 @@ _MINIMUM = {
     "temperature": 0,
     "summary_temperature": 0,
     "l2_lambda": 0,
+    "seed": 0,
 }
 
 

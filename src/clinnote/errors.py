@@ -79,8 +79,9 @@ class CVInfeasible(ClinNoteError):
 
 
 class DependencyMissing(ClinNoteError):
-    """A pipeline stage ran before its prerequisite stage."""
+    """A stage's prerequisite has not run here with this version of clinnote."""
 
     def __init__(self, stage):
-        super().__init__(f"missing output of prerequisite stage '{stage}'")
+        super().__init__(f"run prerequisite stage '{stage}' first: this run directory "
+                         f"holds no output of it made by this version of clinnote")
         self.stage = stage

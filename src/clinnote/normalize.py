@@ -267,6 +267,8 @@ class CategoryScheme:
             )
         if len(set(labels)) != len(labels):
             raise SchemeSynthesisFailed(f"{self.variable}: duplicate category labels")
+        if not all(label.strip() for label in labels):
+            raise SchemeSynthesisFailed(f"{self.variable}: blank category label")
         fallbacks = [l for l in labels if FALLBACK_LABEL in l]
         if len(fallbacks) != 1:
             raise SchemeSynthesisFailed(

@@ -3,20 +3,22 @@
 Each stage reads its inputs from and writes its outputs into one run
 directory, atomically, and records input/output content hashes in a run
 manifest. ``STAGE_TABLE`` is the one description of the stages: what each
-reads, which report files it writes, which prompts it sends and which
-config keys it reads. Dependency checks, stage fingerprints and the
-report hash all come from it. Re-running a completed stage whose
-fingerprint is unchanged is a no-op, which makes long live-LLM runs
-resumable.
+reads, which report files it writes and which config keys it reads.
+Dependency checks, stage fingerprints and the report hash all come from it;
+the manifest's ``code`` key, ``package_hash()``, covers the program itself.
+Re-running a completed stage whose fingerprint and outputs are unchanged is
+a no-op, which makes long live-LLM runs resumable.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
 import os
+import pathlib
 import time
 from dataclasses import asdict, dataclass
 
@@ -49,7 +51,6 @@ from .fidelity import (
 from .gateway import LLMGateway
 from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
 from .predict import evaluate_cv
-from .prompts import load_prompt
 from .summarize import Summarizer, render_structural
 from .vitals import VITALS, CanonicalVital, canonicalize_record
 
@@ -63,7 +64,6 @@ class Stage:
     name: str
     inputs: tuple = ()  # run-dir files the stage reads
     reports: tuple = ()  # deterministic outputs that report_hash covers
-    prompts: tuple = ()  # prompt templates the stage sends
     config: tuple = ()  # Config keys the stage reads; a *_path key counts by its file
 
 
@@ -77,7 +77,6 @@ STAGE_TABLE = (
     Stage("extract",
           inputs=("cohort.jsonl", "pairs.csv"),
           reports=("extractions.jsonl",),
-          prompts=("extractor",),
           config=(*_CHAT, "temperature")),
     Stage("canonicalize",
           inputs=("extractions.jsonl",),
@@ -85,12 +84,10 @@ STAGE_TABLE = (
     Stage("normalize",
           inputs=("extractions.jsonl",),
           reports=("normalized_sdoh.csv",),
-          prompts=("normalizer", "labeler", "labeler_batch"),
           config=(*_CHAT, "temperature", "embed_model", "k_medoids")),
     Stage("evaluate-fidelity",
           inputs=("cohort.jsonl", "extractions.jsonl", "canonical_vitals.csv"),
           reports=("agreement_report.json", "judge_report.json"),
-          prompts=("judge",),
           config=(*_CHAT, "temperature", "truth_vitals_path", "truth_sdoh_path")),
     Stage("associate",
           inputs=("pairs.csv", "extractions.jsonl", "canonical_vitals.csv",
@@ -100,7 +97,6 @@ STAGE_TABLE = (
     Stage("summarize",
           inputs=("cohort.jsonl", "pairs.csv", "extractions.jsonl"),
           reports=("summaries.jsonl",),
-          prompts=("summary_overall", "summary_no_number"),
           config=(*_CHAT, "summary_temperature")),
     Stage("predict",
           inputs=("cohort.jsonl", "pairs.csv", "summaries.jsonl"),
@@ -121,6 +117,19 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
+@functools.cache
+def package_hash(root=os.path.dirname(os.path.abspath(__file__))):
+    """SHA-256 of the package's .py, .txt and .csv files (the code, prompts
+    and data that build every report) in sorted relative-path order,
+    bytecode caches left out."""
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(root).rglob("*")):
+        rel = path.relative_to(root)
+        if path.suffix in (".py", ".txt", ".csv") and "__pycache__" not in rel.parts:
+            h.update(f"{rel.as_posix()}\0{_sha256_file(path)}\n".encode())
+    return h.hexdigest()
+
+
 def _write_json(path, obj):
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -138,23 +147,22 @@ class Runner:
     # -- manifest ----------------------------------------------------------
 
     def _load_manifest(self):
-        if not os.path.exists(self.manifest_path):
-            return {"seed": self.config.seed, "stages": {}}
-        with open(self.manifest_path) as fh:
-            manifest = json.load(fh)
-        manifest.pop("gateway", None)  # whole-run counts of older runs, now per stage
-        return manifest
+        """The run dir's manifest, or a fresh one if other code wrote it."""
+        if os.path.exists(self.manifest_path):
+            with open(self.manifest_path) as fh:
+                manifest = json.load(fh)
+            if manifest.get("code") == package_hash():
+                return manifest
+        return {"code": package_hash(), "stages": {}}
 
     def _gateway_counts(self):
         gw = self._gateway
         return (gw.network_calls, gw.cache_hits) if gw is not None else (0, 0)
 
     def _input_hashes(self, stage: Stage):
-        """A stage's fingerprint: its run-dir inputs, the prompts it sends and
-        the config keys it reads, a *_path key by its file's bytes if any."""
+        """A stage's fingerprint: its run-dir inputs and the config keys it
+        reads, a *_path key by its file's bytes if any."""
         hashes = {name: _sha256_file(self.path(name)) for name in stage.inputs}
-        for name in stage.prompts:
-            hashes[f"prompt:{name}"] = load_prompt(name).sha256
         for key in stage.config:
             value = getattr(self.config, key)
             if key.endswith("_path") and os.path.isfile(value):
@@ -179,18 +187,20 @@ class Runner:
     # -- public API --------------------------------------------------------
 
     def run_stage(self, stage):
-        """Run one stage; no-op if already complete with an unchanged fingerprint."""
+        """Run one stage; no-op if done with unchanged fingerprint and outputs."""
         if stage not in _STAGE_BY_NAME:
             raise InvalidInput(f"unknown stage: {stage}")
         spec = _STAGE_BY_NAME[stage]
         for name in spec.inputs:
-            if not os.path.exists(self.path(name)):
+            if (_PRODUCER[name] not in self.manifest["stages"]
+                    or not os.path.exists(self.path(name))):
                 raise DependencyMissing(_PRODUCER[name])
 
         input_hashes = self._input_hashes(spec)
         done = self.manifest["stages"].get(stage)
-        if done and done.get("input_hashes") == input_hashes and all(
-            os.path.exists(self.path(f)) for f in done.get("output_hashes", {})
+        if done and done["input_hashes"] == input_hashes and all(
+            os.path.exists(self.path(f)) and _sha256_file(self.path(f)) == digest
+            for f, digest in done["output_hashes"].items()
         ):
             log.info("stage %s up to date; skipping", stage)
             return done
@@ -230,26 +240,16 @@ class Runner:
     # -- shared loaders ----------------------------------------------------
 
     def _load_cohort(self):
-        records = {}
         with open(self.path("cohort.jsonl")) as fh:
-            for line in fh:
-                d = json.loads(line)
-                records[d["hadm_id"]] = d
-        return records
+            return {d["hadm_id"]: d for d in map(json.loads, fh)}
 
     def _load_pairs(self):
-        pairs = []
         with open(self.path("pairs.csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                pairs.append(row)
-        return pairs
+            return list(csv.DictReader(fh))
 
     def _load_extractions(self):
-        records = []
         with open(self.path("extractions.jsonl")) as fh:
-            for line in fh:
-                records.append(ExtractionRecord(**json.loads(line)))
-        return records
+            return [ExtractionRecord(**json.loads(line)) for line in fh]
 
     def _outcomes(self):
         """index hadm_id -> readmission label."""
@@ -454,9 +454,6 @@ class Runner:
         labeled_by_var: dict = {}
         with open(self.path("normalized_sdoh.csv"), newline="") as fh:
             for row in csv.DictReader(fh):
-                # a run dir written by earlier code can hold unlabeled rows
-                if row["status"] == "unlabeled" or not row["category"]:
-                    continue
                 labeled_by_var.setdefault(row["variable"], []).append(LabeledEntry(
                     row["hadm_id"], row["variable"], row["raw_text"], row["category"],
                     row["status"],
@@ -513,8 +510,6 @@ class Runner:
             docs = {}
             for hadm_id, d in summaries.get(variant, {}).items():
                 if variant == "no_number" and d["status"] == "contains_numbers":
-                    continue
-                if d["status"] == "failed":  # written by earlier code only
                     continue
                 docs[hadm_id] = d["text"]
             corpora[variant] = docs

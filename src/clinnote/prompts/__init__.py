@@ -1,4 +1,4 @@
-"""Versioned prompt templates, referenced by content hash in run manifests."""
+"""Versioned prompt templates, referenced by content hash in category schemes."""
 
 from __future__ import annotations
 

@@ -363,6 +363,10 @@ class TestCategoryScheme:
         with pytest.raises(SchemeSynthesisFailed):
             _scheme(["A", FALLBACK_LABEL, f"Second {FALLBACK_LABEL}"]).validate()
 
+    def test_blank_label(self):
+        with pytest.raises(SchemeSynthesisFailed, match="blank"):
+            _scheme(["", "Smoker", FALLBACK_LABEL]).validate()
+
     def test_fallback_lookup_allows_decorated_label(self):
         s = _scheme(["A", f"{FALLBACK_LABEL} (unclear)"])
         s.validate()
@@ -413,6 +417,18 @@ class TestSynthesizeScheme:
         gw, backend = scripted_gateway_factory(["garbage", too_many])
         with pytest.raises(SchemeSynthesisFailed):
             synthesize_scheme(gw, "marital_status", ["x"])
+        assert backend.calls == 2
+
+
+    def test_blank_label_reprompted_once_then_raises(self, scripted_gateway_factory):
+        blank = json.dumps([
+            {"label": "  ", "description": "not stated"},
+            {"label": "Smoker", "description": "current smoker"},
+            {"label": FALLBACK_LABEL, "description": "unclear"},
+        ])
+        gw, backend = scripted_gateway_factory([blank, blank])
+        with pytest.raises(SchemeSynthesisFailed, match="blank"):
+            synthesize_scheme(gw, "tobacco", ["x"])
         assert backend.calls == 2
 
 

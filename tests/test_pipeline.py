@@ -1,8 +1,11 @@
+import compileall
 import dataclasses
 import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 
@@ -20,7 +23,7 @@ from clinnote.errors import (
 )
 from clinnote.fixture import write_fixture
 from clinnote.gateway import LLMGateway, MockBackend
-from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, report_hash
+from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, package_hash, report_hash
 from clinnote.prompts import PromptTemplate, load_prompt
 
 from conftest import make_config
@@ -152,6 +155,20 @@ def rerun_after(cfg, out, **changes):
     return rerun, gateway.network_calls
 
 
+def edit_manifest(out, edit):
+    """Rewrite the manifest in ``out`` after ``edit`` changes it in place."""
+    path = os.path.join(out, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def other_code(manifest):
+    manifest["code"] = "0" * 64
+
+
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(Config))
 
 
@@ -249,11 +266,7 @@ class TestRunner:
         stages = first["stages"]
         assert sum(e["network_calls"] for e in stages.values()) == gateway.network_calls
         assert sum(e["cache_hits"] for e in stages.values()) == gateway.cache_hits
-        first["gateway"] = {"network_calls": 59}  # as a run before per-stage counts wrote it
-        with open(os.path.join(out, "manifest.json"), "w") as fh:
-            json.dump(first, fh)
         second = run_all(dataclasses.replace(cfg, folds=4), out)
-        assert "gateway" not in second
         assert second["stages"]["predict"]["network_calls"] == 0
         assert second["stages"]["predict"]["cache_hits"] == 0
         assert second["stages"]["extract"] == stages["extract"]
@@ -326,22 +339,78 @@ class TestRunner:
         second = run_all(cfg, out)["stages"]
         return [s for s in STAGES if second[s]["finished"] != first[s]]
 
-    def test_prompt_edit_triggers_rerun(self, tmp_path, monkeypatch):
+    def test_prompt_edit_reruns_every_stage_from_the_cache(self, tmp_path, monkeypatch):
+        # an edited copy of the package stands for the edited program
+        package = tmp_path / "clinnote"
+        shutil.copytree(os.path.dirname(pipeline.__file__), package)
+        judge = package / "prompts" / "judge.txt"
+        judge.write_text(judge.read_text() + "\nBe strict.\n")
+        edited = PromptTemplate("judge", judge.read_text())
         cfg = fixture_config(tmp_path)
-        load = pipeline.load_prompt
+        out = str(tmp_path / "run")
+        first = run_all(cfg, out)["stages"]
+        monkeypatch.setattr(pipeline, "package_hash",
+                            lambda: package_hash.__wrapped__(str(package)))
+        monkeypatch.setattr(fidelity, "load_prompt",
+                            lambda name: edited if name == "judge" else load_prompt(name))
+        gateway = LLMGateway(cfg)
+        try:
+            second = Runner(cfg, out, gateway=gateway).run_all()["stages"]
+        finally:
+            gateway.close()
+        assert [s for s in STAGES if second[s]["finished"] != first[s]["finished"]] == list(
+            STAGES)
+        # only the judge requests, which carry the edited prompt, miss the cache
+        assert gateway.network_calls == second["evaluate-fidelity"]["network_calls"] == 10
 
-        def edited_load(name):
-            prompt = load(name)
-            if name == "judge":
-                return PromptTemplate(name, prompt.text + "\nBe strict.\n")
-            return prompt
+    @pytest.mark.parametrize("older", ["other code", "before the code key"])
+    def test_new_code_reruns_every_stage_from_the_cache(self, tmp_path, monkeypatch, older):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        first = run_all(cfg, out)["stages"]
 
-        def edit_judge_prompt():
-            monkeypatch.setattr(pipeline, "load_prompt", edited_load)
-            monkeypatch.setattr(fidelity, "load_prompt", edited_load)
+        def before_the_code_key(manifest):  # with the whole-run counts written then
+            del manifest["code"]
+            manifest["gateway"] = {"network_calls": 59}
 
-        rerun = self._rerun_stages(cfg, str(tmp_path / "run"), edit_judge_prompt)
-        assert rerun == ["evaluate-fidelity"]
+        if older == "other code":
+            monkeypatch.setattr(pipeline, "package_hash", lambda: "0" * 64)
+        else:
+            edit_manifest(out, before_the_code_key)
+        gateway = LLMGateway(cfg)
+        try:
+            second = Runner(cfg, out, gateway=gateway).run_all()
+        finally:
+            gateway.close()
+        assert [s for s in STAGES
+                if second["stages"][s]["finished"] != first[s]["finished"]] == list(STAGES)
+        assert gateway.network_calls == 0
+        assert set(second) == {"code", "stages"}
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert run_all(cfg, out)["stages"] == second["stages"]  # now every stage skips
+
+    def test_outputs_of_other_code_are_no_inputs(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        run_all(cfg, out)
+        edit_manifest(out, other_code)
+        runner = Runner(cfg, out)
+        with pytest.raises(DependencyMissing, match="this version of clinnote") as exc:
+            runner.run_stage("predict")
+        assert exc.value.stage == "ingest"
+        assert runner._gateway is None  # no request could have been sent
+
+    def test_edited_output_reruns_its_stage(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        out = str(tmp_path / "run")
+        report = os.path.join(out, "prediction_report.json")
+
+        def edit_report():
+            with open(report, "a") as fh:
+                fh.write(" ")
+
+        assert self._rerun_stages(cfg, out, edit_report) == ["predict"]
+        assert report_hash(out) == FIXTURE_REPORT_HASH
 
     def test_each_prompt_is_read_once(self):
         assert load_prompt("judge") is load_prompt("judge")
@@ -554,8 +623,7 @@ class TestRunner:
             "body_temperature": "98.6 F", "heart_rate": "350", "respiration_rate": "fast",
             "blood_pressure": "80/120", "weight": "150 lbs"}}
         (out / "extractions.jsonl").write_text(json.dumps(record) + "\n")
-        runner = Runner(make_config(tmp_path), str(out))
-        runner.run_stage("canonicalize")
+        Runner(make_config(tmp_path), str(out))._stage_canonicalize()
         assert (out / "canonical_vitals.csv").read_bytes() == "".join(
             line + "\r\n" for line in (
                 "hadm_id,variable,value,original_text,original_unit,status",
@@ -790,7 +858,61 @@ class TestCli:
     def test_seed_override(self, tmp_path):
         config = self._write_config(tmp_path)
         out = str(tmp_path / "run")
-        assert main(["ingest", "--config", config, "--out", out,
-                     "--mock", "--seed", "7"]) == 0
+        for stage in ("ingest", "extract"):
+            assert main([stage, "--config", config, "--out", out,
+                         "--mock", "--seed", "7"]) == 0
         with open(os.path.join(out, "manifest.json")) as fh:
-            assert json.load(fh)["seed"] == 7
+            manifest = json.load(fh)
+        assert "seed" not in manifest  # each stage that reads it records it
+        assert manifest["stages"]["extract"]["input_hashes"]["config:seed"] == 7
+
+    def test_negative_seed_exit_2_before_any_request(self, tmp_path, monkeypatch):
+        sent = []
+        monkeypatch.setattr(MockBackend, "chat", lambda self, request: sent.append(request))
+        config = self._write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config, "--out", str(out),
+                     "--mock", "--seed", "-1"]) == 2
+        assert sent == [] and not out.exists()
+
+    def test_outputs_of_other_code_exit_3(self, tmp_path):
+        config = self._write_config(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["run-all", "--config", config, "--out", out, "--mock"]) == 0
+        edit_manifest(out, other_code)
+        assert main(["predict", "--config", config, "--out", out, "--mock"]) == 3
+
+
+class TestPackageHash:
+    """The manifest's ``code`` key: one hash of the package's own files."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        copy = tmp_path / "clinnote"
+        shutil.copytree(os.path.dirname(pipeline.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return copy
+
+    def test_a_copy_hashes_like_the_package(self, package):
+        assert package_hash.__wrapped__(str(package)) == package_hash()
+
+    def test_bytecode_does_not_move_it(self, package):
+        before = package_hash.__wrapped__(str(package))
+        assert compileall.compile_dir(str(package), quiet=1)
+        assert list(package.rglob("__pycache__/*.pyc"))
+        assert package_hash.__wrapped__(str(package)) == before
+
+    @pytest.mark.parametrize("name", ["prompts/judge.txt", "data/icd9_descriptions.csv"])
+    def test_one_byte_moves_it(self, package, name):
+        before = package_hash.__wrapped__(str(package))
+        path = package / name
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        assert package_hash.__wrapped__(str(package)) != before
+
+    def test_computed_on_first_use_not_at_import(self):
+        check = ("import clinnote.pipeline as p; "
+                 "assert p.package_hash.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pipeline.__file__))}
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)
