@@ -2,6 +2,7 @@
 per note per stage, for each labeler batch size (``normalize.LABEL_BATCH``).
 
     PYTHONPATH=src python3 bench/scale.py --label after [--sizes 200,2000,5000] [--batches 20]
+        [--latency-sizes 200,1000]
 
 Inputs come from perfbench's ``diverse_cohort`` generator (seed 0). Each
 (size, batch size) cell runs all eight stages in its own process, with
@@ -13,6 +14,13 @@ so two versions of the code can sit side by side: run the script once per
 checkout, with PYTHONPATH pointing at that checkout's ``src``. Batch size 1
 sends one entry per labeler request, as the paper does; equal
 ``report_hash`` values for one size mean that the report bytes are the same.
+
+Each ``--latency-sizes`` cell runs ``Runner.run_all`` once more behind
+perfbench's endpoint stand-in (``endpoint.LatencyBackend``), which sleeps
+LATENCY_S per request, at the default labeler batch size. Beside its wall
+time it records ``floor_s``, R·L/c: R requests at latency L on c
+``max_concurrency`` slots take at least that long. Its stages' ``start_s``
+(from the run's start) show which ran side by side.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 
+from endpoint import LatencyBackend  # noqa: E402
 from workloads import diverse_cohort, write_tables  # noqa: E402
 
 from clinnote import normalize  # noqa: E402
@@ -40,13 +49,14 @@ from clinnote.pipeline import STAGES, Runner, report_hash  # noqa: E402
 SEED = 0
 CONFIG = {"mock_mode": True, "cache_dir": "", "max_concurrency": 4,
           "k_medoids": 200, "folds": 3, "seed": SEED}
+LATENCY_S = 0.020  # the endpoint stand-in's sleep per request in latency cells
 
 
 def _peak_rss_mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
-def cell(inputs, out, label_batch):
+def cell(inputs, out, label_batch, latency_s=0.0):
     """One run in this process; returns its measurements."""
     normalize.LABEL_BATCH = label_batch
     config = Config(
@@ -57,16 +67,25 @@ def cell(inputs, out, label_batch):
         truth_sdoh_path=os.path.join(inputs, "truth_sdoh.csv"),
         **CONFIG,
     )
-    gateway = LLMGateway(config)
+    if latency_s:
+        gateway = LLMGateway(config, backend=LatencyBackend(latency_s, seed=SEED))
+    else:
+        gateway = LLMGateway(config)
     runner = Runner(config, out, gateway=gateway)
     stages = {}
-    start = time.perf_counter()
-    for stage in STAGES:
-        began, calls = time.perf_counter(), gateway.network_calls
-        runner.run_stage(stage)
-        stages[stage] = {"s": round(time.perf_counter() - began, 3),
-                         "llm_calls": gateway.network_calls - calls,
-                         "peak_rss_mb": _peak_rss_mb()}
+    start, started = time.perf_counter(), time.time()
+    if latency_s:  # run_all, which may run stages side by side
+        for stage, entry in runner.run_all()["stages"].items():
+            stages[stage] = {"start_s": round(entry["started"] - started, 3),
+                             "s": round(entry["finished"] - entry["started"], 3),
+                             "llm_calls": entry["network_calls"]}
+    else:
+        for stage in STAGES:
+            began, calls = time.perf_counter(), gateway.network_calls
+            runner.run_stage(stage)
+            stages[stage] = {"s": round(time.perf_counter() - began, 3),
+                             "llm_calls": gateway.network_calls - calls,
+                             "peak_rss_mb": _peak_rss_mb()}
     wall_s = time.perf_counter() - start
     gateway.close()
     notes = 0  # index notes: each is extracted or quarantined
@@ -75,8 +94,14 @@ def cell(inputs, out, label_batch):
             notes += sum(1 for _ in fh)
     for row in stages.values():
         row["calls_per_note"] = round(row["llm_calls"] / notes, 3)
+    latency = {}
+    if latency_s:  # R requests at latency L on c slots take at least R·L/c
+        latency = {"latency_ms": round(latency_s * 1000),
+                   "max_concurrency": config.max_concurrency,
+                   "floor_s": round(gateway.network_calls * latency_s / config.max_concurrency, 2)}
     return {
         "label_batch": label_batch,
+        **latency,
         "notes": notes,
         "wall_s": round(wall_s, 2),
         "peak_rss_mb": _peak_rss_mb(),
@@ -92,31 +117,42 @@ def main():
     ap.add_argument("--label", help="key the results are stored under")
     ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort")
     ap.add_argument("--batches", default="20", help="labeler batch sizes")
+    ap.add_argument("--latency-sizes", default="200,1000",
+                    help="patients per cohort behind the sleeping endpoint ('' for none)")
     ap.add_argument("--out", default="BENCH_scale.json")
-    ap.add_argument("--cell", nargs=3, metavar=("INPUTS", "OUT", "LABEL_BATCH"),
+    ap.add_argument("--cell", nargs=4, metavar=("INPUTS", "OUT", "LABEL_BATCH", "LATENCY_S"),
                     help=argparse.SUPPRESS)  # one measured run, started by main
+    ap.add_argument("--inputs", nargs=2, metavar=("PATIENTS", "DIR"),
+                    help=argparse.SUPPRESS)  # one cohort's CSVs, written for main
     args = ap.parse_args()
+    if args.inputs:
+        write_tables(diverse_cohort(int(args.inputs[0]), SEED), args.inputs[1])
+        return
     if args.cell:
-        inputs, out, label_batch = args.cell
-        print(json.dumps(cell(inputs, out, int(label_batch))))
+        inputs, out, label_batch, latency_s = args.cell
+        print(json.dumps(cell(inputs, out, int(label_batch), float(latency_s))))
         return
     if not args.label:
         ap.error("--label is required")
 
+    cells = [(int(p), b, 0.0) for p in args.sizes.split(",") for b in args.batches.split(",")]
+    cells += [(int(p), str(normalize.LABEL_BATCH), LATENCY_S)
+              for p in filter(None, args.latency_sizes.split(","))]
     rows = []
     with tempfile.TemporaryDirectory() as work:
-        for patients in map(int, args.sizes.split(",")):
+        for patients, label_batch, latency_s in cells:
             inputs = os.path.join(work, f"inputs-{patients}")
-            write_tables(diverse_cohort(patients, SEED), inputs)
-            for label_batch in args.batches.split(","):
-                out = os.path.join(work, f"run-{patients}-{label_batch}")
-                done = subprocess.run(
-                    [sys.executable, __file__, "--cell", inputs, out, label_batch],
-                    check=True, capture_output=True, text=True,
-                )
-                rows.append({"patients": patients, **json.loads(done.stdout)})
-                print(json.dumps({k: v for k, v in rows[-1].items() if k != "stages"}),
-                      flush=True)
+            if not os.path.isdir(inputs):  # in a child: a cell's peak RSS starts at main's
+                subprocess.run([sys.executable, __file__, "--inputs", str(patients), inputs],
+                               check=True)
+            out = os.path.join(work, f"run-{patients}-{label_batch}-{latency_s}")
+            done = subprocess.run(
+                [sys.executable, __file__, "--cell", inputs, out, label_batch, str(latency_s)],
+                check=True, capture_output=True, text=True,
+            )
+            rows.append({"patients": patients, **json.loads(done.stdout)})
+            print(json.dumps({k: v for k, v in rows[-1].items() if k != "stages"}),
+                  flush=True)
 
     bench = {}
     if os.path.exists(args.out):
@@ -124,7 +160,8 @@ def main():
             bench = json.load(fh)
     bench.update({
         "what": "mock run-all on perfbench's diverse_cohort generator, one process per "
-                "cell: wall time, peak RSS, LLM calls per note per stage",
+                "cell: wall time, peak RSS, LLM calls per note per stage; cells with "
+                "latency_ms sleep that long per request, and floor_s is R·L/c",
         "config": CONFIG,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",

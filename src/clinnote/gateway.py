@@ -9,7 +9,8 @@ whole pipeline runnable offline.
 Threads overlap backend waits; calls that compute in this interpreter, as
 the mock backend's do, run one at a time on the stage thread, where threads
 would only take turns on the interpreter lock. So ``LLMGateway.map`` starts
-threads only once a backend call has been seen to wait.
+threads only once a backend call has been seen to wait (``calls_wait``),
+and so does the runner for its stages.
 
 Every agent request follows one failure policy. A gateway error
 (RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
@@ -22,6 +23,7 @@ outcome.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import logging
@@ -58,6 +60,10 @@ _JSON_OPENERS = {dict: "{", list: "["}
 
 MOCK_EMBED_DIM = 64
 EMBED_BATCH = 2048  # most texts in one embeddings request; OpenAI allows 2 048
+
+# [network calls, cache hits] of this context's requests, if set: a runner
+# sets one per stage, and map runs each item in a copy of its caller's context
+REQUEST_COUNTS = contextvars.ContextVar("request_counts", default=None)
 
 
 def _thread_blocks():
@@ -335,6 +341,11 @@ class LLMGateway:
         self._cpu_s = 0.0
         self._calls_wait = False
 
+    @property
+    def calls_wait(self):
+        """Whether a backend call has been seen to wait; once true, stays true."""
+        return self._calls_wait
+
     def chat(self, request: ChatRequest) -> str:
         """The reply text, thinking stripped, from the cache or the backend.
 
@@ -349,6 +360,8 @@ class LLMGateway:
                 cached = self.cache.get(key)
                 if cached is not None:
                     self.cache_hits += 1
+                    if (counts := REQUEST_COUNTS.get()) is not None:
+                        counts[1] += 1
                     break
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -393,6 +406,8 @@ class LLMGateway:
                 blocked = blocks is None or _thread_blocks() > blocks
         with self._lock:
             self.network_calls += 1
+            if (counts := REQUEST_COUNTS.get()) is not None:
+                counts[0] += 1
             if timed and not self._calls_wait:
                 if blocked:
                     self._wait_s += wall - cpu
@@ -406,10 +421,10 @@ class LLMGateway:
         Threads overlap backend waits; calls that compute in this
         interpreter only take turns on its lock. So items run one at a time
         on the calling thread until a backend call has been seen to wait
-        (``_call_backend``), and the items left then run on at most
-        max_concurrency threads. The serial timings are free of lock
-        contention, and a call counts as waiting only if its thread blocked,
-        so preempted calls do not decide.
+        (``calls_wait``), and the items left then run on at most
+        max_concurrency threads, each in a copy of the caller's context.
+        The serial timings are free of lock contention, and a call counts as
+        waiting only if its thread blocked, so preempted calls do not decide.
         Backend calls made by ``fn``, also from a nested ``map``, share the
         gateway's max_concurrency slots. Results keep input order. The
         exception of the first failing item, in input order, propagates;
@@ -417,15 +432,16 @@ class LLMGateway:
         """
         items = list(items)
         results = []
-        while len(results) < len(items) and not self._calls_wait:
+        while len(results) < len(items) and not self.calls_wait:
             results.append(fn(items[len(results)]))
         rest = items[len(results):]
         workers = min(self.config.max_concurrency, len(rest))
         if workers <= 1:
             return results + [fn(item) for item in rest]
+        contexts = [contextvars.copy_context() for _ in rest]
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            return results + list(pool.map(fn, rest))
+            return results + list(pool.map(lambda ctx, item: ctx.run(fn, item), contexts, rest))
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -8,10 +8,17 @@ Dependency checks, stage fingerprints and the report hash all come from it;
 the manifest's ``code`` key, ``package_hash()``, covers the program itself.
 Re-running a completed stage whose fingerprint and outputs are unchanged is
 a no-op, which makes long live-LLM runs resumable.
+
+``Runner.run_all`` starts each stage once its inputs' producers have run:
+in ``STAGES`` order on the calling thread until the gateway has seen a
+backend call wait, then each on its own thread, all sharing the gateway's
+max_concurrency slots. So ``started``/``finished`` intervals may overlap;
+each stage's manifest entry counts its own requests.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import functools
 import hashlib
@@ -19,6 +26,8 @@ import json
 import logging
 import os
 import pathlib
+import queue
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -48,7 +57,7 @@ from .fidelity import (
     load_truth_sdoh,
     load_truth_vitals,
 )
-from .gateway import LLMGateway
+from .gateway import REQUEST_COUNTS, LLMGateway
 from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
 from .predict import evaluate_cv
 from .summarize import Summarizer, render_structural
@@ -107,6 +116,7 @@ STAGE_TABLE = (
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {report: stage.name for stage in STAGE_TABLE for report in stage.reports}
+_NEEDS = {stage.name: {_PRODUCER[name] for name in stage.inputs} for stage in STAGE_TABLE}
 
 
 def _sha256_file(path):
@@ -143,6 +153,7 @@ class Runner:
         self._owns_gateway = gateway is None
         self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.manifest = self._load_manifest()
+        self._manifest_lock = threading.Lock()  # stage threads record one at a time
 
     # -- manifest ----------------------------------------------------------
 
@@ -154,10 +165,6 @@ class Runner:
             if manifest.get("code") == package_hash():
                 return manifest
         return {"code": package_hash(), "stages": {}}
-
-    def _gateway_counts(self):
-        gw = self._gateway
-        return (gw.network_calls, gw.cache_hits) if gw is not None else (0, 0)
 
     def _input_hashes(self, stage: Stage):
         """A stage's fingerprint: its run-dir inputs and the config keys it
@@ -206,10 +213,11 @@ class Runner:
             return done
 
         started = time.time()
-        calls, hits = self._gateway_counts()
+        counts = [0, 0]  # this run's requests: sent to the backend, answered by the cache
+        context = contextvars.copy_context()  # the stage's own, counting its requests
+        context.run(REQUEST_COUNTS.set, counts)
         # a stage method returns the files it wrote besides its reports
-        side_outputs = getattr(self, "_stage_" + stage.replace("-", "_"))() or []
-        calls_after, hits_after = self._gateway_counts()
+        side_outputs = context.run(getattr(self, "_stage_" + stage.replace("-", "_"))) or []
         entry = {
             "input_hashes": input_hashes,
             "output_hashes": {
@@ -217,24 +225,60 @@ class Runner:
             },
             "started": started,
             "finished": time.time(),
-            # this run's requests: sent to the backend, answered by the cache
-            "network_calls": calls_after - calls,
-            "cache_hits": hits_after - hits,
+            "network_calls": counts[0],
+            "cache_hits": counts[1],
         }
-        self.manifest["stages"][stage] = entry
-        _write_json(self.manifest_path, self.manifest)
+        with self._manifest_lock:
+            self.manifest["stages"][stage] = entry
+            _write_json(self.manifest_path, self.manifest)
         return entry
 
     def run_all(self):
-        for stage in STAGES:
-            self.run_stage(stage)
-            if stage == "ingest":  # fail before any LLM call if CV cannot run
-                labels = list(map(self._outcomes().get, self._modeling_notes()))
-                n_pos, n_neg = sum(labels), len(labels) - sum(labels)
-                if min(n_pos, n_neg) < self.config.folds:
-                    raise CVInfeasible(
-                        f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
-                        f"cannot fill {self.config.folds} folds with both classes")
+        """Run each stage once its inputs' producers have run (module doc).
+        After a failure or Ctrl-C no further stage starts; running stages
+        record, then the first failure in ``STAGES`` order is raised."""
+        self.run_stage("ingest")
+        labels = list(map(self._outcomes().get, self._modeling_notes()))
+        n_pos, n_neg = sum(labels), len(labels) - sum(labels)
+        if min(n_pos, n_neg) < self.config.folds:  # fail before any LLM call
+            raise CVInfeasible(
+                f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
+                f"cannot fill {self.config.folds} folds with both classes")
+        started, done, failures = {"ingest"}, {"ingest"}, {}
+        finished = queue.SimpleQueue()  # (stage, exception or None)
+
+        def run(stage):
+            try:
+                self.run_stage(stage)
+                finished.put((stage, None))
+            except BaseException as exc:  # raised again on the calling thread
+                finished.put((stage, exc))
+
+        while True:
+            ready = [s for s in STAGES if not (failures or s in started) and _NEEDS[s] <= done]
+            # threads start only once the gateway exists, so none races to make it
+            serial = self._gateway is None or not self._gateway.calls_wait
+            for stage in ready[:1] if serial else ready:
+                started.add(stage)
+                if serial:
+                    run(stage)
+                else:
+                    threading.Thread(target=run, args=(stage,), name=stage).start()
+            running = len(started) - len(done) - len(failures)
+            if not running:
+                break
+            try:
+                stage, exc = finished.get()
+            except BaseException:  # Ctrl-C: running stages record before it is raised
+                for _ in range(running):
+                    finished.get()
+                raise
+            if exc is None:
+                done.add(stage)
+            else:
+                failures[stage] = exc
+        if failures:
+            raise failures[min(failures, key=STAGES.index)]
         return self.manifest
 
     # -- shared loaders ----------------------------------------------------
@@ -499,20 +543,11 @@ class Runner:
     def _stage_predict(self):
         outcomes = self._outcomes()
         notes = self._modeling_notes()
-        summaries: dict = {}
+        corpora = {"raw": notes, "overall": {}, "no_number": {}, "structural": {}}
         with open(self.path("summaries.jsonl")) as fh:
-            for line in fh:
-                d = json.loads(line)
-                summaries.setdefault(d["variant"], {})[d["hadm_id"]] = d
-
-        corpora = {"raw": {h: n for h, n in notes.items()}}
-        for variant in ("overall", "no_number", "structural"):
-            docs = {}
-            for hadm_id, d in summaries.get(variant, {}).items():
-                if variant == "no_number" and d["status"] == "contains_numbers":
-                    continue
-                docs[hadm_id] = d["text"]
-            corpora[variant] = docs
+            for d in map(json.loads, fh):  # no-number summaries with digits stay out
+                if d["status"] != "contains_numbers":
+                    corpora[d["variant"]][d["hadm_id"]] = d["text"]
 
         report = {}
         for variant, docs in corpora.items():

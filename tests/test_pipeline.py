@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -808,6 +809,219 @@ class TestKillAndResume:
         resumed.close()
         assert report_hash(out) == FIXTURE_REPORT_HASH
         assert killed.network_calls + resumed.network_calls == clean.network_calls
+
+
+class Sleeping(MockBackend):
+    """The mock backend behind a stand-in endpoint: every call sleeps
+    ``latency_s``, so the gateway sees its calls wait. Notes the most calls
+    in flight at once."""
+
+    def __init__(self, latency_s=0.005):
+        super().__init__()
+        self.latency_s = latency_s
+        self.inflight = self.max_inflight = 0
+        self._lock = threading.Lock()
+
+    def _wait(self, latency_s=None):
+        with self._lock:
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+        time.sleep(self.latency_s if latency_s is None else latency_s)
+        with self._lock:
+            self.inflight -= 1
+
+    def chat(self, request):
+        self._wait()
+        return super().chat(request)
+
+    def embed(self, model, texts):
+        self._wait()
+        return super().embed(model, texts)
+
+
+class SleepingKiller(KillingBackend):
+    """A KillingBackend whose calls sleep 5 ms first, so stages overlap."""
+
+    def _count(self):
+        time.sleep(0.005)
+        super()._count()
+
+
+def stage_threads(monkeypatch):
+    """stage -> the thread ``Runner.run_stage`` ran it on, filled as runs go."""
+    threads = {}
+    run_stage = Runner.run_stage
+
+    def recording(self, stage):
+        threads[stage] = threading.get_ident()
+        return run_stage(self, stage)
+
+    monkeypatch.setattr(Runner, "run_stage", recording)
+    return threads
+
+
+def run_with(cfg, out, backend):
+    """The manifest of a run-all on ``backend``, and its gateway."""
+    gateway = LLMGateway(cfg, backend=backend)
+    try:
+        return Runner(cfg, out, gateway=gateway).run_all()["stages"], gateway
+    finally:
+        gateway.close()
+
+
+def overlapping(stages):
+    """The pairs of stages whose [started, finished] intervals overlap."""
+    return [(a, b) for a in stages for b in stages if a < b
+            and stages[a]["started"] < stages[b]["finished"]
+            and stages[b]["started"] < stages[a]["finished"]]
+
+
+SUMMARY_PROMPTS = {load_prompt(name).text for name in ("summary_overall", "summary_no_number")}
+LABELER_PROMPTS = {load_prompt(name).text for name in ("labeler", "labeler_batch")}
+
+
+class TestStageScheduling:
+    """Stages run one at a time on the calling thread until backend calls
+    are seen to wait; then each stage starts on its own thread as soon as
+    the stages producing its inputs have run."""
+
+    def test_mock_runs_stages_one_at_a_time_on_the_calling_thread(self, tmp_path,
+                                                                  monkeypatch):
+        threads = stage_threads(monkeypatch)
+        stages, gateway = run_with(fixture_config(tmp_path, max_concurrency=4),
+                                   str(tmp_path / "run"), MockBackend())
+        assert not gateway.calls_wait
+        assert overlapping(stages) == []
+        assert sorted(stages, key=lambda s: stages[s]["started"]) == list(STAGES)
+        assert threads == dict.fromkeys(STAGES, threading.get_ident())
+
+    def test_ready_stages_overlap_once_calls_wait(self, tmp_path, monkeypatch):
+        threads = stage_threads(monkeypatch)
+        backend = Sleeping()
+        out = str(tmp_path / "run")
+        stages, gateway = run_with(fixture_config(tmp_path, max_concurrency=4), out, backend)
+        assert gateway.calls_wait
+        assert stages["summarize"]["started"] < stages["normalize"]["finished"]
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert backend.max_inflight <= 4
+        # ingest and extract run before any call is seen to wait
+        assert threads["ingest"] == threads["extract"] == threading.get_ident()
+        assert threading.get_ident() not in {threads[s] for s in STAGES[2:]}
+
+    def test_each_stage_counts_its_own_requests(self, tmp_path):
+        cfg = fixture_config(tmp_path, max_concurrency=4)
+        serial, _ = run_with(cfg, str(tmp_path / "serial"), MockBackend())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
+        try:
+            overlapped, gateway = run_with(
+                dataclasses.replace(cfg, cache_dir=str(tmp_path / "other_cache")),
+                str(tmp_path / "overlapped"), Sleeping())
+        finally:
+            sys.setswitchinterval(interval)
+        counts = {s: (e["network_calls"], e["cache_hits"]) for s, e in overlapped.items()}
+        assert counts == {s: (e["network_calls"], e["cache_hits"]) for s, e in serial.items()}
+        assert sum(calls for calls, _ in counts.values()) == gateway.network_calls
+        assert sum(hits for _, hits in counts.values()) == gateway.cache_hits
+
+    # the batched run sends 59 requests: under overlap normalize,
+    # evaluate-fidelity and summarize send theirs, from the 11th on, side by side
+    @pytest.mark.parametrize("after", [5, 20, 35, 50])
+    @pytest.mark.parametrize("error", [Killed, RequestFailed])
+    def test_kill_and_resume_under_overlap(self, tmp_path, after, error):
+        cfg = fixture_config(tmp_path, max_concurrency=4)
+        _, clean = run_with(dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache")),
+                            str(tmp_path / "clean"), MockBackend())
+        out = str(tmp_path / "run")
+        killed = LLMGateway(cfg, backend=SleepingKiller(after, error))
+        with pytest.raises(error):
+            Runner(cfg, out, gateway=killed).run_all()
+        killed.close()
+        assert killed.network_calls == after
+        _, resumed = run_with(cfg, out, MockBackend())
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert killed.network_calls + resumed.network_calls == clean.network_calls
+
+    def test_ctrl_c_waits_for_running_stages_to_record(self, tmp_path, monkeypatch):
+        threads = stage_threads(monkeypatch)
+        asked = []
+
+        class Interrupting(Sleeping):
+            def chat(self, request):
+                if request.system_prompt in SUMMARY_PROMPTS:
+                    with self._lock:
+                        asked.append(request)
+                        if len(asked) == 8:  # Ctrl-C while the calling thread waits
+                            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                return super().chat(request)
+
+        cfg = fixture_config(tmp_path, max_concurrency=4)
+        out = str(tmp_path / "run")
+        with pytest.raises(KeyboardInterrupt):
+            run_with(cfg, out, Interrupting())
+        with open(os.path.join(out, "manifest.json")) as fh:
+            recorded = json.load(fh)["stages"]
+        assert len(asked) == 20  # summarize ran to its end
+        assert set(recorded) == set(threads)  # every stage that started
+        assert "summarize" in recorded and "predict" not in recorded
+
+    def test_failed_stage_lets_running_stages_record(self, tmp_path, monkeypatch):
+        """Normalize's label requests fail while summarize is running and
+        evaluate-fidelity has started: both are recorded, no stage starts
+        after the failure, and the re-run asks only for normalize's requests."""
+        judged = threading.Event()
+        failed_at = []
+        label_entries = normalize.label_entries
+
+        def label_once_judged(*args, **kwargs):  # waits holding no slot
+            assert judged.wait(10)
+            return label_entries(*args, **kwargs)
+
+        class LabelerDown(Sleeping):
+            def chat(self, request):
+                if request.system_prompt == load_prompt("judge").text:
+                    judged.set()
+                elif request.system_prompt in LABELER_PROMPTS:
+                    failed_at.append(time.time())
+                    raise RequestFailed("503 from the labeler's endpoint")
+                elif request.system_prompt in SUMMARY_PROMPTS:
+                    self._wait(0.02)  # summarize outlasts normalize
+                return super().chat(request)
+
+        monkeypatch.setattr(normalize, "label_entries", label_once_judged)
+        cfg = fixture_config(tmp_path, max_concurrency=4)
+        out = str(tmp_path / "run")
+        with pytest.raises(RequestFailed, match="labeler"):
+            run_with(cfg, out, LabelerDown())
+        with open(os.path.join(out, "manifest.json")) as fh:
+            failed = json.load(fh)["stages"]
+        assert set(failed) == {"ingest", "extract", "canonicalize", "evaluate-fidelity",
+                               "summarize"}
+        assert failed["summarize"]["started"] < min(failed_at) < failed["summarize"]["finished"]
+
+        monkeypatch.undo()
+        rerun, resumed = run_with(cfg, out, MockBackend())
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert {s: rerun[s] for s in failed} == failed  # skipped
+        assert resumed.network_calls == rerun["normalize"]["network_calls"]
+
+    def test_first_failure_in_stage_order_is_raised(self, tmp_path):
+        """Summarize fails on its first request, normalize later, on its
+        label requests: normalize, the earlier stage, is the one raised."""
+
+        class TwoDown(Sleeping):
+            def chat(self, request):
+                for stage, prompts in (("summarize", SUMMARY_PROMPTS),
+                                       ("normalize", LABELER_PROMPTS)):
+                    if request.system_prompt in prompts:
+                        raise RequestFailed(f"{stage}'s endpoint is down")
+                return super().chat(request)
+
+        out = str(tmp_path / "run")
+        with pytest.raises(RequestFailed, match="normalize"):
+            run_with(fixture_config(tmp_path, max_concurrency=4), out, TwoDown())
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert {"normalize", "summarize"}.isdisjoint(json.load(fh)["stages"])
 
 
 class TestCli:
