@@ -2,7 +2,7 @@
 per note per stage, for each labeler batch size (``normalize.LABEL_BATCH``).
 
     PYTHONPATH=src python3 bench/scale.py --label after [--sizes 200,2000,5000] [--batches 20]
-        [--latency-sizes 200,1000]
+        [--latency-sizes 200,1000] [--repeat 3]
 
 Inputs come from perfbench's ``diverse_cohort`` generator (seed 0). Each
 (size, batch size) cell runs all eight stages in its own process, with
@@ -21,6 +21,10 @@ LATENCY_S per request, at the default labeler batch size. Beside its wall
 time it records ``floor_s``, R·L/c: R requests at latency L on c
 ``max_concurrency`` slots take at least that long. Its stages' ``start_s``
 (from the run's start) show which ran side by side.
+
+Every cell runs ``--repeat`` times, each in its own process: ``wall_s``
+and ``peak_rss_mb`` are the medians, ``*_range`` the lowest and highest,
+and the stages are those of the run with the median wall time.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -112,13 +117,25 @@ def cell(inputs, out, label_batch, latency_s=0.0):
     }
 
 
+def _median_run(runs):
+    """The run with the median wall time, given the medians and ranges of
+    wall time and peak RSS over all runs."""
+    row = dict(sorted(runs, key=lambda run: run["wall_s"])[(len(runs) - 1) // 2], runs=len(runs))
+    for key in ("wall_s", "peak_rss_mb"):
+        values = [run[key] for run in runs]
+        row[key] = round(statistics.median(values), 2)
+        row[key + "_range"] = [min(values), max(values)]
+    return row
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", help="key the results are stored under")
-    ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort")
+    ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort ('' for none)")
     ap.add_argument("--batches", default="20", help="labeler batch sizes")
     ap.add_argument("--latency-sizes", default="200,1000",
                     help="patients per cohort behind the sleeping endpoint ('' for none)")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per cell")
     ap.add_argument("--out", default="BENCH_scale.json")
     ap.add_argument("--cell", nargs=4, metavar=("INPUTS", "OUT", "LABEL_BATCH", "LATENCY_S"),
                     help=argparse.SUPPRESS)  # one measured run, started by main
@@ -135,7 +152,8 @@ def main():
     if not args.label:
         ap.error("--label is required")
 
-    cells = [(int(p), b, 0.0) for p in args.sizes.split(",") for b in args.batches.split(",")]
+    cells = [(int(p), b, 0.0) for p in filter(None, args.sizes.split(","))
+             for b in args.batches.split(",")]
     cells += [(int(p), str(normalize.LABEL_BATCH), LATENCY_S)
               for p in filter(None, args.latency_sizes.split(","))]
     rows = []
@@ -145,12 +163,15 @@ def main():
             if not os.path.isdir(inputs):  # in a child: a cell's peak RSS starts at main's
                 subprocess.run([sys.executable, __file__, "--inputs", str(patients), inputs],
                                check=True)
-            out = os.path.join(work, f"run-{patients}-{label_batch}-{latency_s}")
-            done = subprocess.run(
-                [sys.executable, __file__, "--cell", inputs, out, label_batch, str(latency_s)],
-                check=True, capture_output=True, text=True,
-            )
-            rows.append({"patients": patients, **json.loads(done.stdout)})
+            runs = []
+            for i in range(args.repeat):
+                out = os.path.join(work, f"run-{patients}-{label_batch}-{latency_s}-{i}")
+                done = subprocess.run(
+                    [sys.executable, __file__, "--cell", inputs, out, label_batch, str(latency_s)],
+                    check=True, capture_output=True, text=True,
+                )
+                runs.append(json.loads(done.stdout))
+            rows.append({"patients": patients, **_median_run(runs)})
             print(json.dumps({k: v for k, v in rows[-1].items() if k != "stages"}),
                   flush=True)
 
@@ -161,7 +182,8 @@ def main():
     bench.update({
         "what": "mock run-all on perfbench's diverse_cohort generator, one process per "
                 "cell: wall time, peak RSS, LLM calls per note per stage; cells with "
-                "latency_ms sleep that long per request, and floor_s is R·L/c",
+                "latency_ms sleep that long per request and floor_s is R·L/c; wall_s "
+                "and peak_rss_mb are medians of `runs` runs, with *_range",
         "config": CONFIG,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",

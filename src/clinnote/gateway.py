@@ -8,9 +8,9 @@ whole pipeline runnable offline.
 
 Threads overlap backend waits; calls that compute in this interpreter, as
 the mock backend's do, run one at a time on the stage thread, where threads
-would only take turns on the interpreter lock. So ``LLMGateway.map`` starts
-threads only once a backend call has been seen to wait (``calls_wait``),
-and so does the runner for its stages.
+would only take turns on the interpreter lock. So ``LLMGateway.map`` uses
+threads, the gateway's one pool of max_concurrency workers, only once a
+backend call has been seen to wait (``calls_wait``); so does the runner.
 
 Every agent request follows one failure policy. A gateway error
 (RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import itertools
 import json
 import logging
 import os
+import queue
 import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,10 @@ EMBED_BATCH = 2048  # most texts in one embeddings request; OpenAI allows 2 048
 # [network calls, cache hits] of this context's requests, if set: a runner
 # sets one per stage, and map runs each item in a copy of its caller's context
 REQUEST_COUNTS = contextvars.ContextVar("request_counts", default=None)
+# the pool starts the items of maps of a higher rank first; a runner ranks a stage
+RANK = contextvars.ContextVar("rank", default=0)
+# called once, on the thread whose backend call is the first seen to wait
+ON_FIRST_WAIT = contextvars.ContextVar("on_first_wait", default=None)
 
 
 def _thread_blocks():
@@ -215,12 +221,8 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             delay = None
             try:
-                resp = requests.post(
-                    f"{self.endpoint_url}{route}",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout_s,
-                )
+                resp = requests.post(f"{self.endpoint_url}{route}", json=payload,
+                                     headers=headers, timeout=self.timeout_s)
             except requests.RequestException as exc:
                 last_err = exc
             else:
@@ -306,6 +308,55 @@ class MockBackend:
         return [mock_embedding(t, seed=self.seed) for t in texts]
 
 
+class _Map:
+    """One threaded ``map`` call; its items start in input order."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+        self.contexts = [contextvars.copy_context() for _ in items]  # the caller's
+        self.results, self.errors = [None] * len(items), {}  # errors: index -> exception
+        self.started = self.running = 0
+        self.stopped = False  # after a failure no item starts
+        self.changed = threading.Condition()
+
+    def run_next(self):
+        """Run the next item unless all have started or one failed; whether it ran."""
+        with self.changed:
+            if self.stopped or self.started == len(self.items):
+                return False
+            i, self.started, self.running = self.started, self.started + 1, self.running + 1
+        try:
+            self.results[i] = self.contexts[i].run(self.fn, self.items[i])
+        except BaseException as exc:  # raised again by map, on its calling thread
+            self.errors[i] = exc
+        with self.changed:
+            self.stopped |= i in self.errors
+            self.running -= 1
+            self.changed.notify_all()
+        return True
+
+    def result(self, stop=False):
+        """Once no item runs and none will start (none does after ``stop``),
+        the results, or else the first failing item's exception by index."""
+        with self.changed:
+            self.stopped |= stop
+            while self.running or not (self.stopped or self.started == len(self.items)):
+                self.changed.wait()
+        if self.errors and not stop:
+            raise self.errors[min(self.errors)]
+        return self.results
+
+
+_STOP = (float("inf"), 0, None)  # sorts after every item; a worker puts it back as it stops
+
+
+def _work(tasks):
+    """A map worker: runs the queued items, highest rank first, until it meets _STOP."""
+    while (run_next := tasks.get()[2]) is not None:
+        run_next()
+    tasks.put(_STOP)
+
+
 class LLMGateway:
     """Cached, concurrency-limited front end over a chat/embedding backend."""
 
@@ -315,11 +366,8 @@ class LLMGateway:
             if config.mock_mode:
                 backend = MockBackend(seed=config.seed)
             else:
-                backend = HttpBackend(
-                    config.endpoint_url,
-                    api_key=config.api_key(),
-                    max_retries=config.max_retries,
-                )
+                backend = HttpBackend(config.endpoint_url, api_key=config.api_key(),
+                                      max_retries=config.max_retries)
         self.backend = backend
         # in every cache key, so replies never cross between backends; a
         # live endpoint's keys leave out the seed, which only the mock reads
@@ -340,6 +388,9 @@ class LLMGateway:
         self._wait_s = 0.0
         self._cpu_s = 0.0
         self._calls_wait = False
+        # map workers, and their queue of (-rank, submission number, _Map.run_next)
+        self._workers, self._tasks = [], None
+        self._submitted = itertools.count()
 
     @property
     def calls_wait(self):
@@ -395,7 +446,7 @@ class LLMGateway:
         so a busy machine cannot send computing calls to threads; where
         blocking is not counted, every call's wall time less CPU is a wait.
         """
-        timed = not self._calls_wait
+        timed, first_wait = not self._calls_wait, False
         with self._slots:
             if timed:  # the clocks' own cost falls in the CPU time
                 blocks, cpu, wall = _thread_blocks(), time.thread_time(), time.perf_counter()
@@ -412,46 +463,65 @@ class LLMGateway:
                 if blocked:
                     self._wait_s += wall - cpu
                 self._cpu_s += cpu
-                self._calls_wait = self._wait_s > self._cpu_s
+                self._calls_wait = first_wait = self._wait_s > self._cpu_s
+        if first_wait and (signal := ON_FIRST_WAIT.get()) is not None:
+            signal()  # on this thread, holding no lock
         return result
 
     def map(self, fn, items):
         """``fn`` over ``items``, on threads only once backend calls wait.
 
-        Threads overlap backend waits; calls that compute in this
-        interpreter only take turns on its lock. So items run one at a time
-        on the calling thread until a backend call has been seen to wait
-        (``calls_wait``), and the items left then run on at most
-        max_concurrency threads, each in a copy of the caller's context.
-        The serial timings are free of lock contention, and a call counts as
-        waiting only if its thread blocked, so preempted calls do not decide.
-        Backend calls made by ``fn``, also from a nested ``map``, share the
-        gateway's max_concurrency slots. Results keep input order. The
-        exception of the first failing item, in input order, propagates;
-        items not yet started are never run.
+        Items run one at a time on the calling thread until a backend call
+        has been seen to wait (``calls_wait``; module doc). The rest queue,
+        each in a copy of the caller's context, for the gateway's one pool
+        of max_concurrency workers: the highest ``RANK`` first, then in
+        submission order. Backend calls made by ``fn``, also from a nested
+        ``map``, share the gateway's max_concurrency slots. Results keep
+        input order. After a failure no item starts; once the started ones
+        finish, the first failing item's exception, in input order, propagates.
         """
         items = list(items)
         results = []
         while len(results) < len(items) and not self.calls_wait:
             results.append(fn(items[len(results)]))
         rest = items[len(results):]
-        workers = min(self.config.max_concurrency, len(rest))
-        if workers <= 1:
+        if min(self.config.max_concurrency, len(rest)) <= 1:
             return results + [fn(item) for item in rest]
-        contexts = [contextvars.copy_context() for _ in rest]
-        pool = ThreadPoolExecutor(max_workers=workers)
+        with self._lock:
+            if self._tasks is None:  # daemons: a process that never calls close can exit
+                self._tasks = queue.PriorityQueue()
+                self._workers = [threading.Thread(target=_work, args=(self._tasks,), daemon=True)
+                                 for _ in range(self.config.max_concurrency)]
+                for worker in self._workers:
+                    worker.start()
+                weakref.finalize(self, self._tasks.put, _STOP)
+            tasks, workers = self._tasks, self._workers
+        job = _Map(fn, rest)
         try:
-            return results + list(pool.map(lambda ctx, item: ctx.run(fn, item), contexts, rest))
-        finally:
-            pool.shutdown(cancel_futures=True)
+            for _ in rest:
+                tasks.put((-RANK.get(), next(self._submitted), job.run_next))
+            # a worker runs its own map's items too, so nested maps cannot deadlock
+            while threading.current_thread() in workers and job.run_next():
+                pass
+            return results + job.result()
+        except BaseException:  # also Ctrl-C on the waiting thread: started items finish
+            job.result(stop=True)
+            raise
 
     def chat_many(self, requests):
         """``chat`` over ``requests`` through ``map``."""
         return self.map(self.chat, requests)
 
     def close(self):
-        """Close the cache file; a later put opens it again."""
+        """Close the cache file and stop the map workers; a later put or
+        threaded map makes them again."""
         self.cache.close()
+        with self._lock:
+            tasks, workers, self._tasks, self._workers = self._tasks, self._workers, None, []
+        if tasks is not None:
+            tasks.put(_STOP)
+            for worker in workers:
+                worker.join()
 
     def embed(self, texts):
         """One embedding row per text, in input order, as an (n, d) array.

@@ -12,8 +12,11 @@ a no-op, which makes long live-LLM runs resumable.
 ``Runner.run_all`` starts each stage once its inputs' producers have run:
 in ``STAGES`` order on the calling thread until the gateway has seen a
 backend call wait, then each on its own thread, all sharing the gateway's
-max_concurrency slots. So ``started``/``finished`` intervals may overlap;
-each stage's manifest entry counts its own requests.
+max_concurrency slots and map workers, which serve first the stage with
+the most stages downstream (``_RANK``). Summarize reads extract's output
+``late``, after its requests, so it starts beside extract once calls wait.
+So ``started``/``finished`` intervals may overlap; each stage's manifest
+entry counts its own requests.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .fidelity import (
     load_truth_sdoh,
     load_truth_vitals,
 )
-from .gateway import REQUEST_COUNTS, LLMGateway
+from .gateway import ON_FIRST_WAIT, RANK, REQUEST_COUNTS, LLMGateway
 from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
 from .predict import evaluate_cv
 from .summarize import Summarizer, render_structural
@@ -72,6 +75,7 @@ class Stage:
 
     name: str
     inputs: tuple = ()  # run-dir files the stage reads
+    late: tuple = ()  # run-dir files it reads only once its requests are answered
     reports: tuple = ()  # deterministic outputs that report_hash covers
     config: tuple = ()  # Config keys the stage reads; a *_path key counts by its file
 
@@ -104,7 +108,8 @@ STAGE_TABLE = (
           reports=("association_report.json",),
           config=("standardize",)),
     Stage("summarize",
-          inputs=("cohort.jsonl", "pairs.csv", "extractions.jsonl"),
+          inputs=("cohort.jsonl", "pairs.csv"),
+          late=("extractions.jsonl",),
           reports=("summaries.jsonl",),
           config=(*_CHAT, "summary_temperature")),
     Stage("predict",
@@ -117,6 +122,15 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {report: stage.name for stage in STAGE_TABLE for report in stage.reports}
 _NEEDS = {stage.name: {_PRODUCER[name] for name in stage.inputs} for stage in STAGE_TABLE}
+
+
+def _downstream(name):
+    """The stages that read ``name``'s outputs, directly or through others."""
+    return {s for t in STAGE_TABLE if name in map(_PRODUCER.get, t.inputs + t.late)
+            for s in {t.name, *_downstream(t.name)}}
+
+
+_RANK = {name: len(_downstream(name)) for name in STAGES}  # the gateway's queue rank
 
 
 def _sha256_file(path):
@@ -154,6 +168,7 @@ class Runner:
         self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.manifest = self._load_manifest()
         self._manifest_lock = threading.Lock()  # stage threads record one at a time
+        self._running = {}  # stage run_all started -> Event set once it recorded or failed
 
     # -- manifest ----------------------------------------------------------
 
@@ -169,7 +184,7 @@ class Runner:
     def _input_hashes(self, stage: Stage):
         """A stage's fingerprint: its run-dir inputs and the config keys it
         reads, a *_path key by its file's bytes if any."""
-        hashes = {name: _sha256_file(self.path(name)) for name in stage.inputs}
+        hashes = {name: _sha256_file(self.path(name)) for name in stage.inputs + stage.late}
         for key in stage.config:
             value = getattr(self.config, key)
             if key.endswith("_path") and os.path.isfile(value):
@@ -191,19 +206,31 @@ class Runner:
     def path(self, name):
         return os.path.join(self.out, name)
 
-    # -- public API --------------------------------------------------------
-
-    def run_stage(self, stage):
-        """Run one stage; no-op if done with unchanged fingerprint and outputs."""
-        if stage not in _STAGE_BY_NAME:
-            raise InvalidInput(f"unknown stage: {stage}")
-        spec = _STAGE_BY_NAME[stage]
-        for name in spec.inputs:
+    def _await_inputs(self, names):
+        """Wait for the producers of ``names`` that run_all is running, then
+        raise DependencyMissing unless each has run here and left its file."""
+        for name in names:
+            if (event := self._running.get(_PRODUCER[name])) is not None:
+                event.wait()
             if (_PRODUCER[name] not in self.manifest["stages"]
                     or not os.path.exists(self.path(name))):
                 raise DependencyMissing(_PRODUCER[name])
 
-        input_hashes = self._input_hashes(spec)
+    # -- public API --------------------------------------------------------
+
+    def run_stage(self, stage):
+        """Run one stage; no-op if done with unchanged fingerprint and outputs.
+        A late input that run_all is producing is checked and hashed only
+        once the stage method has awaited it (``_await_inputs``), so such a
+        stage is never skipped."""
+        if stage not in _STAGE_BY_NAME:
+            raise InvalidInput(f"unknown stage: {stage}")
+        spec = _STAGE_BY_NAME[stage]
+        waits = [name for name in spec.late if _PRODUCER[name] in self._running
+                 and not self._running[_PRODUCER[name]].is_set()]
+        self._await_inputs(name for name in spec.inputs + spec.late if name not in waits)
+
+        input_hashes = None if waits else self._input_hashes(spec)
         done = self.manifest["stages"].get(stage)
         if done and done["input_hashes"] == input_hashes and all(
             os.path.exists(self.path(f)) and _sha256_file(self.path(f)) == digest
@@ -216,10 +243,11 @@ class Runner:
         counts = [0, 0]  # this run's requests: sent to the backend, answered by the cache
         context = contextvars.copy_context()  # the stage's own, counting its requests
         context.run(REQUEST_COUNTS.set, counts)
+        context.run(RANK.set, _RANK[stage])
         # a stage method returns the files it wrote besides its reports
         side_outputs = context.run(getattr(self, "_stage_" + stage.replace("-", "_"))) or []
         entry = {
-            "input_hashes": input_hashes,
+            "input_hashes": input_hashes or self._input_hashes(spec),
             "output_hashes": {
                 f: _sha256_file(self.path(f)) for f in [*spec.reports, *side_outputs]
             },
@@ -237,6 +265,7 @@ class Runner:
         """Run each stage once its inputs' producers have run (module doc).
         After a failure or Ctrl-C no further stage starts; running stages
         record, then the first failure in ``STAGES`` order is raised."""
+        self._running = {}
         self.run_stage("ingest")
         labels = list(map(self._outcomes().get, self._modeling_notes()))
         n_pos, n_neg = sum(labels), len(labels) - sum(labels)
@@ -244,7 +273,7 @@ class Runner:
             raise CVInfeasible(
                 f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
                 f"cannot fill {self.config.folds} folds with both classes")
-        started, done, failures = {"ingest"}, {"ingest"}, {}
+        done, failures = {"ingest"}, {}
         finished = queue.SimpleQueue()  # (stage, exception or None)
 
         def run(stage):
@@ -253,30 +282,40 @@ class Runner:
                 finished.put((stage, None))
             except BaseException as exc:  # raised again on the calling thread
                 finished.put((stage, exc))
+            finally:
+                self._running[stage].set()
 
-        while True:
-            ready = [s for s in STAGES if not (failures or s in started) and _NEEDS[s] <= done]
+        def start_ready():  # on the calling thread only, also as ON_FIRST_WAIT
             # threads start only once the gateway exists, so none races to make it
             serial = self._gateway is None or not self._gateway.calls_wait
-            for stage in ready[:1] if serial else ready:
-                started.add(stage)
+            ready = [s for s in STAGES if not (failures or s in done or s in self._running)
+                     and _NEEDS[s] <= done][:1 if serial else None]
+            for stage in ready:
+                self._running[stage] = threading.Event()
                 if serial:
                     run(stage)
                 else:
                     threading.Thread(target=run, args=(stage,), name=stage).start()
-            running = len(started) - len(done) - len(failures)
-            if not running:
-                break
-            try:
+
+        received = 0
+        token = ON_FIRST_WAIT.set(start_ready)  # starts summarize beside a serial extract
+        try:
+            while True:
+                start_ready()
+                if received == len(self._running):
+                    break
                 stage, exc = finished.get()
-            except BaseException:  # Ctrl-C: running stages record before it is raised
-                for _ in range(running):
-                    finished.get()
-                raise
-            if exc is None:
-                done.add(stage)
-            else:
-                failures[stage] = exc
+                received += 1
+                if exc is None:
+                    done.add(stage)
+                else:
+                    failures[stage] = exc
+        except BaseException:  # Ctrl-C: running stages record before it is raised
+            for event in self._running.values():
+                event.wait()
+            raise
+        finally:
+            ON_FIRST_WAIT.reset(token)
         if failures:
             raise failures[min(failures, key=STAGES.index)]
         return self.manifest
@@ -312,12 +351,8 @@ class Runner:
     # -- stages ------------------------------------------------------------
 
     def _stage_ingest(self):
-        store = cohort_mod.load_tables(
-            self.config.admissions_path,
-            self.config.diagnoses_path,
-            self.config.notes_path,
-        )
-        store = cohort_mod.filter_hf_cohort(store)
+        store = cohort_mod.filter_hf_cohort(cohort_mod.load_tables(
+            self.config.admissions_path, self.config.diagnoses_path, self.config.notes_path))
         pairs = cohort_mod.build_readmission_pairs(store)
         summary = cohort_mod.summarize_cohort(store, pairs)
         cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
@@ -343,12 +378,8 @@ class Runner:
                 value = "" if v.value is None else f"{v.value:.6f}"
                 rows.append([v.hadm_id, v.variable, value, v.original_text,
                              v.original_unit, v.status])
-        rows.sort()
-        write_csv(
-            self.path("canonical_vitals.csv"),
-            ["hadm_id", "variable", "value", "original_text", "original_unit", "status"],
-            rows,
-        )
+        write_csv(self.path("canonical_vitals.csv"), ["hadm_id", "variable", "value",
+                  "original_text", "original_unit", "status"], sorted(rows))
 
     def _load_canonical_vitals(self):
         """variable -> hadm_id -> CanonicalVital (ok rows only)."""
@@ -382,59 +413,31 @@ class Runner:
             clusterings[variable] = cluster_variable(self.gateway, found, self.config.k_medoids)
             log.info("normalize: %s cluster sizes %s", variable,
                      sorted(clusterings[variable].cluster_sizes(), reverse=True)[:10])
-        results = self.gateway.map(
-            lambda variable: normalize_variable(
-                self.gateway, variable, entries[variable], clusterings[variable]
-            ),
-            entries,
-        )
+        results = self.gateway.map(lambda variable: normalize_variable(
+            self.gateway, variable, entries[variable], clusterings[variable]), entries)
         os.makedirs(self.path("schemes"), exist_ok=True)
-        all_rows = []
-        scheme_files = []
+        rows, scheme_files = [], []
         for variable, (scheme, labeled) in zip(entries, results):
-            scheme_path = os.path.join("schemes", f"{variable}.json")
-            _write_json(self.path(scheme_path), asdict(scheme))
-            scheme_files.append(scheme_path)
-            for entry in labeled:
-                all_rows.append(
-                    [entry.hadm_id, entry.variable, entry.raw_text,
-                     entry.assigned_category, entry.status]
-                )
-        all_rows.sort()
-        write_csv(
-            self.path("normalized_sdoh.csv"),
-            ["hadm_id", "variable", "raw_text", "category", "status"],
-            all_rows,
-        )
+            scheme_files.append(os.path.join("schemes", f"{variable}.json"))
+            _write_json(self.path(scheme_files[-1]), asdict(scheme))
+            rows += [[e.hadm_id, e.variable, e.raw_text, e.assigned_category, e.status]
+                     for e in labeled]
+        write_csv(self.path("normalized_sdoh.csv"),
+                  ["hadm_id", "variable", "raw_text", "category", "status"], sorted(rows))
         return scheme_files
 
     def _stage_evaluate_fidelity(self):
         records = self._load_extractions()
         canon = self._load_canonical_vitals()
         report = {"vitals": [], "categorical": []}
-
         if self.config.truth_vitals_path and os.path.exists(self.config.truth_vitals_path):
-            truth_vitals = load_truth_vitals(self.config.truth_vitals_path)
-            for variable in VITALS:
-                row = evaluate_vital(
-                    variable, canon.get(variable, {}), truth_vitals.get(variable, {})
-                )
-                if row:
-                    report["vitals"].append(row)
-
+            truth = load_truth_vitals(self.config.truth_vitals_path)
+            report["vitals"] = [row for v in VITALS if (row := evaluate_vital(
+                v, canon.get(v, {}), truth.get(v, {})))]
         if self.config.truth_sdoh_path and os.path.exists(self.config.truth_sdoh_path):
-            truth_sdoh = load_truth_sdoh(self.config.truth_sdoh_path)
-            extracted_charted = {
-                var: {r.hadm_id: r.charted_sdoh.get(var) for r in records}
-                for var in CHARTED_KEYS
-            }
-            for variable in CHARTED_KEYS:
-                row = evaluate_categorical(
-                    variable, extracted_charted[variable], truth_sdoh.get(variable, {})
-                )
-                if row:
-                    report["categorical"].append(row)
-
+            truth = load_truth_sdoh(self.config.truth_sdoh_path)
+            report["categorical"] = [row for v in CHARTED_KEYS if (row := evaluate_categorical(
+                v, {r.hadm_id: r.charted_sdoh.get(v) for r in records}, truth.get(v, {})))]
         _write_json(self.path("agreement_report.json"), report)
 
         codes = {h: rec.get("icd9_codes", []) for h, rec in self._load_cohort().items()}
@@ -442,10 +445,9 @@ class Runner:
 
         def judge(rec):
             try:
-                return judge_diagnoses(
-                    self.gateway, rec.hadm_id,
-                    [d["condition"] for d in rec.diagnoses], codes[rec.hadm_id], descriptions,
-                )
+                return judge_diagnoses(self.gateway, rec.hadm_id,
+                                       [d["condition"] for d in rec.diagnoses],
+                                       codes[rec.hadm_id], descriptions)
             except JudgeFailed as exc:
                 log.warning("judge failed: %s", exc)
                 return None
@@ -465,21 +467,12 @@ class Runner:
         records = {r.hadm_id: r for r in self._load_extractions()}
 
         logistic = []
-        for variable in [*VITALS, "age"]:
-            xs, ys = [], []
-            for hadm_id, label in outcomes.items():
-                if variable == "age":
-                    rec = records.get(hadm_id)
-                    years = _age_years(rec.charted_sdoh.get("age")) if rec else None
-                    if years is None:
-                        continue
-                    xs.append(years)
-                else:
-                    vital = canon.get(variable, {}).get(hadm_id)
-                    if vital is None:
-                        continue
-                    xs.append(vital.value)
-                ys.append(label)
+        values = {v: {h: vital.value for h, vital in canon.get(v, {}).items()} for v in VITALS}
+        values["age"] = {h: years for h, r in records.items()
+                         if (years := _age_years(r.charted_sdoh.get("age"))) is not None}
+        for variable, by_hadm in values.items():  # in outcomes' order
+            xs = [by_hadm[h] for h in outcomes if h in by_hadm]
+            ys = [label for h, label in outcomes.items() if h in by_hadm]
             try:
                 fit = stats_mod.fit_univariate_logistic(
                     xs, ys, standardize=self.config.standardize, variable=variable
@@ -510,12 +503,8 @@ class Runner:
                 table = stats_mod.build_contingency(entries, outcomes)
                 result = stats_mod.chi_square_test(table, variable=variable)
                 result.unique_values = len({e.raw_text for e in entries})
-                entry = asdict(result)
-                entry["contingency"] = {
-                    "rows": table.rows,
-                    "counts": table.counts.astype(int).tolist(),
-                }
-                chisq.append(entry)
+                chisq.append({**asdict(result), "contingency": {
+                    "rows": table.rows, "counts": table.counts.astype(int).tolist()}})
             except DegenerateTable as exc:
                 chisq.append({"variable": variable, "skipped": str(exc)})
 
@@ -526,13 +515,14 @@ class Runner:
 
     def _stage_summarize(self):
         notes = self._modeling_notes()
-        records = {r.hadm_id: r for r in self._load_extractions()}
         summarizer = Summarizer(self.gateway)
         jobs = [(hadm_id, variant) for hadm_id in sorted(notes)
                 for variant in ("overall", "no_number")]
         summaries = dict(zip(jobs, self.gateway.map(
             lambda job: summarizer.summarize(notes[job[0]], job[1], job[0]), jobs
         )))
+        self._await_inputs(_STAGE_BY_NAME["summarize"].late)
+        records = {r.hadm_id: r for r in self._load_extractions()}
         out = []
         for hadm_id in sorted(notes):
             out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]

@@ -1,8 +1,11 @@
+import contextvars
 import hashlib
 import json
 import logging
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -462,9 +465,10 @@ class TestThreadsOnlyForWaits:
         filler = LLMGateway(make_config(tmp_path), backend=backend)
         assert filler.map(filler.chat, requests) == replies
         filler.close()
-        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", None)  # a pool would fail
+        monkeypatch.setattr(gateway_module, "_Map", None)  # a threaded map would fail
         gw = LLMGateway(make_config(tmp_path), backend=backend)
         assert gw.map(gw.chat, requests) == replies
+        assert gw._workers == []  # and no worker was started
         assert gw.network_calls == 0
         assert gw.cache_hits == 8
         gw.close()
@@ -540,6 +544,125 @@ class TestThreadsOnlyForWaits:
         time.sleep(0.005)
         assert computed - before <= 1  # at most a stray page-in
         assert gateway_module._thread_blocks() > computed
+
+
+def _waiting_gateway(tmp_path, limit):
+    """A gateway over a backend whose calls sleep 5 ms, after one call, so
+    that its maps use the worker pool."""
+    backend = _BlockingBackend(delay_s=0.005)
+    backend.release.set()
+    gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=limit), backend=backend)
+    gw.chat(ChatRequest("s", "first"))
+    assert gw.calls_wait
+    return gw, backend
+
+
+def _in_daemon(target):
+    """Run ``target`` on a daemon thread, so a deadlock cannot keep pytest
+    from exiting; returns the thread and a list that gets its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(target()), daemon=True)
+    thread.start()
+    return thread, out
+
+
+class TestMapPool:
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_nested_map_completes(self, tmp_path, limit):
+        gw, backend = _waiting_gateway(tmp_path, limit)
+
+        def inner(i):  # on a worker, behind the outer map's unstarted items
+            return gw.map(lambda j: gw.chat(ChatRequest("s", f"q{i}.{j}")), range(3))
+
+        thread, out = _in_daemon(lambda: gw.map(inner, range(6)))
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert out == [[[f"reply to q{i}.{j}" for j in range(3)] for i in range(6)]]
+        assert backend.max_inflight <= limit
+        workers = list(gw._workers)
+        assert len(workers) == (limit if limit > 1 else 0)
+        gw.close()
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_failure_stops_the_map_and_raises_the_first_in_input_order(self, tmp_path):
+        gw, _ = _waiting_gateway(tmp_path, 2)
+        started, finished = [], []
+
+        def fn(i):
+            started.append(i)
+            try:
+                if i == 2:  # fails last, but comes first
+                    time.sleep(0.05)
+                    raise ValueError(i)
+                if i == 3:
+                    raise ValueError(i)
+                time.sleep(0.01)
+                return i
+            finally:
+                finished.append(i)
+
+        with pytest.raises(ValueError, match="2"):
+            gw.map(fn, range(8))
+        assert sorted(finished) == sorted(started) == [0, 1, 2, 3]
+        time.sleep(0.05)
+        assert len(started) == 4  # nor did any start later
+        gw.close()
+
+    def test_queue_starts_the_highest_rank_first(self, tmp_path):
+        gw, _ = _waiting_gateway(tmp_path, 2)
+        holding, order = threading.Semaphore(0), []
+        release = [threading.Event(), threading.Event()]
+
+        def hold(i):
+            holding.release()
+            assert release[i].wait(10)
+
+        def ranked_map(rank, name):
+            context = contextvars.copy_context()
+            context.run(gateway_module.RANK.set, rank)
+            return context.run(gw.map, lambda i: order.append((name, i)), range(3))
+
+        threads = [_in_daemon(lambda: gw.map(hold, range(2)))[0]]
+        for _ in range(2):  # both workers are held
+            assert holding.acquire(timeout=10)
+        for rank, name in ((0, "low"), (1, "mid"), (6, "high"), (1, "mid again")):
+            queued = gw._tasks.qsize() + 3
+            threads.append(_in_daemon(lambda rank=rank, name=name: ranked_map(rank, name))[0])
+            deadline = time.monotonic() + 10
+            while gw._tasks.qsize() < queued and time.monotonic() < deadline:
+                time.sleep(0.001)
+        release[0].set()  # one worker takes the queued items, one at a time
+        for thread in threads[1:]:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        release[1].set()
+        assert [name for name, _ in order] == (
+            ["high"] * 3 + ["mid"] * 3 + ["mid again"] * 3 + ["low"] * 3)
+        gw.close()
+
+    def test_process_that_never_closes_its_gateway_exits(self, tmp_path):
+        code = textwrap.dedent("""
+            import time
+            from clinnote.config import Config
+            from clinnote.gateway import ChatRequest, LLMGateway, MockBackend
+
+            class Sleeping(MockBackend):
+                def chat(self, request):
+                    time.sleep(0.01)
+                    return "reply"
+
+            config = Config(mock_mode=True, cache_dir="", max_concurrency=4)
+            gateway = LLMGateway(config, backend=Sleeping())
+            replies = gateway.map(gateway.chat, [ChatRequest("s", f"q{i}") for i in range(12)])
+            print(len(gateway._workers), len(replies))
+        """)
+        src = os.path.dirname(os.path.dirname(gateway_module.__file__))
+        began = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["4", "12"]
+        assert time.monotonic() - began < 20
 
 
 class TestEmbeddings:

@@ -1,3 +1,4 @@
+import collections
 import compileall
 import dataclasses
 import hashlib
@@ -478,7 +479,7 @@ class TestRunner:
     def test_stage_inputs_are_earlier_reports(self):
         produced = set()
         for stage in STAGE_TABLE:
-            assert set(stage.inputs) <= produced, stage.name
+            assert set(stage.inputs + stage.late) <= produced, stage.name
             produced |= set(stage.reports)
 
     def test_fixture_report_hash_pinned(self, tmp_path):
@@ -880,10 +881,39 @@ SUMMARY_PROMPTS = {load_prompt(name).text for name in ("summary_overall", "summa
 LABELER_PROMPTS = {load_prompt(name).text for name in ("labeler", "labeler_batch")}
 
 
+def last_extract_waits(summaries, error=None):
+    """A sleeping backend whose last extract request (of the fixture's 10)
+    waits until ``summaries`` summary requests were asked, and 50 ms more,
+    then raises ``error`` if one is given. Summarize's requests queue
+    behind extract's, so it holds a slot while they run."""
+    extractor = load_prompt("extractor").text
+
+    class LastExtractWaits(Sleeping):
+        def __init__(self):
+            super().__init__()
+            self.asked = collections.Counter()
+            self.summarized = threading.Event()
+
+        def chat(self, request):
+            with self._lock:
+                self.asked[request.system_prompt] += 1
+                if sum(self.asked[prompt] for prompt in SUMMARY_PROMPTS) >= summaries:
+                    self.summarized.set()
+                last = request.system_prompt == extractor and self.asked[extractor] == 10
+            if last:
+                assert self.summarized.wait(10)
+                time.sleep(0.05)
+                if error is not None:
+                    raise error("extract's endpoint is down")
+            return super().chat(request)
+
+    return LastExtractWaits
+
+
 class TestStageScheduling:
     """Stages run one at a time on the calling thread until backend calls
     are seen to wait; then each stage starts on its own thread as soon as
-    the stages producing its inputs have run."""
+    the stages producing its inputs have run, summarize beside extract."""
 
     def test_mock_runs_stages_one_at_a_time_on_the_calling_thread(self, tmp_path,
                                                                   monkeypatch):
@@ -901,12 +931,47 @@ class TestStageScheduling:
         out = str(tmp_path / "run")
         stages, gateway = run_with(fixture_config(tmp_path, max_concurrency=4), out, backend)
         assert gateway.calls_wait
+        assert stages["summarize"]["started"] < stages["extract"]["finished"]
         assert stages["summarize"]["started"] < stages["normalize"]["finished"]
         assert report_hash(out) == FIXTURE_REPORT_HASH
         assert backend.max_inflight <= 4
         # ingest and extract run before any call is seen to wait
         assert threads["ingest"] == threads["extract"] == threading.get_ident()
         assert threading.get_ident() not in {threads[s] for s in STAGES[2:]}
+
+    def test_up_to_date_run_makes_no_gateway(self, tmp_path):
+        cfg, out = fixture_config(tmp_path), str(tmp_path / "run")
+        run_all(cfg, out)
+        runner = Runner(cfg, out)
+        runner.run_all()
+        assert runner._gateway is None  # the cache was never loaded
+
+    def test_summarize_reads_extractions_once_extract_has_recorded(self, tmp_path):
+        """Summarize's requests are all answered before extract's last one."""
+        out = str(tmp_path / "run")
+        stages, _ = run_with(fixture_config(tmp_path, max_concurrency=4), out,
+                             last_extract_waits(20)())
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        extract, summarize = stages["extract"], stages["summarize"]
+        assert summarize["started"] < extract["finished"] < summarize["finished"]
+        assert (summarize["input_hashes"]["extractions.jsonl"]
+                == extract["output_hashes"]["extractions.jsonl"])
+
+    def test_threads_are_the_pool_and_the_running_stages(self, tmp_path):
+        """Threads seen in backend calls never exceed the calling thread,
+        max_concurrency pool workers and the stage threads then running."""
+        before, samples = threading.active_count(), []
+
+        class Counting(Sleeping):
+            def chat(self, request):
+                threads = threading.enumerate()
+                samples.append(len(threads) - sum(t.name in STAGES for t in threads))
+                return super().chat(request)
+
+        stages, gateway = run_with(fixture_config(tmp_path, max_concurrency=4),
+                                   str(tmp_path / "run"), Counting())
+        assert gateway.calls_wait and overlapping(stages)
+        assert max(samples) <= before + 4
 
     def test_each_stage_counts_its_own_requests(self, tmp_path):
         cfg = fixture_config(tmp_path, max_concurrency=4)
@@ -943,16 +1008,20 @@ class TestStageScheduling:
         assert killed.network_calls + resumed.network_calls == clean.network_calls
 
     def test_ctrl_c_waits_for_running_stages_to_record(self, tmp_path, monkeypatch):
+        """Ctrl-C reaches the calling thread once extract has recorded, while
+        summarize, which started beside extract, still runs."""
         threads = stage_threads(monkeypatch)
-        asked = []
+        asked, interrupted = [], threading.Event()
 
         class Interrupting(Sleeping):
             def chat(self, request):
                 if request.system_prompt in SUMMARY_PROMPTS:
                     with self._lock:
                         asked.append(request)
-                        if len(asked) == 8:  # Ctrl-C while the calling thread waits
+                        if "canonicalize" in threads and not interrupted.is_set():
+                            interrupted.set()  # Ctrl-C while the calling thread waits
                             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    self._wait(0.02)  # summarize outlasts extract
                 return super().chat(request)
 
         cfg = fixture_config(tmp_path, max_concurrency=4)
@@ -969,13 +1038,18 @@ class TestStageScheduling:
         """Normalize's label requests fail while summarize is running and
         evaluate-fidelity has started: both are recorded, no stage starts
         after the failure, and the re-run asks only for normalize's requests."""
-        judged = threading.Event()
+        judged, labeler_failed = threading.Event(), threading.Event()
         failed_at = []
-        label_entries = normalize.label_entries
+        cluster_variable = pipeline.cluster_variable
+        render_structural = pipeline.render_structural
 
-        def label_once_judged(*args, **kwargs):  # waits holding no slot
+        def cluster_once_judged(*args):  # on normalize's thread, holding no worker
             assert judged.wait(10)
-            return label_entries(*args, **kwargs)
+            return cluster_variable(*args)
+
+        def render_once_normalize_failed(*args):  # keeps summarize running
+            assert labeler_failed.wait(10) and runner._running["normalize"].wait(10)
+            return render_structural(*args)
 
         class LabelerDown(Sleeping):
             def chat(self, request):
@@ -983,16 +1057,19 @@ class TestStageScheduling:
                     judged.set()
                 elif request.system_prompt in LABELER_PROMPTS:
                     failed_at.append(time.time())
+                    labeler_failed.set()
                     raise RequestFailed("503 from the labeler's endpoint")
-                elif request.system_prompt in SUMMARY_PROMPTS:
-                    self._wait(0.02)  # summarize outlasts normalize
                 return super().chat(request)
 
-        monkeypatch.setattr(normalize, "label_entries", label_once_judged)
+        monkeypatch.setattr(pipeline, "cluster_variable", cluster_once_judged)
+        monkeypatch.setattr(pipeline, "render_structural", render_once_normalize_failed)
         cfg = fixture_config(tmp_path, max_concurrency=4)
         out = str(tmp_path / "run")
+        gateway = LLMGateway(cfg, backend=LabelerDown())
+        runner = Runner(cfg, out, gateway=gateway)
         with pytest.raises(RequestFailed, match="labeler"):
-            run_with(cfg, out, LabelerDown())
+            runner.run_all()
+        gateway.close()
         with open(os.path.join(out, "manifest.json")) as fh:
             failed = json.load(fh)["stages"]
         assert set(failed) == {"ingest", "extract", "canonicalize", "evaluate-fidelity",
@@ -1006,22 +1083,39 @@ class TestStageScheduling:
         assert resumed.network_calls == rerun["normalize"]["network_calls"]
 
     def test_first_failure_in_stage_order_is_raised(self, tmp_path):
-        """Summarize fails on its first request, normalize later, on its
-        label requests: normalize, the earlier stage, is the one raised."""
+        """Summarize fails on its first request, beside extract, which fails
+        later: extract, the earlier stage, is the one raised."""
 
-        class TwoDown(Sleeping):
+        class TwoDown(last_extract_waits(1, RequestFailed)):
             def chat(self, request):
-                for stage, prompts in (("summarize", SUMMARY_PROMPTS),
-                                       ("normalize", LABELER_PROMPTS)):
-                    if request.system_prompt in prompts:
-                        raise RequestFailed(f"{stage}'s endpoint is down")
-                return super().chat(request)
+                reply = super().chat(request)
+                if request.system_prompt in SUMMARY_PROMPTS:
+                    raise RequestFailed("summarize's endpoint is down")
+                return reply
 
         out = str(tmp_path / "run")
-        with pytest.raises(RequestFailed, match="normalize"):
+        with pytest.raises(RequestFailed, match="extract"):
             run_with(fixture_config(tmp_path, max_concurrency=4), out, TwoDown())
         with open(os.path.join(out, "manifest.json")) as fh:
-            assert {"normalize", "summarize"}.isdisjoint(json.load(fh)["stages"])
+            assert set(json.load(fh)["stages"]) == {"ingest"}
+
+    def test_extract_failure_while_summarize_runs_records_neither(self, tmp_path):
+        """Summarize, which reads extract's output last, is not recorded when
+        extract fails; a re-run asks only for the requests not yet cached."""
+        cfg = fixture_config(tmp_path, max_concurrency=4)
+        _, clean = run_with(dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache")),
+                            str(tmp_path / "clean"), MockBackend())
+        out = str(tmp_path / "run")
+        failing = LLMGateway(cfg, backend=last_extract_waits(4, RequestFailed)())
+        with pytest.raises(RequestFailed, match="extract"):
+            Runner(cfg, out, gateway=failing).run_all()
+        failing.close()
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert set(json.load(fh)["stages"]) == {"ingest"}
+        assert failing.network_calls == 9 + 20  # every summary was asked and cached
+        _, resumed = run_with(cfg, out, MockBackend())
+        assert report_hash(out) == FIXTURE_REPORT_HASH
+        assert failing.network_calls + resumed.network_calls == clean.network_calls
 
 
 class TestCli:
