@@ -221,8 +221,12 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             delay = None
             try:
-                resp = requests.post(f"{self.endpoint_url}{route}", json=payload,
-                                     headers=headers, timeout=self.timeout_s)
+                resp = requests.post(
+                    f"{self.endpoint_url}{route}",
+                    json=payload,
+                    headers=headers,
+                    timeout=self.timeout_s,
+                )
             except requests.RequestException as exc:
                 last_err = exc
             else:
@@ -354,6 +358,7 @@ def _work(tasks):
     """A map worker: runs the queued items, highest rank first, until it meets _STOP."""
     while (run_next := tasks.get()[2]) is not None:
         run_next()
+        del run_next  # an idle worker holds no map, so an unclosed gateway can be collected
     tasks.put(_STOP)
 
 
@@ -366,8 +371,11 @@ class LLMGateway:
             if config.mock_mode:
                 backend = MockBackend(seed=config.seed)
             else:
-                backend = HttpBackend(config.endpoint_url, api_key=config.api_key(),
-                                      max_retries=config.max_retries)
+                backend = HttpBackend(
+                    config.endpoint_url,
+                    api_key=config.api_key(),
+                    max_retries=config.max_retries,
+                )
         self.backend = backend
         # in every cache key, so replies never cross between backends; a
         # live endpoint's keys leave out the seed, which only the mock reads

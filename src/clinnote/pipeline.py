@@ -14,8 +14,9 @@ in ``STAGES`` order on the calling thread until the gateway has seen a
 backend call wait, then each on its own thread, all sharing the gateway's
 max_concurrency slots and map workers, which serve first the stage with
 the most stages downstream (``_RANK``). Summarize reads extract's output
-``late``, after its requests, so it starts beside extract once calls wait.
-So ``started``/``finished`` intervals may overlap; each stage's manifest
+``late``, after its requests, so it starts beside extract once calls wait,
+and starts no further request once extract has failed. So
+``started``/``finished`` intervals may overlap; each stage's manifest
 entry counts its own requests.
 """
 
@@ -206,11 +207,19 @@ class Runner:
     def path(self, name):
         return os.path.join(self.out, name)
 
-    def _await_inputs(self, names):
-        """Wait for the producers of ``names`` that run_all is running, then
-        raise DependencyMissing unless each has run here and left its file."""
+    def _late_waits(self, stage):
+        """The late inputs of ``stage`` whose producers run_all is still running."""
+        return [name for name in _STAGE_BY_NAME[stage].late
+                if (event := self._running.get(_PRODUCER[name])) and not event.is_set()]
+
+    def _await_inputs(self, names, wait=True):
+        """Wait for the producers of ``names`` that run_all is running (without
+        ``wait``, pass over them), then raise DependencyMissing unless each
+        has run here and left its file."""
         for name in names:
-            if (event := self._running.get(_PRODUCER[name])) is not None:
+            if (event := self._running.get(_PRODUCER[name])) and not event.is_set():
+                if not wait:
+                    continue
                 event.wait()
             if (_PRODUCER[name] not in self.manifest["stages"]
                     or not os.path.exists(self.path(name))):
@@ -226,8 +235,7 @@ class Runner:
         if stage not in _STAGE_BY_NAME:
             raise InvalidInput(f"unknown stage: {stage}")
         spec = _STAGE_BY_NAME[stage]
-        waits = [name for name in spec.late if _PRODUCER[name] in self._running
-                 and not self._running[_PRODUCER[name]].is_set()]
+        waits = self._late_waits(stage)
         self._await_inputs(name for name in spec.inputs + spec.late if name not in waits)
 
         input_hashes = None if waits else self._input_hashes(spec)
@@ -263,8 +271,10 @@ class Runner:
 
     def run_all(self):
         """Run each stage once its inputs' producers have run (module doc).
-        After a failure or Ctrl-C no further stage starts; running stages
-        record, then the first failure in ``STAGES`` order is raised."""
+        After a failure or Ctrl-C no further stage starts, and a running one
+        that reads the failed stage's output late starts no further request;
+        running stages record, then the first failure in ``STAGES`` order is
+        raised."""
         self._running = {}
         self.run_stage("ingest")
         labels = list(map(self._outcomes().get, self._modeling_notes()))
@@ -351,8 +361,12 @@ class Runner:
     # -- stages ------------------------------------------------------------
 
     def _stage_ingest(self):
-        store = cohort_mod.filter_hf_cohort(cohort_mod.load_tables(
-            self.config.admissions_path, self.config.diagnoses_path, self.config.notes_path))
+        store = cohort_mod.load_tables(
+            self.config.admissions_path,
+            self.config.diagnoses_path,
+            self.config.notes_path,
+        )
+        store = cohort_mod.filter_hf_cohort(store)
         pairs = cohort_mod.build_readmission_pairs(store)
         summary = cohort_mod.summarize_cohort(store, pairs)
         cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
@@ -378,8 +392,12 @@ class Runner:
                 value = "" if v.value is None else f"{v.value:.6f}"
                 rows.append([v.hadm_id, v.variable, value, v.original_text,
                              v.original_unit, v.status])
-        write_csv(self.path("canonical_vitals.csv"), ["hadm_id", "variable", "value",
-                  "original_text", "original_unit", "status"], sorted(rows))
+        rows.sort()
+        write_csv(
+            self.path("canonical_vitals.csv"),
+            ["hadm_id", "variable", "value", "original_text", "original_unit", "status"],
+            rows,
+        )
 
     def _load_canonical_vitals(self):
         """variable -> hadm_id -> CanonicalVital (ok rows only)."""
@@ -413,31 +431,59 @@ class Runner:
             clusterings[variable] = cluster_variable(self.gateway, found, self.config.k_medoids)
             log.info("normalize: %s cluster sizes %s", variable,
                      sorted(clusterings[variable].cluster_sizes(), reverse=True)[:10])
-        results = self.gateway.map(lambda variable: normalize_variable(
-            self.gateway, variable, entries[variable], clusterings[variable]), entries)
+        results = self.gateway.map(
+            lambda variable: normalize_variable(
+                self.gateway, variable, entries[variable], clusterings[variable]
+            ),
+            entries,
+        )
         os.makedirs(self.path("schemes"), exist_ok=True)
-        rows, scheme_files = [], []
+        all_rows = []
+        scheme_files = []
         for variable, (scheme, labeled) in zip(entries, results):
-            scheme_files.append(os.path.join("schemes", f"{variable}.json"))
-            _write_json(self.path(scheme_files[-1]), asdict(scheme))
-            rows += [[e.hadm_id, e.variable, e.raw_text, e.assigned_category, e.status]
-                     for e in labeled]
-        write_csv(self.path("normalized_sdoh.csv"),
-                  ["hadm_id", "variable", "raw_text", "category", "status"], sorted(rows))
+            scheme_path = os.path.join("schemes", f"{variable}.json")
+            _write_json(self.path(scheme_path), asdict(scheme))
+            scheme_files.append(scheme_path)
+            for entry in labeled:
+                all_rows.append(
+                    [entry.hadm_id, entry.variable, entry.raw_text,
+                     entry.assigned_category, entry.status]
+                )
+        all_rows.sort()
+        write_csv(
+            self.path("normalized_sdoh.csv"),
+            ["hadm_id", "variable", "raw_text", "category", "status"],
+            all_rows,
+        )
         return scheme_files
 
     def _stage_evaluate_fidelity(self):
         records = self._load_extractions()
         canon = self._load_canonical_vitals()
         report = {"vitals": [], "categorical": []}
+
         if self.config.truth_vitals_path and os.path.exists(self.config.truth_vitals_path):
-            truth = load_truth_vitals(self.config.truth_vitals_path)
-            report["vitals"] = [row for v in VITALS if (row := evaluate_vital(
-                v, canon.get(v, {}), truth.get(v, {})))]
+            truth_vitals = load_truth_vitals(self.config.truth_vitals_path)
+            for variable in VITALS:
+                row = evaluate_vital(
+                    variable, canon.get(variable, {}), truth_vitals.get(variable, {})
+                )
+                if row:
+                    report["vitals"].append(row)
+
         if self.config.truth_sdoh_path and os.path.exists(self.config.truth_sdoh_path):
-            truth = load_truth_sdoh(self.config.truth_sdoh_path)
-            report["categorical"] = [row for v in CHARTED_KEYS if (row := evaluate_categorical(
-                v, {r.hadm_id: r.charted_sdoh.get(v) for r in records}, truth.get(v, {})))]
+            truth_sdoh = load_truth_sdoh(self.config.truth_sdoh_path)
+            extracted_charted = {
+                var: {r.hadm_id: r.charted_sdoh.get(var) for r in records}
+                for var in CHARTED_KEYS
+            }
+            for variable in CHARTED_KEYS:
+                row = evaluate_categorical(
+                    variable, extracted_charted[variable], truth_sdoh.get(variable, {})
+                )
+                if row:
+                    report["categorical"].append(row)
+
         _write_json(self.path("agreement_report.json"), report)
 
         codes = {h: rec.get("icd9_codes", []) for h, rec in self._load_cohort().items()}
@@ -445,9 +491,10 @@ class Runner:
 
         def judge(rec):
             try:
-                return judge_diagnoses(self.gateway, rec.hadm_id,
-                                       [d["condition"] for d in rec.diagnoses],
-                                       codes[rec.hadm_id], descriptions)
+                return judge_diagnoses(
+                    self.gateway, rec.hadm_id,
+                    [d["condition"] for d in rec.diagnoses], codes[rec.hadm_id], descriptions,
+                )
             except JudgeFailed as exc:
                 log.warning("judge failed: %s", exc)
                 return None
@@ -467,12 +514,21 @@ class Runner:
         records = {r.hadm_id: r for r in self._load_extractions()}
 
         logistic = []
-        values = {v: {h: vital.value for h, vital in canon.get(v, {}).items()} for v in VITALS}
-        values["age"] = {h: years for h, r in records.items()
-                         if (years := _age_years(r.charted_sdoh.get("age"))) is not None}
-        for variable, by_hadm in values.items():  # in outcomes' order
-            xs = [by_hadm[h] for h in outcomes if h in by_hadm]
-            ys = [label for h, label in outcomes.items() if h in by_hadm]
+        for variable in [*VITALS, "age"]:
+            xs, ys = [], []
+            for hadm_id, label in outcomes.items():
+                if variable == "age":
+                    rec = records.get(hadm_id)
+                    years = _age_years(rec.charted_sdoh.get("age")) if rec else None
+                    if years is None:
+                        continue
+                    xs.append(years)
+                else:
+                    vital = canon.get(variable, {}).get(hadm_id)
+                    if vital is None:
+                        continue
+                    xs.append(vital.value)
+                ys.append(label)
             try:
                 fit = stats_mod.fit_univariate_logistic(
                     xs, ys, standardize=self.config.standardize, variable=variable
@@ -503,8 +559,12 @@ class Runner:
                 table = stats_mod.build_contingency(entries, outcomes)
                 result = stats_mod.chi_square_test(table, variable=variable)
                 result.unique_values = len({e.raw_text for e in entries})
-                chisq.append({**asdict(result), "contingency": {
-                    "rows": table.rows, "counts": table.counts.astype(int).tolist()}})
+                entry = asdict(result)
+                entry["contingency"] = {
+                    "rows": table.rows,
+                    "counts": table.counts.astype(int).tolist(),
+                }
+                chisq.append(entry)
             except DegenerateTable as exc:
                 chisq.append({"variable": variable, "skipped": str(exc)})
 
@@ -515,14 +575,20 @@ class Runner:
 
     def _stage_summarize(self):
         notes = self._modeling_notes()
+        waits = self._late_waits("summarize")  # extract, while it runs beside
+        records = None if waits else {r.hadm_id: r for r in self._load_extractions()}
         summarizer = Summarizer(self.gateway)
         jobs = [(hadm_id, variant) for hadm_id in sorted(notes)
                 for variant in ("overall", "no_number")]
-        summaries = dict(zip(jobs, self.gateway.map(
-            lambda job: summarizer.summarize(notes[job[0]], job[1], job[0]), jobs
-        )))
-        self._await_inputs(_STAGE_BY_NAME["summarize"].late)
-        records = {r.hadm_id: r for r in self._load_extractions()}
+
+        def summarize(job):
+            self._await_inputs(waits, wait=False)  # no job starts once extract failed
+            return summarizer.summarize(notes[job[0]], job[1], job[0])
+
+        summaries = dict(zip(jobs, self.gateway.map(summarize, jobs)))
+        if records is None:
+            self._await_inputs(waits)
+            records = {r.hadm_id: r for r in self._load_extractions()}
         out = []
         for hadm_id in sorted(notes):
             out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]

@@ -1,4 +1,5 @@
 import contextvars
+import gc
 import hashlib
 import json
 import logging
@@ -639,6 +640,20 @@ class TestMapPool:
         assert [name for name, _ in order] == (
             ["high"] * 3 + ["mid"] * 3 + ["mid again"] * 3 + ["low"] * 3)
         gw.close()
+
+    def test_collected_gateway_stops_its_workers(self, tmp_path):
+        """Idle workers hold no map, so a gateway that is never closed is
+        collected, and that stops its pool."""
+        gw, _ = _waiting_gateway(tmp_path, 4)
+        replies = gw.map(gw.chat, [ChatRequest("s", f"q{i}") for i in range(8)])
+        assert replies == [f"reply to q{i}" for i in range(8)]
+        workers = list(gw._workers)
+        assert len(workers) == 4
+        del gw
+        gc.collect()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_process_that_never_closes_its_gateway_exits(self, tmp_path):
         code = textwrap.dedent("""

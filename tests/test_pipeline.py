@@ -881,11 +881,12 @@ SUMMARY_PROMPTS = {load_prompt(name).text for name in ("summary_overall", "summa
 LABELER_PROMPTS = {load_prompt(name).text for name in ("labeler", "labeler_batch")}
 
 
-def last_extract_waits(summaries, error=None):
+def last_extract_waits(summaries, stop=None, summary_s=0.0):
     """A sleeping backend whose last extract request (of the fixture's 10)
     waits until ``summaries`` summary requests were asked, and 50 ms more,
-    then raises ``error`` if one is given. Summarize's requests queue
-    behind extract's, so it holds a slot while they run."""
+    then calls ``stop`` if one is given; each summary request sleeps
+    ``summary_s`` more. Summarize's requests queue behind extract's, so it
+    holds a slot while they run."""
     extractor = load_prompt("extractor").text
 
     class LastExtractWaits(Sleeping):
@@ -894,20 +895,33 @@ def last_extract_waits(summaries, error=None):
             self.asked = collections.Counter()
             self.summarized = threading.Event()
 
+        def summaries_asked(self):
+            return sum(self.asked[prompt] for prompt in SUMMARY_PROMPTS)
+
         def chat(self, request):
             with self._lock:
                 self.asked[request.system_prompt] += 1
-                if sum(self.asked[prompt] for prompt in SUMMARY_PROMPTS) >= summaries:
+                if self.summaries_asked() >= summaries:
                     self.summarized.set()
                 last = request.system_prompt == extractor and self.asked[extractor] == 10
             if last:
                 assert self.summarized.wait(10)
                 time.sleep(0.05)
-                if error is not None:
-                    raise error("extract's endpoint is down")
+                if stop is not None:
+                    stop()
+            elif request.system_prompt in SUMMARY_PROMPTS:
+                time.sleep(summary_s)
             return super().chat(request)
 
     return LastExtractWaits
+
+
+def extract_down():
+    raise RequestFailed("extract's endpoint is down")
+
+
+def ctrl_c():
+    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
 
 class TestStageScheduling:
@@ -1086,7 +1100,7 @@ class TestStageScheduling:
         """Summarize fails on its first request, beside extract, which fails
         later: extract, the earlier stage, is the one raised."""
 
-        class TwoDown(last_extract_waits(1, RequestFailed)):
+        class TwoDown(last_extract_waits(1, extract_down)):
             def chat(self, request):
                 reply = super().chat(request)
                 if request.system_prompt in SUMMARY_PROMPTS:
@@ -1099,20 +1113,25 @@ class TestStageScheduling:
         with open(os.path.join(out, "manifest.json")) as fh:
             assert set(json.load(fh)["stages"]) == {"ingest"}
 
-    def test_extract_failure_while_summarize_runs_records_neither(self, tmp_path):
-        """Summarize, which reads extract's output last, is not recorded when
-        extract fails; a re-run asks only for the requests not yet cached."""
+    @pytest.mark.parametrize("stop, raised, match", [(extract_down, RequestFailed, "extract"),
+                                                     (ctrl_c, KeyboardInterrupt, None)])
+    def test_extract_failure_while_summarize_runs_records_neither(self, tmp_path, stop,
+                                                                 raised, match):
+        """Summarize, which reads extract's output last, starts no request
+        once extract has failed or was interrupted and is not recorded
+        either; a re-run asks only for the requests not yet cached."""
         cfg = fixture_config(tmp_path, max_concurrency=4)
         _, clean = run_with(dataclasses.replace(cfg, cache_dir=str(tmp_path / "clean_cache")),
                             str(tmp_path / "clean"), MockBackend())
         out = str(tmp_path / "run")
-        failing = LLMGateway(cfg, backend=last_extract_waits(4, RequestFailed)())
-        with pytest.raises(RequestFailed, match="extract"):
+        backend = last_extract_waits(4, stop, summary_s=0.05)()
+        failing = LLMGateway(cfg, backend=backend)
+        with pytest.raises(raised, match=match):
             Runner(cfg, out, gateway=failing).run_all()
         failing.close()
         with open(os.path.join(out, "manifest.json")) as fh:
             assert set(json.load(fh)["stages"]) == {"ingest"}
-        assert failing.network_calls == 9 + 20  # every summary was asked and cached
+        assert 4 <= backend.summaries_asked() < 20  # summarize stopped
         _, resumed = run_with(cfg, out, MockBackend())
         assert report_hash(out) == FIXTURE_REPORT_HASH
         assert failing.network_calls + resumed.network_calls == clean.network_calls
