@@ -53,6 +53,7 @@ from .errors import (
     RequestFailed,
     SchemaViolation,
 )
+from .mock_llm import MockResponder
 
 log = logging.getLogger(__name__)
 
@@ -290,14 +291,10 @@ def mock_embedding(text, seed=0, dim=MOCK_EMBED_DIM):
 class MockBackend:
     """Offline stand-in: canned replies plus rule-based agent behavior."""
 
-    def __init__(self, seed=0, responder=None):
+    def __init__(self, seed=0):
         self.seed = seed
         self._canned = {}
-        if responder is None:
-            from .mock_llm import MockResponder
-
-            responder = MockResponder(seed=seed)
-        self.responder = responder
+        self.responder = MockResponder(seed=seed)
 
     def register(self, user_content, reply):
         """Pin an exact user_content -> reply mapping (tests)."""

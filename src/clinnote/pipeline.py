@@ -15,9 +15,11 @@ backend call wait, then each on its own thread, all sharing the gateway's
 max_concurrency slots and map workers, which serve first the stage with
 the most stages downstream (``_RANK``). Summarize reads extract's output
 ``late``, after its requests, so it starts beside extract once calls wait,
-and starts no further request once extract has failed. So
+and starts no further request once extract has failed; ``_await_inputs``
+alone decides whether an input's producer is still running. So
 ``started``/``finished`` intervals may overlap; each stage's manifest
-entry counts its own requests.
+entry counts its own requests. Before any request, ``run_all`` asks
+``predict.stratified_folds`` whether the labelled notes can fill the folds.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .fidelity import (
 )
 from .gateway import ON_FIRST_WAIT, RANK, REQUEST_COUNTS, LLMGateway
 from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
-from .predict import evaluate_cv
+from .predict import evaluate_cv, stratified_folds
 from .summarize import Summarizer, render_structural
 from .vitals import VITALS, CanonicalVital, canonicalize_record
 
@@ -207,23 +209,22 @@ class Runner:
     def path(self, name):
         return os.path.join(self.out, name)
 
-    def _late_waits(self, stage):
-        """The late inputs of ``stage`` whose producers run_all is still running."""
-        return [name for name in _STAGE_BY_NAME[stage].late
-                if (event := self._running.get(_PRODUCER[name])) and not event.is_set()]
-
     def _await_inputs(self, names, wait=True):
-        """Wait for the producers of ``names`` that run_all is running (without
-        ``wait``, pass over them), then raise DependencyMissing unless each
-        has run here and left its file."""
+        """Wait for the producers of ``names`` that run_all is running, then
+        raise DependencyMissing unless each has run here and left its file.
+        Without ``wait``, pass over the names whose producer is still
+        running, and return them."""
+        passed = []
         for name in names:
             if (event := self._running.get(_PRODUCER[name])) and not event.is_set():
                 if not wait:
+                    passed.append(name)
                     continue
                 event.wait()
             if (_PRODUCER[name] not in self.manifest["stages"]
                     or not os.path.exists(self.path(name))):
                 raise DependencyMissing(_PRODUCER[name])
+        return passed
 
     # -- public API --------------------------------------------------------
 
@@ -235,8 +236,8 @@ class Runner:
         if stage not in _STAGE_BY_NAME:
             raise InvalidInput(f"unknown stage: {stage}")
         spec = _STAGE_BY_NAME[stage]
-        waits = self._late_waits(stage)
-        self._await_inputs(name for name in spec.inputs + spec.late if name not in waits)
+        self._await_inputs(spec.inputs)
+        waits = self._await_inputs(spec.late, wait=False)
 
         input_hashes = None if waits else self._input_hashes(spec)
         done = self.manifest["stages"].get(stage)
@@ -279,10 +280,12 @@ class Runner:
         self.run_stage("ingest")
         labels = list(map(self._outcomes().get, self._modeling_notes()))
         n_pos, n_neg = sum(labels), len(labels) - sum(labels)
-        if min(n_pos, n_neg) < self.config.folds:  # fail before any LLM call
+        try:  # fail before any LLM call
+            stratified_folds(labels, self.config.folds, self.config.seed)
+        except CVInfeasible as exc:
             raise CVInfeasible(
                 f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
-                f"cannot fill {self.config.folds} folds with both classes")
+                f"cannot fill {self.config.folds} folds with both classes") from exc
         done, failures = {"ingest"}, {}
         finished = queue.SimpleQueue()  # (stage, exception or None)
 
@@ -575,7 +578,8 @@ class Runner:
 
     def _stage_summarize(self):
         notes = self._modeling_notes()
-        waits = self._late_waits("summarize")  # extract, while it runs beside
+        # extract's output, while extract runs beside
+        waits = self._await_inputs(_STAGE_BY_NAME["summarize"].late, wait=False)
         records = None if waits else {r.hadm_id: r for r in self._load_extractions()}
         summarizer = Summarizer(self.gateway)
         jobs = [(hadm_id, variant) for hadm_id in sorted(notes)

@@ -265,25 +265,21 @@ def stratified_folds(labels, n_folds, seed):
     """Round-robin deal within each class after a seeded shuffle.
 
     Each fold's positive count differs from the ideal by at most one
-    sample. Retries with seed offsets if a fold misses a class.
+    sample. A class of c notes fills folds 0..c-1 whatever the shuffle, so
+    both classes reach every fold exactly when each has ``n_folds`` notes;
+    else CVInfeasible (``Runner.run_all`` asks here before any request).
     """
     labels = np.asarray(labels)
-    for offset in range(5):
-        rng = np.random.default_rng(seed + offset)
-        folds = [[] for _ in range(n_folds)]
-        for cls in (0, 1):
-            idx = np.flatnonzero(labels == cls)
-            rng.shuffle(idx)
-            for pos, i in enumerate(idx):
-                folds[pos % n_folds].append(int(i))
-        if all(
-            any(labels[i] == 0 for i in f) and any(labels[i] == 1 for i in f)
-            for f in folds
-        ):
-            if offset:
-                log.warning("stratification needed seed offset %d", offset)
-            return [sorted(f) for f in folds]
-    raise CVInfeasible(f"could not build {n_folds} folds with both classes")
+    if min(np.sum(labels == 0), np.sum(labels == 1)) < n_folds:
+        raise CVInfeasible(f"could not build {n_folds} folds with both classes")
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_folds)]
+    for cls in (0, 1):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            folds[pos % n_folds].append(int(i))
+    return [sorted(f) for f in folds]
 
 
 @dataclass

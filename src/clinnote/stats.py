@@ -265,9 +265,8 @@ def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:
         raise DegenerateTable("both outcome columns must be nonzero")
     n = counts.sum()
     expected = np.outer(counts.sum(axis=1), col) / n
-    mask = expected > 0
-    chi2 = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
-    df = (r - 1) * 1
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    df = r - 1
     return ChiSquareResult(
         variable=variable,
         n=int(n),

@@ -51,6 +51,14 @@ class SummaryRecord:
     status: str = "ok"  # ok | contains_numbers
 
 
+def _record(hadm_id, variant, text, note, status="ok"):
+    """A SummaryRecord of ``text``, with its word counts against ``note``."""
+    raw_words = word_count(note)
+    sum_words = word_count(text)
+    return SummaryRecord(hadm_id, variant, text, raw_words, sum_words,
+                         reduction_pct(raw_words, sum_words), status)
+
+
 def _numeral_free(text):
     """The reply itself, or SchemaViolation when it has a numeral."""
     if contains_digits(text):
@@ -87,17 +95,7 @@ class Summarizer:
         except ReplyUnusable as err:
             text, status = err.raw_text, "contains_numbers"
             log.warning("no-number summary for %s still has digits", hadm_id)
-        raw_words = word_count(note)
-        sum_words = word_count(text)
-        return SummaryRecord(
-            hadm_id=hadm_id,
-            variant=variant,
-            text=text,
-            word_count_raw=raw_words,
-            word_count_summary=sum_words,
-            reduction_pct=reduction_pct(raw_words, sum_words),
-            status=status,
-        )
+        return _record(hadm_id, variant, text, note, status)
 
 
 def render_structural(record, note_text="") -> SummaryRecord:
@@ -113,17 +111,7 @@ def render_structural(record, note_text="") -> SummaryRecord:
             lines.append(f"diagnosis: {dx['condition']} ({dx['details']})")
         else:
             lines.append(f"diagnosis: {dx['condition']}")
-    text = "\n".join(lines)
-    raw_words = word_count(note_text)
-    sum_words = word_count(text)
-    return SummaryRecord(
-        hadm_id=record.hadm_id,
-        variant="structural",
-        text=text,
-        word_count_raw=raw_words,
-        word_count_summary=sum_words,
-        reduction_pct=reduction_pct(raw_words, sum_words),
-    )
+    return _record(record.hadm_id, "structural", "\n".join(lines), note_text)
 
 
 def reduction_stats(records) -> dict:

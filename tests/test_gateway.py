@@ -508,13 +508,15 @@ class TestThreadsOnlyForWaits:
         (30, True, True),  # 20 ms of waiting against 31 ms of CPU
         (0, True, False),  # against 1 ms
         (0, False, True),  # preempted, not blocked: no wait at all
+        (0, None, False),  # blocks not counted: every call's wall less CPU is a wait
     ])
     def test_calls_wait_once_summed_waits_exceed_summed_cpu(
         self, tmp_path, monkeypatch, late, blocked, serial
     ):
         clock = _Clock()
         monkeypatch.setattr(gateway_module, "time", clock)
-        monkeypatch.setattr(gateway_module, "_thread_blocks", lambda: clock.blocks)
+        monkeypatch.setattr(gateway_module, "_thread_blocks",
+                            lambda: None if blocked is None else clock.blocks)
 
         class Computing(ScriptedBackend):
             def chat(self, request):
@@ -522,7 +524,7 @@ class TestThreadsOnlyForWaits:
                 clock.wall += 0.001
                 if request.user_content == f"q{late}":
                     clock.wall += 0.02  # 20 ms off the CPU
-                    clock.blocks += blocked
+                    clock.blocks += bool(blocked)
                 return "reply"
 
         gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4),

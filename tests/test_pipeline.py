@@ -134,6 +134,16 @@ def fixture_config(tmp_path, **overrides):
     )
 
 
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """The config and run directory of one completed fixture run; tests
+    read them and leave them unchanged."""
+    tmp_path = tmp_path_factory.mktemp("fixture_run")
+    cfg = fixture_config(tmp_path)
+    run_all(cfg, str(tmp_path / "run"))
+    return cfg, str(tmp_path / "run")
+
+
 def run_all(cfg, out):
     """``Runner(cfg, out).run_all()``, closing the runner's gateway after."""
     runner = Runner(cfg, out)
@@ -481,6 +491,31 @@ class TestRunner:
         for stage in STAGE_TABLE:
             assert set(stage.inputs + stage.late) <= produced, stage.name
             produced |= set(stage.reports)
+
+    @pytest.mark.parametrize("stage", STAGE_TABLE[1:], ids=lambda stage: stage.name)
+    def test_each_stage_reads_only_the_files_its_table_row_lists(self, tmp_path, fixture_run,
+                                                                 stage):
+        """Run alone in a directory holding its ``inputs`` and ``late`` files
+        and the other stages' manifest entries, a stage asks the cache only
+        and writes the fixture run's bytes; so the skip rule, which hashes
+        just those files, sees every file a stage reads."""
+        cfg, full = fixture_run
+        with open(os.path.join(full, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        recorded = manifest["stages"].pop(stage.name)
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in stage.inputs + stage.late:
+            shutil.copy(os.path.join(full, name), out / name)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        runner = Runner(cfg, str(out))
+        try:
+            entry = runner.run_stage(stage.name)
+        finally:
+            runner.close()
+        assert entry["network_calls"] == 0
+        assert entry["input_hashes"] == recorded["input_hashes"]
+        assert entry["output_hashes"] == recorded["output_hashes"]
 
     def test_fixture_report_hash_pinned(self, tmp_path):
         cfg = fixture_config(tmp_path)

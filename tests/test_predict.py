@@ -388,6 +388,36 @@ class TestStratifiedFolds:
         with pytest.raises(CVInfeasible):
             stratified_folds(labels, 5, seed=0)
 
+    @staticmethod
+    def _with_seed_offsets(labels, n_folds, seed):
+        """The deal as it was once written: up to five seeds, each dealt and
+        then checked for both classes in every fold."""
+        labels = np.asarray(labels)
+        for offset in range(5):
+            rng = np.random.default_rng(seed + offset)
+            folds = [[] for _ in range(n_folds)]
+            for cls in (0, 1):
+                idx = np.flatnonzero(labels == cls)
+                rng.shuffle(idx)
+                for pos, i in enumerate(idx):
+                    folds[pos % n_folds].append(int(i))
+            if all(any(labels[i] == 0 for i in f) and any(labels[i] == 1 for i in f)
+                   for f in folds):
+                return [sorted(f) for f in folds]
+        raise CVInfeasible(f"could not build {n_folds} folds with both classes")
+
+    @given(st.lists(st.integers(0, 1), max_size=40), st.integers(1, 8), st.integers(0, 1000))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_seed_offset_deal(self, labels, n_folds, seed):
+        try:
+            want = self._with_seed_offsets(labels, n_folds, seed)
+        except CVInfeasible as exc:
+            with pytest.raises(CVInfeasible) as got:
+                stratified_folds(labels, n_folds, seed)
+            assert str(got.value) == str(exc)
+        else:
+            assert stratified_folds(labels, n_folds, seed) == want
+
 
 def _synthetic_corpus(n=40, seed=0):
     rng = np.random.default_rng(seed)
