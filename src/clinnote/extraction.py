@@ -97,16 +97,16 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
     """Parse a model reply into a schema-complete ExtractionRecord."""
     obj = find_json(raw_text, dict)
 
-    clinical = _ci_get(obj, "Clinical_Info", "clinical_info") or {}
+    clinical = _ci_get(obj, "Clinical_Info") or {}
     sources = {  # record field -> the reply's group object
-        "charted_sdoh": _ci_get(obj, "Charted_SDOHs", "Charted_SDOH", "charted_sdoh") or {},
+        "charted_sdoh": _ci_get(obj, "Charted_SDOHs", "Charted_SDOH") or {},
         "uncharted_sdoh": _ci_get(
             obj, "NonCharted_SDOHs", "Uncharted_SDOHs", "NonCharted_SDOH", "uncharted_sdoh"
         ) or {},
-        "vitals_raw": _ci_get(clinical, "Vitals", "vitals") or _ci_get(obj, "Vitals") or {},
-        "chief_complaint": _ci_get(obj, "Chief_Complaint", "chief_complaint") or {},
+        "vitals_raw": _ci_get(clinical, "Vitals") or _ci_get(obj, "Vitals") or {},
+        "chief_complaint": _ci_get(obj, "Chief_Complaint") or {},
     }
-    dx_src = _ci_get(obj, "Diagnoses", "diagnoses")
+    dx_src = _ci_get(obj, "Diagnoses")
 
     if not all(isinstance(src, dict) for src in sources.values()):
         raise SchemaViolation("expected nested objects for SDOH / vitals groups")

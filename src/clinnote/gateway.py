@@ -8,9 +8,9 @@ whole pipeline runnable offline.
 
 Threads overlap backend waits; calls that compute in this interpreter, as
 the mock backend's do, run one at a time on the stage thread, where threads
-would only take turns on the interpreter lock. So ``LLMGateway.map`` uses
-threads, the gateway's one pool of max_concurrency workers, only once a
-backend call has been seen to wait (``calls_wait``); so does the runner.
+would only take turns on the interpreter lock. So ``LLMGateway.map``, and
+the runner, use threads (the gateway's one pool of max_concurrency workers)
+only once backend calls have waited longer than they computed (``calls_wait``).
 
 Every agent request follows one failure policy. A gateway error
 (RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
@@ -384,23 +384,21 @@ class LLMGateway:
         self.cache = JsonlCache(cache_path)
         self.network_calls = 0
         self.cache_hits = 0
-        self._lock = threading.Lock()  # guards the counters, the sums and _inflight
+        self._lock = threading.Lock()  # guards the counters, the balance and _inflight
         self._inflight = {}  # chat key -> Event set when its first caller is done
         # the one bound on backend calls in flight, however maps are nested
         self._slots = threading.BoundedSemaphore(config.max_concurrency)
-        # seconds backend calls spent waiting and computing, summed until
-        # the waits outweigh the computing; from then on map uses threads
-        self._wait_s = 0.0
-        self._cpu_s = 0.0
-        self._calls_wait = False
+        # seconds backend calls waited less seconds they computed, summed
+        # until positive; from then on map uses threads
+        self._balance_s = 0.0
         # map workers, and their queue of (-rank, submission number, _Map.run_next)
         self._workers, self._tasks = [], None
         self._submitted = itertools.count()
 
     @property
     def calls_wait(self):
-        """Whether a backend call has been seen to wait; once true, stays true."""
-        return self._calls_wait
+        """Whether backend calls waited longer than they computed; once true, stays true."""
+        return self._balance_s > 0
 
     def chat(self, request: ChatRequest) -> str:
         """The reply text, thinking stripped, from the cache or the backend.
@@ -443,32 +441,28 @@ class LLMGateway:
     def _call_backend(self, call, *args):
         """``call(*args)`` holding a slot, counted in ``network_calls``.
 
-        Until backend calls are known to wait, each call adds its thread's
-        CPU time to a CPU sum and, if its thread blocked during the call,
-        its wall time less that CPU time to a wait sum. Calls wait once the
-        wait sum exceeds the CPU sum; the decision never reverses, and calls
-        are no longer timed. A call that was only preempted adds no wait,
-        so a busy machine cannot send computing calls to threads; where
-        blocking is not counted, every call's wall time less CPU is a wait.
+        Calls wait once a balance, the seconds they waited less the seconds
+        they computed, turns positive; it then stays put, so the decision
+        never reverses. Each call takes its thread's CPU time off the balance
+        and, if its thread blocked during the call, adds its wall time less
+        that CPU time. A call that was only preempted adds no wait, so a busy
+        machine cannot send computing calls to threads; where blocking is
+        not counted, every call's wall time less CPU is a wait.
         """
-        timed, first_wait = not self._calls_wait, False
-        with self._slots:
-            if timed:  # the clocks' own cost falls in the CPU time
-                blocks, cpu, wall = _thread_blocks(), time.thread_time(), time.perf_counter()
+        first_wait = False
+        with self._slots:  # the clocks' own cost falls in the CPU time
+            blocks, cpu, wall = _thread_blocks(), time.thread_time(), time.perf_counter()
             result = call(*args)
-            if timed:
-                wall = time.perf_counter() - wall
-                cpu = time.thread_time() - cpu
-                blocked = blocks is None or _thread_blocks() > blocks
+            wall = time.perf_counter() - wall
+            cpu = time.thread_time() - cpu
+            blocked = blocks is None or _thread_blocks() > blocks
         with self._lock:
             self.network_calls += 1
             if (counts := REQUEST_COUNTS.get()) is not None:
                 counts[0] += 1
-            if timed and not self._calls_wait:
-                if blocked:
-                    self._wait_s += wall - cpu
-                self._cpu_s += cpu
-                self._calls_wait = first_wait = self._wait_s > self._cpu_s
+            if self._balance_s <= 0:
+                self._balance_s += (wall - cpu if blocked else 0.0) - cpu
+                first_wait = self._balance_s > 0
         if first_wait and (signal := ON_FIRST_WAIT.get()) is not None:
             signal()  # on this thread, holding no lock
         return result
@@ -476,8 +470,8 @@ class LLMGateway:
     def map(self, fn, items):
         """``fn`` over ``items``, on threads only once backend calls wait.
 
-        Items run one at a time on the calling thread until a backend call
-        has been seen to wait (``calls_wait``; module doc). The rest queue,
+        Items run one at a time on the calling thread until backend calls
+        wait (``calls_wait``; ``_call_backend``). The rest queue,
         each in a copy of the caller's context, for the gateway's one pool
         of max_concurrency workers: the highest ``RANK`` first, then in
         submission order. Backend calls made by ``fn``, also from a nested

@@ -236,14 +236,11 @@ def cluster_entries(entries, k, embeddings, weights=None):
     cost_path = [float((w * D[:, medoids].min(axis=1)).sum())]
     medoids = _pam_swap(D, medoids, w, cost_path)
 
-    cols = D[:, medoids]
-    assignments = cols.argmin(axis=1)
-    total_cost = float((w * cols.min(axis=1)).sum())
     return MedoidClustering(
         k=k,
-        assignments=assignments,
+        assignments=D[:, medoids].argmin(axis=1),
         medoid_indices=medoids,
-        total_cost=total_cost,
+        total_cost=cost_path[-1],  # the final medoids' cost
         cost_path=cost_path,
     )
 

@@ -187,17 +187,14 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
         if float(np.linalg.norm(grad)) < tol:
             converged = True
             break
+
+    p = sigmoid(X @ beta)  # at the last iterate
     if not converged:
-        eta = X @ beta
-        p = sigmoid(eta)
         grad_norm = float(np.linalg.norm(X.T @ (y - p)))
         if grad_norm >= 1e-4:
             raise NoConvergence(
                 f"IRLS for {variable!r} stopped at gradient norm {grad_norm:.3g}"
             )
-
-    eta = X @ beta
-    p = sigmoid(eta)
     w = np.clip(p * (1.0 - p), 1e-12, None)
     cov = np.linalg.inv(X.T @ (X * w[:, None]))
     se = math.sqrt(cov[1, 1])

@@ -1,7 +1,28 @@
+import threading
+
 import pytest
 
+from clinnote import gateway as gateway_module
 from clinnote.config import Config
 from clinnote.gateway import LLMGateway
+
+
+def _map_workers():
+    return {t for t in threading.enumerate() if getattr(t, "_target", None) is gateway_module._work}
+
+
+@pytest.fixture(autouse=True)
+def no_map_workers_left_running():
+    """Fail a test that leaves gateway map workers running after its teardown.
+
+    A gateway that is not closed stops its workers only once it is
+    collected, which wakes them in whatever test runs then. No garbage is
+    collected here, so the leak fails the test that made it.
+    """
+    before = _map_workers()
+    yield
+    left = _map_workers() - before
+    assert not left, f"{len(left)} map workers still running; close the gateway"
 
 
 def make_config(tmp_path, **overrides):

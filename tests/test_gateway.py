@@ -336,6 +336,7 @@ class TestConcurrency:
             return gw.chat(ChatRequest(system_prompt="s", user_content=f"q{i}"))
 
         out = gw.map(slow_chat, range(12))
+        gw.close()
         assert out == [f"reply to q{i}" for i in range(12)]
         assert backend.max_inflight == limit
 
@@ -351,6 +352,7 @@ class TestConcurrency:
             )
 
         out = gw.map(inner, range(4))  # up to 16 threads, 4 slots
+        gw.close()
         assert out == [
             [f"reply to q{i}.{j}" for j in range(4)] for i in range(4)
         ]
@@ -385,6 +387,7 @@ class TestConcurrency:
         barrier = threading.Barrier(3, timeout=10)
         # each call returns only once three are in flight together
         assert gw.map(lambda i: (barrier.wait(), i)[1], range(6)) == list(range(6))
+        gw.close()
 
     def test_map_propagates_first_failure_in_input_order(self, mock_gateway):
         def fn(i):
@@ -417,6 +420,7 @@ class TestConcurrency:
             assert not threads[0].is_alive()
         finally:
             sys.setswitchinterval(interval)
+            gw.close()
         assert out[0] == [f"reply to {r.user_content}" for r in requests]
         assert backend.calls == gw.network_calls == 25
         assert gw.cache_hits == 375
@@ -487,6 +491,7 @@ class TestThreadsOnlyForWaits:
             return reply
 
         assert gw.map(ask, range(13)) == [f"reply to q{i}" for i in range(13)]
+        gw.close()
         assert first == [(threading.get_ident(), 1)]  # the first call ran alone
         assert backend.max_inflight == 4
 
@@ -504,14 +509,15 @@ class TestThreadsOnlyForWaits:
             gw.map(fn, range(8))
         assert called == [0, 1, 2]
 
-    @pytest.mark.parametrize("late, blocked, serial", [
-        (30, True, True),  # 20 ms of waiting against 31 ms of CPU
-        (0, True, False),  # against 1 ms
-        (0, False, True),  # preempted, not blocked: no wait at all
-        (0, None, False),  # blocks not counted: every call's wall less CPU is a wait
+    @pytest.mark.parametrize("late, blocked, on_caller", [
+        (30, True, 60),  # 20 ms of waiting against 31 ms of CPU
+        (0, True, 1),  # against 1 ms
+        (10, True, 11),  # against the 11 ms of CPU so far: the rest go to workers
+        (0, False, 60),  # preempted, not blocked: no wait at all
+        (0, None, 1),  # blocks not counted: every call's wall less CPU is a wait
     ])
     def test_calls_wait_once_summed_waits_exceed_summed_cpu(
-        self, tmp_path, monkeypatch, late, blocked, serial
+        self, tmp_path, monkeypatch, late, blocked, on_caller
     ):
         clock = _Clock()
         monkeypatch.setattr(gateway_module, "time", clock)
@@ -536,7 +542,8 @@ class TestThreadsOnlyForWaits:
             return gw.chat(ChatRequest("s", f"q{i}"))
 
         assert gw.map(ask, range(60)) == ["reply"] * 60
-        assert threads.count(threading.get_ident()) == (60 if serial else 1)
+        gw.close()
+        assert threads.count(threading.get_ident()) == on_caller
 
     def test_thread_blocks_counts_a_sleep_not_a_computation(self):
         if gateway_module.RUSAGE_THREAD is None:
