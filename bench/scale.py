@@ -3,16 +3,19 @@ per note per stage, for each labeler batch size (``normalize.LABEL_BATCH``).
 
     PYTHONPATH=src python3 bench/scale.py --label after [--sizes 200,2000,5000] [--batches 20]
         [--latency-sizes 200,1000] [--repeat 3]
+    PYTHONPATH=src python3 bench/scale.py --tree before=../parent/src --tree after=src ...
 
 Inputs come from perfbench's ``diverse_cohort`` generator (seed 0). Each
 (size, batch size) cell runs all eight stages in its own process, with
 the mock backend, an in-memory cache, ``max_concurrency`` 4,
 ``k_medoids`` 200 and ``folds`` 3, so its peak RSS is that of one run; each
 stage also records the peak RSS reached by its end. The results are stored
-under ``--label`` in BENCH_scale.json (other labels in the file are kept),
-so two versions of the code can sit side by side: run the script once per
-checkout, with PYTHONPATH pointing at that checkout's ``src``. Batch size 1
-sends one entry per labeler request, as the paper does; equal
+under ``--label`` in BENCH_scale.json (other labels in the file are kept)
+for the code on PYTHONPATH. To compare two versions of the code, give each
+source tree as ``--tree LABEL=SRC`` instead: every cell then runs the trees
+alternately, one run of each per repeat, on the same inputs, so a shift in
+the machine's load between sittings does not read as a code change. Batch
+size 1 sends one entry per labeler request, as the paper does; equal
 ``report_hash`` values for one size mean that the report bytes are the same.
 
 Each ``--latency-sizes`` cell runs ``Runner.run_all`` once more behind
@@ -117,6 +120,15 @@ def cell(inputs, out, label_batch, latency_s=0.0):
     }
 
 
+def _env(src):
+    """The environment of a cell that imports clinnote from ``src`` (None:
+    from this process's PYTHONPATH)."""
+    env = dict(os.environ)
+    if src:
+        env["PYTHONPATH"] = os.path.abspath(src)
+    return env
+
+
 def _median_run(runs):
     """The run with the median wall time, given the medians and ranges of
     wall time and peak RSS over all runs."""
@@ -130,7 +142,9 @@ def _median_run(runs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", help="key the results are stored under")
+    ap.add_argument("--label", help="key the results of the code on PYTHONPATH are stored under")
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
+                    help="a source tree to run, alternately with the other --tree ones")
     ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort ('' for none)")
     ap.add_argument("--batches", default="20", help="labeler batch sizes")
     ap.add_argument("--latency-sizes", default="200,1000",
@@ -149,31 +163,35 @@ def main():
         inputs, out, label_batch, latency_s = args.cell
         print(json.dumps(cell(inputs, out, int(label_batch), float(latency_s))))
         return
-    if not args.label:
-        ap.error("--label is required")
+    if bool(args.label) == bool(args.tree):
+        ap.error("give either --label or one --tree LABEL=SRC per source tree")
+    trees = [tree.split("=", 1) for tree in args.tree] or [[args.label, None]]
 
     cells = [(int(p), b, 0.0) for p in filter(None, args.sizes.split(","))
              for b in args.batches.split(",")]
     cells += [(int(p), str(normalize.LABEL_BATCH), LATENCY_S)
               for p in filter(None, args.latency_sizes.split(","))]
-    rows = []
+    rows = {label: [] for label, _ in trees}
     with tempfile.TemporaryDirectory() as work:
         for patients, label_batch, latency_s in cells:
             inputs = os.path.join(work, f"inputs-{patients}")
             if not os.path.isdir(inputs):  # in a child: a cell's peak RSS starts at main's
                 subprocess.run([sys.executable, __file__, "--inputs", str(patients), inputs],
                                check=True)
-            runs = []
+            runs = {label: [] for label, _ in trees}
             for i in range(args.repeat):
-                out = os.path.join(work, f"run-{patients}-{label_batch}-{latency_s}-{i}")
-                done = subprocess.run(
-                    [sys.executable, __file__, "--cell", inputs, out, label_batch, str(latency_s)],
-                    check=True, capture_output=True, text=True,
-                )
-                runs.append(json.loads(done.stdout))
-            rows.append({"patients": patients, **_median_run(runs)})
-            print(json.dumps({k: v for k, v in rows[-1].items() if k != "stages"}),
-                  flush=True)
+                for j, (label, src) in enumerate(trees):
+                    out = os.path.join(work, f"run-{patients}-{label_batch}-{latency_s}-{i}-{j}")
+                    done = subprocess.run(
+                        [sys.executable, __file__, "--cell", inputs, out, label_batch,
+                         str(latency_s)],
+                        check=True, capture_output=True, text=True, env=_env(src),
+                    )
+                    runs[label].append(json.loads(done.stdout))
+            for label, _ in trees:
+                rows[label].append({"patients": patients, **_median_run(runs[label])})
+                print(label, json.dumps({k: v for k, v in rows[label][-1].items()
+                                         if k != "stages"}), flush=True)
 
     bench = {}
     if os.path.exists(args.out):
@@ -188,7 +206,7 @@ def main():
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
     })
-    bench.setdefault("results", {})[args.label] = rows
+    bench.setdefault("results", {}).update(rows)
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -289,7 +289,9 @@ def atomic_write(path, text):
 
 
 def write_jsonl(path, objs):
-    atomic_write(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
+    """One JSON line per object, keys sorted; a dataclass record is written as
+    its fields (``vars``), nested records included."""
+    atomic_write(path, "".join(json.dumps(o, sort_keys=True, default=vars) + "\n" for o in objs))
 
 
 def write_csv(path, header, rows):

@@ -158,7 +158,8 @@ def package_hash(root=os.path.dirname(os.path.abspath(__file__))):
 
 
 def _write_json(path, obj):
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Dataclass records are written as their fields (``vars``), keys sorted."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=vars) + "\n")
 
 
 class Runner:
@@ -374,7 +375,7 @@ class Runner:
         summary = cohort_mod.summarize_cohort(store, pairs)
         cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
         cohort_mod.write_pairs_csv(pairs, self.path("pairs.csv"))
-        _write_json(self.path("cohort_summary.json"), asdict(summary))
+        _write_json(self.path("cohort_summary.json"), summary)
         _write_json(self.path("rejects.json"), store.rejects)
         return ["rejects.json"]
 
@@ -384,8 +385,8 @@ class Runner:
         results = self.gateway.map(lambda h: extractor.extract(notes[h], h), sorted(notes))
         quarantined = [r for r in results if isinstance(r, QuarantinedExtraction)]
         records = [r for r in results if not isinstance(r, QuarantinedExtraction)]
-        write_jsonl(self.path("extractions.jsonl"), map(asdict, records))
-        write_jsonl(self.path("quarantine.jsonl"), map(asdict, quarantined))
+        write_jsonl(self.path("extractions.jsonl"), records)
+        write_jsonl(self.path("quarantine.jsonl"), quarantined)
         return ["quarantine.jsonl"]
 
     def _stage_canonicalize(self):
@@ -445,7 +446,7 @@ class Runner:
         scheme_files = []
         for variable, (scheme, labeled) in zip(entries, results):
             scheme_path = os.path.join("schemes", f"{variable}.json")
-            _write_json(self.path(scheme_path), asdict(scheme))
+            _write_json(self.path(scheme_path), scheme)
             scheme_files.append(scheme_path)
             for entry in labeled:
                 all_rows.append(
@@ -505,7 +506,7 @@ class Runner:
         results = self.gateway.map(judge, [rec for rec in records if codes.get(rec.hadm_id)])
         verdicts = [v for v in results if v is not None]
         judge_report = {
-            "per_patient": list(map(asdict, verdicts)),
+            "per_patient": verdicts,
             "summary": corpus_judge_summary(verdicts) if verdicts else None,
             "n_failed": len(results) - len(verdicts),
         }
@@ -598,7 +599,7 @@ class Runner:
             out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]
             if hadm_id in records:
                 out.append(render_structural(records[hadm_id], notes[hadm_id]))
-        write_jsonl(self.path("summaries.jsonl"), map(asdict, out))
+        write_jsonl(self.path("summaries.jsonl"), out)
 
     def _stage_predict(self):
         outcomes = self._outcomes()

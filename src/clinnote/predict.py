@@ -1,9 +1,12 @@
 """Readmission text classifier: TF-IDF features, L2 logistic regression,
 stratified cross-validation with rank-based AUROC.
 
-Vectorizer and classifier are fitted per fold on the training split only,
-so the vocabulary can never leak from test documents. Features are sparse
-rows (``CsrMatrix``); the classifier is fitted by Newton-CG.
+Each note is tokenized and counted once per corpus, into one term-count
+matrix (``TermCounts``). Every fold selects its rows from it: the
+vocabulary and idf come from the training rows' document frequencies
+only, so they can never leak from test documents, and the TF-IDF rows are
+a column remap of the count rows. Features are sparse rows
+(``CsrMatrix``); the classifier is fitted by Newton-CG.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import logging
 import math
 import re
 import statistics
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -25,15 +28,14 @@ from .stats import sigmoid
 
 log = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-MIN_TOKEN_LEN = 2
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 MIN_DF = 2
-TRANSFORM_CHUNK = 8  # documents whose token keys are sorted together
+TRANSFORM_CHUNK = 8  # documents counted together
 
 
 def tokenize(text):
     """Lowercased maximal alphanumeric runs of length >= 2."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= MIN_TOKEN_LEN]
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass
@@ -70,9 +72,69 @@ class CsrMatrix:
         return out
 
 
-def _as_tokens(docs):
-    """Vectorizer documents are token lists, or texts that are tokenized here."""
-    return [tokenize(doc) if isinstance(doc, str) else doc for doc in docs]
+@dataclass
+class TermCounts:
+    """Term counts of a corpus: row i counts ``terms[indices[k]]`` ``data[k]``
+    times for k in ``indptr[i]:indptr[i+1]``, columns ascending in a row.
+
+    ``terms`` is sorted; ``indices`` and ``data`` are int32.
+    """
+
+    terms: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def rows(self, selection) -> TermCounts:
+        """The selected rows, in the given order, over the same terms."""
+        selection = np.asarray(selection, dtype=np.intp)
+        starts, ends = self.indptr[selection], self.indptr[selection + 1]
+        spans = list(map(slice, starts.tolist(), ends.tolist()))
+        return TermCounts(
+            self.terms,
+            np.concatenate(([0], np.cumsum(ends - starts))),
+            np.concatenate([self.indices[:0], *(self.indices[span] for span in spans)]),
+            np.concatenate([self.data[:0], *(self.data[span] for span in spans)]),
+        )
+
+
+def count_terms(docs) -> TermCounts:
+    """Count each text's tokens once, TRANSFORM_CHUNK texts at a time, so
+    only one chunk's ``Counter``s are alive at once."""
+    ids = defaultdict()  # term -> column in first-seen order
+    ids.default_factory = ids.__len__
+    chunks = []
+    for start in range(0, len(docs), TRANSFORM_CHUNK):
+        counters = [Counter(tokenize(doc)) for doc in docs[start:start + TRANSFORM_CHUNK]]
+        lengths = list(map(len, counters))
+        cols = np.fromiter(map(ids.__getitem__, chain.from_iterable(counters)),
+                           np.int32, sum(lengths))
+        counts = np.fromiter(chain.from_iterable(map(Counter.values, counters)),
+                             np.int32, sum(lengths))
+        chunks.append((lengths, cols, counts))
+    terms = sorted(ids)
+    rank = np.empty(len(terms), np.int32)  # first-seen column -> sorted column
+    rank[np.fromiter(map(ids.__getitem__, terms), np.int64, len(terms))] = range(len(terms))
+    for lengths, cols, counts in chunks:  # renumber, then sort each row's columns
+        cols[:] = rank[cols]
+        keys = np.repeat(np.arange(len(lengths)) * len(terms), lengths) + cols
+        order = np.argsort(keys, kind="stable")  # the keys are distinct
+        cols[:], counts[:] = cols[order], counts[order]
+    empty = np.zeros(0, np.int32)
+    return TermCounts(
+        terms,
+        np.cumsum([0, *chain.from_iterable(lengths for lengths, _, _ in chunks)]),
+        np.concatenate([empty, *(cols for _, cols, _ in chunks)]),
+        np.concatenate([empty, *(counts for _, _, counts in chunks)]),
+    )
+
+
+def _as_counts(docs):
+    """Vectorizer documents are count rows, or texts that are counted here."""
+    return docs if isinstance(docs, TermCounts) else count_terms(docs)
 
 
 @dataclass
@@ -86,48 +148,36 @@ class Vectorizer:
         return hashlib.sha256("\x00".join(terms).encode()).hexdigest()
 
     def transform(self, docs) -> CsrMatrix:
-        """tf * idf rows, L2-normalized (rows with no known term stay empty).
-
-        Rows are built TRANSFORM_CHUNK documents at a time, so the work
-        arrays are as long as a chunk's tokens, not the whole corpus's.
-        """
-        n, d = len(docs), len(self.vocabulary)
-        counts, indices, data = [], [], []
-        for start in range(0, max(n, 1), TRANSFORM_CHUNK):  # one pass when n == 0
-            chunk = _as_tokens(docs[start:start + TRANSFORM_CHUNK])
-            # one key per token, row * (d + 1) + column, where column d stands
-            # for every out-of-vocabulary token; sorting runs equal keys together
-            keys = np.repeat(np.arange(len(chunk)) * (d + 1), [len(tokens) for tokens in chunk])
-            keys += np.fromiter(map(self.vocabulary.get, chain.from_iterable(chunk), repeat(d)),
-                                dtype=np.int64, count=len(keys))
-            keys.sort(kind="stable")
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            rows, cols = np.divmod(keys[starts], d + 1)
-            known = cols < d
-            rows, cols = rows[known], cols[known]
-            vals = np.diff(starts, append=len(keys))[known] * self.idf[cols]
-            vals /= np.sqrt(np.bincount(rows, weights=vals * vals, minlength=len(chunk)))[rows]
-            counts.append(np.bincount(rows, minlength=len(chunk)))
-            indices.append(cols)
-            data.append(vals)
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        return CsrMatrix(indptr, np.concatenate(indices), np.concatenate(data), (n, d))
+        """tf * idf rows, L2-normalized (rows with no known term stay empty);
+        columns ascend within each row."""
+        counts = _as_counts(docs)
+        n, d = len(counts), len(self.vocabulary)
+        colmap = np.fromiter(map(self.vocabulary.get, counts.terms, repeat(-1)),
+                             np.int64, len(counts.terms))  # term -> column, -1 if unknown
+        cols = colmap[counts.indices]
+        known = cols >= 0
+        cols = cols[known]
+        rows = np.repeat(np.arange(n), np.diff(counts.indptr))[known]
+        vals = self.idf[cols]
+        vals *= counts.data[known]
+        vals /= np.sqrt(np.bincount(rows, weights=vals * vals, minlength=n))[rows]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        return CsrMatrix(indptr, cols, vals, (n, d))
 
 
 def fit_vectorizer(train_docs) -> Vectorizer:
-    """Vocabulary = tokens in >= 2 training docs; idf = ln((1+N)/(1+df)) + 1."""
-    if len(train_docs) < 2:
+    """Vocabulary = terms in >= 2 training docs; idf = ln((1+N)/(1+df)) + 1."""
+    counts = _as_counts(train_docs)
+    n = len(counts)
+    if n < 2:
         raise InvalidInput("need at least 2 training documents")
-    df = Counter()
-    for tokens in _as_tokens(train_docs):
-        df.update(set(tokens))
-    terms = sorted(t for t, c in df.items() if c >= MIN_DF)
-    if not terms:
+    df = np.bincount(counts.indices, minlength=len(counts.terms))  # a row holds a term once
+    columns = np.flatnonzero(df >= MIN_DF)
+    if not len(columns):
         raise VectorizerDegenerate("no token appears in >= 2 training documents")
-    n = len(train_docs)
-    vocabulary = {t: i for i, t in enumerate(terms)}
-    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
-    return Vectorizer(vocabulary=vocabulary, idf=idf)
+    vocabulary = dict(zip(map(counts.terms.__getitem__, columns.tolist()), range(len(columns))))
+    idf_of = np.array([math.log((1 + n) / (1 + k)) + 1.0 for k in range(n + 1)])
+    return Vectorizer(vocabulary=vocabulary, idf=idf_of[df[columns]])
 
 
 # --- classifier ------------------------------------------------------------
@@ -310,8 +360,41 @@ class PredictionReport:
         }
 
 
+def _fold_features(counts, train_idx, test_idx):
+    """A fold's vectorizer, fitted on its training rows only, and its rows."""
+    train = counts.rows(train_idx)
+    vec = fit_vectorizer(train)
+    return vec, vec.transform(train), vec.transform(counts.rows(test_idx))
+
+
+def _evaluate_fold(report, counts, labels, test_idx, l2_lambda):
+    """Fit one fold and append its results to ``report``. Its matrices are
+    freed on return, before the next fold builds its own."""
+    test_set = set(test_idx)
+    train_idx = [i for i in range(len(counts)) if i not in test_set]
+    vec, X_train, X_test = _fold_features(counts, train_idx, test_idx)
+    w, info = train_classifier(X_train, labels[train_idx], l2_lambda=l2_lambda)
+    report.converged.append(info["converged"])
+    scores = predict_proba(w, X_test)
+    y_test = labels[test_idx]
+    acc, f1 = accuracy_f1(scores, y_test)
+    report.per_fold.append(
+        {
+            "fold": len(report.per_fold),
+            "auroc": auroc(scores, y_test),
+            "auprc": auprc(scores, y_test),
+            "accuracy": acc,
+            "f1": f1,
+            "n_test": len(test_idx),
+        }
+    )
+    report.vocabulary_sizes.append(len(vec.vocabulary))
+    report.vocabulary_hashes.append(vec.vocabulary_hash)
+
+
 def evaluate_cv(docs, labels, n_folds=5, seed=0, l2_lambda=1.0, variant="raw"):
-    """Stratified k-fold evaluation of the TF-IDF + logistic arm."""
+    """Stratified k-fold evaluation of the TF-IDF + logistic arm; each note
+    is counted once, and every fold selects its rows from those counts."""
     if len(docs) != len(labels):
         raise InvalidInput("docs and labels must align")
     if len(docs) < n_folds * 2:
@@ -319,31 +402,7 @@ def evaluate_cv(docs, labels, n_folds=5, seed=0, l2_lambda=1.0, variant="raw"):
     folds = stratified_folds(labels, n_folds, seed)
     labels = np.asarray(labels)
     report = PredictionReport(input_variant=variant, n_folds=n_folds, seed=seed)
-    # one str object per distinct term keeps every note's tokens small to hold
-    term = {}.setdefault
-    tokens = [[term(t, t) for t in tokenize(doc)] for doc in docs]
-    for fold_idx, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_idx = [i for i in range(len(docs)) if i not in test_set]
-        train_tokens = [tokens[i] for i in train_idx]
-        vec = fit_vectorizer(train_tokens)
-        X_train = vec.transform(train_tokens)
-        X_test = vec.transform([tokens[i] for i in test_idx])
-        w, info = train_classifier(X_train, labels[train_idx], l2_lambda=l2_lambda)
-        report.converged.append(info["converged"])
-        scores = predict_proba(w, X_test)
-        y_test = labels[test_idx]
-        acc, f1 = accuracy_f1(scores, y_test)
-        report.per_fold.append(
-            {
-                "fold": fold_idx,
-                "auroc": auroc(scores, y_test),
-                "auprc": auprc(scores, y_test),
-                "accuracy": acc,
-                "f1": f1,
-                "n_test": len(test_idx),
-            }
-        )
-        report.vocabulary_sizes.append(len(vec.vocabulary))
-        report.vocabulary_hashes.append(vec.vocabulary_hash)
+    counts = count_terms(docs)
+    for test_idx in folds:
+        _evaluate_fold(report, counts, labels, test_idx, l2_lambda)
     return report

@@ -23,6 +23,7 @@ from clinnote.errors import (
     InvalidInput,
     RequestFailed,
 )
+from clinnote.extraction import QuarantinedExtraction
 from clinnote.fixture import write_fixture
 from clinnote.gateway import LLMGateway, MockBackend
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, package_hash, report_hash
@@ -686,6 +687,61 @@ class TestRunner:
                        for p in pairs}
         assert by_interval[29.5] == 1
         assert by_interval[31.0] == 0
+
+
+def _assert_written_as_asdict(obj):
+    """A record written with ``default=vars`` gives the bytes ``asdict`` gave,
+    as a JSONL line and as an indented report."""
+    assert dataclasses.is_dataclass(obj)
+    for indent in (None, 2):
+        assert (json.dumps(obj, indent=indent, sort_keys=True, default=vars)
+                == json.dumps(dataclasses.asdict(obj), indent=indent, sort_keys=True))
+
+
+@dataclasses.dataclass
+class _WithNonField:
+    a: int
+
+    def __post_init__(self):
+        self.derived = self.a + 1  # an attribute that is not a field
+
+
+class TestRecordWriters:
+    def test_every_record_type_written_as_asdict(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording(real):
+            def write(path, objs):
+                objs = list(objs) if real is pipeline.write_jsonl else objs
+                written.append(objs)
+                real(path, objs)
+            return write
+
+        for name in ("write_jsonl", "_write_json"):
+            monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+        run_all(fixture_config(tmp_path), str(tmp_path / "run"))
+
+        def records(obj):
+            if dataclasses.is_dataclass(obj):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from records(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    yield from records(item)
+
+        seen = [rec for obj in written for rec in records(obj)]
+        seen.append(QuarantinedExtraction("h1", 'raw {"', "no JSON object in the reply"))
+        for rec in seen:
+            _assert_written_as_asdict(rec)
+        assert {type(r).__name__ for r in seen} == {
+            "CohortSummary", "ExtractionRecord", "QuarantinedExtraction", "CategoryScheme",
+            "JudgeVerdict", "SummaryRecord"}
+
+    def test_a_non_field_attribute_is_caught(self):
+        with pytest.raises(AssertionError):
+            _assert_written_as_asdict(_WithNonField(1))
 
 
 class TestNormalizeStage:

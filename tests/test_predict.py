@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tfidf_oracle
 from clinnote import predict
 from clinnote.errors import CVInfeasible, InvalidInput, VectorizerDegenerate
 from clinnote.predict import (
@@ -14,6 +17,7 @@ from clinnote.predict import (
     accuracy_f1,
     auprc,
     auroc,
+    count_terms,
     evaluate_cv,
     fit_vectorizer,
     predict_proba,
@@ -35,6 +39,15 @@ class TestTokenize:
             assert len(tok) >= 2
             assert tok == tok.lower()
             assert tok.isalnum()
+
+    @given(st.text(alphabet=st.sampled_from("aZ09 _-.\n\u0130\u212a\xe9"), max_size=60)
+           | st.text(max_size=200))
+    def test_equals_runs_filtered_by_length(self, text):
+        # one {2,} regex gives the maximal runs of two or more; the alphabet
+        # mixes one-letter runs, separators and characters whose lowercase
+        # is ASCII (Kelvin sign) or longer (dotted I)
+        want = [w for w in re.findall("[a-z0-9]+", text.lower()) if len(w) >= 2]
+        assert tokenize(text) == want
 
 
 class TestVectorizer:
@@ -81,7 +94,7 @@ class TestVectorizer:
         assert X.shape == ref.shape
         assert np.allclose(X.toarray(), ref, rtol=0, atol=1e-15)
         assert list(np.diff(X.indptr)) == [3, 0, 0, 2, 1]  # empty and OOV rows hold nothing
-        assert np.array_equal(X.toarray(), vec.transform([tokenize(d) for d in docs]).toarray())
+        assert np.array_equal(X.toarray(), vec.transform(count_terms(docs)).toarray())
 
     def test_products_match_dense(self):
         vec = fit_vectorizer(["aa bb cc", "aa bb dd", "cc dd ee", "bb ee"])
@@ -95,40 +108,45 @@ class TestVectorizer:
     def test_chunked_rows_equal_one_pass(self, monkeypatch, chunk):
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(40)]
-        docs = [[words[j] for j in rng.integers(0, 40, size=rng.integers(0, 30))]
+        docs = [" ".join(words[j] for j in rng.integers(0, 40, size=rng.integers(0, 30)))
                 for _ in range(50)]
-        docs[3] = docs[21] = []  # empty documents, one at a chunk edge for chunk=3 and 7
-        docs[10], docs[20] = ["unseen", "unseen"], ["novel"]  # only words in < MIN_DF docs
-        vec = fit_vectorizer(docs)
+        docs[3] = docs[21] = ""  # empty documents, one at a chunk edge for chunk=3 and 7
+        docs[10], docs[20] = "unseen unseen", "novel"  # only words in < MIN_DF docs
         monkeypatch.setattr(predict, "TRANSFORM_CHUNK", len(docs))
-        one_pass = vec.transform(docs)
+        one_pass = count_terms(docs)
         monkeypatch.setattr(predict, "TRANSFORM_CHUNK", chunk)
-        chunked = vec.transform(docs)
+        chunked = count_terms(docs)
+        assert chunked.terms == one_pass.terms == sorted(chunked.terms)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(one_pass, name), getattr(chunked, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert chunked.shape == one_pass.shape == (50, len(vec.vocabulary))
-        assert list(np.diff(chunked.indptr)[[3, 10, 20, 21]]) == [0, 0, 0, 0]
+        assert chunked.indices.dtype == chunked.data.dtype == np.int32
+        assert list(np.diff(chunked.indptr)[[3, 10, 20, 21]]) == [0, 1, 1, 0]
+        for i, doc in enumerate(docs):  # each row: its distinct terms, ascending, counted
+            row = slice(chunked.indptr[i], chunked.indptr[i + 1])
+            got = {chunked.terms[c]: int(k) for c, k in zip(chunked.indices[row], chunked.data[row])}
+            assert got == Counter(tokenize(doc))
+            assert np.all(np.diff(chunked.indices[row]) > 0)
 
     def test_no_documents(self):
         X = fit_vectorizer(["aa bb", "aa bb"]).transform([])
         assert X.shape == (0, 2) and list(X.indptr) == [0] and len(X.data) == 0
 
-    def test_transform_memory_does_not_grow_with_the_token_stream(self):
+    def test_count_build_memory_does_not_grow_with_the_token_stream(self):
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(200)]
-        docs = [[words[j] for j in row] for row in rng.integers(0, 200, size=(1000, 1000))]
-        vec = fit_vectorizer(docs)
+        docs = [" ".join(words[j] for j in row) for row in rng.integers(0, 200, size=(1000, 1000))]
         tracemalloc.start()
         try:
-            X = vec.transform(docs)
+            counts = count_terms(docs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert X.shape == (1000, 200)
-        # a pass over all 10**6 tokens at once peaks at about 24 bytes a token;
-        # rows built a chunk of documents at a time stay under 10
-        assert peak < 10 * 10**6
+        assert len(counts) == 1000 and len(counts.terms) == 200
+        # holding every note's token list costs over 8 bytes a token (10**6
+        # tokens here); a chunk's Counters at a time and int32 counts stay
+        # under 5 (about 3.4: the int32 matrix twice while it is joined)
+        assert peak < 5 * 10**6
 
     def test_vocabulary_hash_tracks_content(self):
         a = fit_vectorizer(["aa bb", "aa bb"])
@@ -175,6 +193,20 @@ class TestAuroc:
             sklearn_metrics.roc_auc_score(labels, scores)
         )
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_mann_whitney_u(self, seed):
+        # AUROC is the Mann-Whitney U of the positives over the pair count;
+        # about half the sets draw from five scores, so most pairs tie
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        scores = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=n) if seed % 2 else rng.random(n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        u = stats.mannwhitneyu(pos, neg).statistic
+        assert auroc(scores, labels) == pytest.approx(u / (len(pos) * len(neg)), rel=1e-12)
+
     def test_complement_symmetry(self):
         rng = np.random.default_rng(4)
         scores = rng.random(30)
@@ -202,6 +234,29 @@ class TestAuprc:
         assert auprc(scores, labels) == pytest.approx(
             sklearn_metrics.average_precision_score(labels, scores)
         )
+
+    @staticmethod
+    def _every_threshold(scores, labels):
+        """Precision times the recall gained, at each distinct score from the
+        highest down, with every note scored at or above it called positive."""
+        ap, prev_recall = 0.0, 0.0
+        for t in sorted(set(scores.tolist()), reverse=True):
+            called = scores >= t
+            tp = int(np.sum(called & (labels == 1)))
+            recall = tp / int(np.sum(labels == 1))
+            ap += tp / int(np.sum(called)) * (recall - prev_recall)
+            prev_recall = recall
+        return ap
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_every_threshold_integration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        scores = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=n) if seed % 2 else rng.random(n)
+        labels = rng.integers(0, 2, size=n)
+        labels[0] = 1
+        assert auprc(scores, labels) == pytest.approx(self._every_threshold(scores, labels),
+                                                      rel=1e-12)
 
     def test_baseline_is_prevalence_for_constant_scores(self):
         labels = np.array([1, 0, 0, 0, 1, 0, 0, 0, 0, 0])
@@ -448,6 +503,80 @@ def _zipf_corpus(n, seed, n_words=20000, length=100):
     return docs, labels
 
 
+class TestFeaturesEqualOracle:
+    """Per fold, the features taken from one count matrix equal those of the
+    per-fold re-counting they replaced (``tests/tfidf_oracle.py``): the same
+    vocabulary in the same order, and idf and CSR arrays equal in dtype and
+    value."""
+
+    EDGE_DOCS = [
+        "",                          # empty
+        "a b c",                     # no token of two characters
+        "rare1 rare2",               # terms of one document
+        "pair alpha beta",           # "pair" is in two documents
+        "pair alpha gamma",
+        "alpha beta gamma delta",
+        "",
+        "testonly testonly alpha",
+        "beta gamma delta delta",
+        "Alpha ALPHA beta",
+        "lone3 delta 42 42",
+        "gamma beta",
+    ]
+
+    @staticmethod
+    def _assert_fold_equal(docs, train_idx, test_idx):
+        vec, X_train, X_test = predict._fold_features(count_terms(docs), train_idx, test_idx)
+        want = tfidf_oracle.fit_vectorizer([docs[i] for i in train_idx])
+        assert list(vec.vocabulary.items()) == list(want.vocabulary.items())
+        assert vec.vocabulary_hash == want.vocabulary_hash
+        assert vec.idf.dtype == want.idf.dtype and np.array_equal(vec.idf, want.idf)
+        for got, idx in ((X_train, train_idx), (X_test, test_idx)):
+            ref = want.transform([docs[i] for i in idx])
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        return vec
+
+    @pytest.mark.parametrize("chunk", [1, 8])
+    def test_edge_corpus_every_two_document_test_split(self, monkeypatch, chunk):
+        monkeypatch.setattr(predict, "TRANSFORM_CHUNK", chunk)  # 1: one-document chunks
+        docs, n = self.EDGE_DOCS, len(self.EDGE_DOCS)
+        for i in range(n):
+            for j in range(i + 1, n):
+                train_idx = [k for k in range(n) if k not in (i, j)]
+                vec = self._assert_fold_equal(docs, train_idx, [i, j])
+                # "pair" reaches df = MIN_DF exactly when both its documents train
+                assert ("pair" in vec.vocabulary) == ({i, j}.isdisjoint({3, 4}))
+                assert "testonly" not in vec.vocabulary and "rare1" not in vec.vocabulary
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_corpora_every_fold(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(predict, "TRANSFORM_CHUNK", int(rng.choice([1, 3, 8])))
+        words = ["aa", "bb", "cc", "dd", "e", "ff", "Gg", "h1", "22", "iii", "jj", "kk"]
+        n = int(rng.integers(6, 40))
+        docs = [" ".join(rng.choice(words, size=rng.integers(0, 12))) for _ in range(n)]
+        docs = [d + f" only{i}" * bool(rng.random() < 0.3) for i, d in enumerate(docs)]
+        labels = rng.integers(0, 2, size=n)
+        labels[:6] = [0, 1] * 3
+        n_folds = int(rng.integers(2, 4))
+        for test_idx in stratified_folds(labels, n_folds, seed):
+            train_idx = [k for k in range(n) if k not in set(test_idx)]
+            try:
+                self._assert_fold_equal(docs, train_idx, test_idx)
+            except VectorizerDegenerate:
+                with pytest.raises(VectorizerDegenerate):
+                    tfidf_oracle.fit_vectorizer([docs[k] for k in train_idx])
+
+    def test_wide_zipf_corpus(self):
+        docs, labels = _zipf_corpus(200, seed=3)
+        for test_idx in stratified_folds(labels, 3, 0):
+            train_idx = [k for k in range(len(docs)) if k not in set(test_idx)]
+            assert len(self._assert_fold_equal(docs, train_idx, test_idx).vocabulary) > 1000
+
+
 class TestEvaluateCv:
     def test_report_shape_and_leakage_guard(self):
         docs, labels = _synthetic_corpus()
@@ -473,6 +602,22 @@ class TestEvaluateCv:
         assert min(report.vocabulary_sizes) > 3000
         assert report.converged == [True] * 5
         assert "converged" not in json.dumps(report.to_dict())  # report bytes unchanged
+
+    def test_peak_memory_per_nonzero(self):
+        docs, labels = _zipf_corpus(1000, seed=0)
+        nnz = len(count_terms(docs).indices)
+        tracemalloc.start()
+        try:
+            evaluate_cv(docs, labels, n_folds=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one fold's matrices at a time: the int32 counts (8 bytes a nonzero),
+        # X_train with its row ids and the classifier's two product temporaries
+        # (40 bytes a training nonzero), X_test, and the term strings; about 59
+        # bytes a nonzero. Token lists held through the CV, or the last fold's
+        # matrices alive while the next is built, read about 80.
+        assert peak < 66 * nnz
 
     def test_too_few_docs(self):
         with pytest.raises(InvalidInput):
