@@ -18,6 +18,12 @@ the machine's load between sittings does not read as a code change. Batch
 size 1 sends one entry per labeler request, as the paper does; equal
 ``report_hash`` values for one size mean that the report bytes are the same.
 
+Each stage of a serial cell also records ``mock_s``: the seconds spent
+inside the mock backend's ``chat`` and ``embed`` (the stand-in for the
+model server), wrapped from this script as perfbench wraps its hooks.
+They are CPU seconds of the calling thread, so no wait for another thread
+counts; ``s`` less ``mock_s`` is the pipeline's own share of the stage.
+
 Each ``--latency-sizes`` cell runs ``Runner.run_all`` once more behind
 perfbench's endpoint stand-in (``endpoint.LatencyBackend``), which sleeps
 LATENCY_S per request, at the default labeler batch size. Beside its wall
@@ -41,6 +47,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -51,7 +58,7 @@ from workloads import diverse_cohort, write_tables  # noqa: E402
 
 from clinnote import normalize  # noqa: E402
 from clinnote.config import Config  # noqa: E402
-from clinnote.gateway import LLMGateway  # noqa: E402
+from clinnote.gateway import LLMGateway, MockBackend  # noqa: E402
 from clinnote.pipeline import STAGES, Runner, report_hash  # noqa: E402
 
 SEED = 0
@@ -64,8 +71,25 @@ def _peak_rss_mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
+def _time_mock_backend():
+    """Wrap MockBackend's chat and embed; returns a list whose one item sums
+    the CPU seconds their calls take in their calling threads."""
+    spent, lock = [0.0], threading.Lock()
+    for attr in ("chat", "embed"):
+        def timed(self, *args, _original=getattr(MockBackend, attr)):
+            began = time.thread_time()
+            try:
+                return _original(self, *args)
+            finally:
+                with lock:
+                    spent[0] += time.thread_time() - began
+        setattr(MockBackend, attr, timed)
+    return spent
+
+
 def cell(inputs, out, label_batch, latency_s=0.0):
     """One run in this process; returns its measurements."""
+    mock_s = _time_mock_backend()
     normalize.LABEL_BATCH = label_batch
     config = Config(
         admissions_path=os.path.join(inputs, "admissions.csv"),
@@ -89,9 +113,10 @@ def cell(inputs, out, label_batch, latency_s=0.0):
                              "llm_calls": entry["network_calls"]}
     else:
         for stage in STAGES:
-            began, calls = time.perf_counter(), gateway.network_calls
+            began, calls, mocked = time.perf_counter(), gateway.network_calls, mock_s[0]
             runner.run_stage(stage)
             stages[stage] = {"s": round(time.perf_counter() - began, 3),
+                             "mock_s": round(mock_s[0] - mocked, 3),
                              "llm_calls": gateway.network_calls - calls,
                              "peak_rss_mb": _peak_rss_mb()}
     wall_s = time.perf_counter() - start
@@ -199,7 +224,8 @@ def main():
             bench = json.load(fh)
     bench.update({
         "what": "mock run-all on perfbench's diverse_cohort generator, one process per "
-                "cell: wall time, peak RSS, LLM calls per note per stage; cells with "
+                "cell: wall time, peak RSS, LLM calls per note per stage, and in serial "
+                "cells the mock backend's CPU seconds per stage (mock_s); cells with "
                 "latency_ms sleep that long per request and floor_s is R·L/c; wall_s "
                 "and peak_rss_mb are medians of `runs` runs, with *_range",
         "config": CONFIG,

@@ -84,29 +84,34 @@ def _canon_value(value):
     return value
 
 
-def _ci_get(d, *names):
-    """Case-insensitive dict lookup over several candidate key names."""
-    lowered = {k.lower(): v for k, v in d.items()} if isinstance(d, dict) else {}
-    for name in names:
-        if name.lower() in lowered:
-            return lowered[name.lower()]
-    return None
+def _lower_keys(d):
+    """d with its keys lowercased (the last of colliding keys wins); {} for
+    a non-dict."""
+    return {k.lower(): v for k, v in d.items()} if isinstance(d, dict) else {}
+
+
+def _first(lowered, *names):
+    """The value under the first of several lowercase names present, else None."""
+    return next((lowered[name] for name in names if name in lowered), None)
 
 
 def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
-    """Parse a model reply into a schema-complete ExtractionRecord."""
-    obj = find_json(raw_text, dict)
+    """Parse a model reply into a schema-complete ExtractionRecord.
 
-    clinical = _ci_get(obj, "Clinical_Info") or {}
+    Key lookups ignore case: each object's keys are lowercased once.
+    """
+    obj = _lower_keys(find_json(raw_text, dict))
+
+    clinical = _lower_keys(obj.get("clinical_info"))
     sources = {  # record field -> the reply's group object
-        "charted_sdoh": _ci_get(obj, "Charted_SDOHs", "Charted_SDOH") or {},
-        "uncharted_sdoh": _ci_get(
-            obj, "NonCharted_SDOHs", "Uncharted_SDOHs", "NonCharted_SDOH", "uncharted_sdoh"
+        "charted_sdoh": _first(obj, "charted_sdohs", "charted_sdoh") or {},
+        "uncharted_sdoh": _first(
+            obj, "noncharted_sdohs", "uncharted_sdohs", "noncharted_sdoh", "uncharted_sdoh"
         ) or {},
-        "vitals_raw": _ci_get(clinical, "Vitals") or _ci_get(obj, "Vitals") or {},
-        "chief_complaint": _ci_get(obj, "Chief_Complaint") or {},
+        "vitals_raw": clinical.get("vitals") or obj.get("vitals") or {},
+        "chief_complaint": obj.get("chief_complaint") or {},
     }
-    dx_src = _ci_get(obj, "Diagnoses")
+    dx_src = obj.get("diagnoses")
 
     if not all(isinstance(src, dict) for src in sources.values()):
         raise SchemaViolation("expected nested objects for SDOH / vitals groups")
@@ -116,9 +121,10 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
 
     rec = ExtractionRecord(hadm_id=hadm_id)
     for name, keys in GROUPS.items():
-        group = getattr(rec, name)
+        group, source = getattr(rec, name), _lower_keys(sources[name])
         for key in keys:
-            group[key] = _canon_value(_ci_get(sources[name], key, key.replace("_", "")))
+            value = source[key] if key in source else source.get(key.replace("_", ""))
+            group[key] = _canon_value(value)
 
     if dx_src is not None:
         if not isinstance(dx_src, list):
@@ -126,10 +132,11 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
         for item in dx_src:
             if not isinstance(item, dict):
                 continue
-            condition = _canon_value(_ci_get(item, "Condition"))
+            item = _lower_keys(item)
+            condition = _canon_value(item.get("condition"))
             if condition is None:
                 continue
-            details = _canon_value(_ci_get(item, "Details")) or ""
+            details = _canon_value(item.get("details")) or ""
             rec.diagnoses.append({"condition": condition, "details": details})
     return rec
 

@@ -124,7 +124,123 @@ def _norm(text):
     return re.sub(r"[^a-z0-9 ]+", " ", text.lower()).strip()
 
 
+# The extractor's fields: name -> (anchors, case-insensitive pattern). Every
+# match holds one of its field's lowercase anchors, and has no "." or line
+# feed before it. Those down to "diagnoses" are searched in the whole note,
+# the rest in its social history.
+_FIELDS = {
+    "age_phrase": (("year",),
+                   r"\b(\d{1,3})[ -]year[ -]old (man|woman|male|female|gentleman|lady)"),
+    "age": (("age:",), r"\bAge:\s*(\d{1,3})"),
+    "gender": (("sex:", "gender:"), r"\b(?:Sex|Gender):\s*([MF])\b"),
+    "language": (("language", "speaks"), r"(?:Language|speaks)[:\s]+([A-Za-z ]+?)(?:[.,\n]|$)"),
+    "temperature": (("temp",), r"Temp(?:erature)?[:\s]+([\d.]+\s*[FC]?)"),
+    "heart_rate": (("hr",), r"\bHR[:\s]+(\d+(?:\s*bpm)?)"),
+    "respiration_rate": (("rr",), r"\bRR[:\s]+(\d+)"),
+    "blood_pressure": (("bp",), r"\bBP[:\s]+(\d+\s*/\s*\d+)"),
+    "spo2": (("spo2",), r"SpO2[:\s]+(\d+%?)"),
+    "height": (("height",), r"Height[:\s]+([^\n,;]+)"),
+    "weight": (("weight",), r"Weight[:\s]+([^\n,;]+)"),
+    "chief_complaint": (("chief complaint",), r"Chief Complaint[:\s]+([^\n]+)"),
+    "diagnoses": (("discharge diagnos",),
+                  r"(?s)Discharge Diagnos[ie]s(?:is)?:\s*(.*?)(?:\n\s*\n|\n[A-Z][A-Za-z ]+:|\Z)"),
+    "marital": (("married", "widow", "divorced", "separated", "single"),
+                r"\b(married|widowed|widower|widow|divorced|separated|single)\b"),
+    "lives_alone": (("lives alone",), r"lives alone"),
+    "lives": (("lives ",), r"lives (?:at|in|with) ([^.\n]+)"),
+    "employment": (("retired", "employed", "on disability", "works as"),
+                   r"\b(retired[a-z ]*|unemployed|on disability|works as [^.\n]+|"
+                   r"self-employed[^.\n]*|employed [^.\n]+)"),
+    "parental": (("children",), r"((?:no children|(?:\w+ )?(?:adult )?children[^.\n]*))"),
+    "transportation": (("transportation", "gets around"),
+                       r"(?:Transportation|Gets around)[:\s]+([^.\n]+)"),
+    "drives": (("drives",), r"((?:no longer )?drives[^.\n]*|daughter drives [^.\n]+)"),
+    "support": (("support",), r"(?:Supported by|Support(?: system)?:)\s*([^.\n]+)"),
+    "alcohol": (("alcohol",), r"Alcohol[:\s]+([^.\n]+)"),
+    "tobacco": (("tobacco",), r"Tobacco[:\s]+([^.\n]+)"),
+    "drug": (("drug",), r"(?:Drug use|Drugs)[:\s]+([^.\n]+)"),
+}
+
+# the summarizer keeps the lines that hold one of these, in any case
+_KEEP = (r"chief complaint|vital signs|diagnos|worsening|edema|dyspnea|failure|"
+         r"abnormal|elevated|reduced|shortness of breath|admitted|discharged home")
+
+
+def _search(field, text, low):
+    """The first match of an extractor field in text, or None.
+
+    ``low`` is text lowercased when text is ASCII, else None. Only for ASCII
+    does lowercasing keep positions and agree with the regex engine's case
+    folding (which matches the long s, U+017F, to "s"), so only then does
+    the search start at the sentence of the field's first anchor, or return
+    None at once when no anchor occurs.
+    """
+    anchors, pattern = _FIELDS[field]
+    start = 0
+    if low is not None:
+        first = min((i for i in map(low.find, anchors) if i >= 0), default=-1)
+        if first < 0:
+            return None
+        start = max(low.rfind(".", 0, first), low.rfind("\n", 0, first)) + 1
+    return re.compile(pattern, re.IGNORECASE).search(text, start)
+
+
+def _has_digit(token):
+    return any(ch.isdigit() for ch in token)
+
+
+def _has_ascii_digit(token):
+    """_has_digit for an ASCII token; letters skip the search, since no
+    letter is a digit."""
+    return not token.isalpha() and re.search(r"\d", token) is not None
+
+
+def _variable(text):
+    m = re.search(r"Variable:\s*(\w+)", text)
+    return m.group(1).lower() if m else ""
+
+
+def _label_header(header, variable):
+    """What labeling an entry needs from a labeler request's header: each
+    category example's label, the variable's rules whose label is allowed,
+    each allowed label's tokens, and the fallback label."""
+    allowed_block, _, example_block = header.partition("\nCategory examples:\n")
+    allowed_block = allowed_block.partition("\nAllowed categories:\n")[2]
+    allowed = re.findall(r"^- ([^:]+):", allowed_block, re.MULTILINE)
+    examples = {}  # the first listed category wins
+    for xm in re.finditer(r"^- ([^:]+): e\.g\. (.+)$", example_block, re.MULTILINE):
+        for example in xm.group(2).split(";"):
+            examples.setdefault(example.strip(), xm.group(1).strip())
+    rules = [(pattern, label) for pattern, label in _LABEL_RULES.get(variable, [])
+             if label in allowed]
+    tokens = [(label, set(_norm(label).split())) for label in allowed]
+    fallback = next((l for l in allowed if "Unknown/Other" in l), "Unknown/Other")
+    return examples, rules, tokens, fallback
+
+
+def _label_entry(header, entry):
+    examples, rules, tokens, fallback = header
+    # exact match against listed category examples first
+    if entry in examples:
+        return examples[entry]
+    lowered = entry.lower()
+    for pattern, label in rules:
+        if re.search(pattern, lowered):
+            return label
+    # token overlap with category labels
+    entry_tokens = set(_norm(entry).split())
+    best, best_overlap = None, 0
+    for label, label_tokens in tokens:
+        overlap = len(entry_tokens & label_tokens)
+        if overlap > best_overlap:
+            best, best_overlap = label, overlap
+    return best or fallback
+
+
 class MockResponder:
+    """Answers each request in one pass over its text. Patterns compile on
+    first use (through ``re``'s cache), not at import."""
+
     def __init__(self, seed=0):
         self.seed = seed
 
@@ -147,72 +263,63 @@ class MockResponder:
     # -- extraction --------------------------------------------------------
 
     def _extract(self, note):
-        def find(pattern, group=1, flags=re.IGNORECASE):
-            m = re.search(pattern, note, flags)
-            return m.group(group).strip() if m else "null"
+        low = note.lower() if note.isascii() else None
 
-        gender = "null"
-        m = re.search(r"\b(\d{1,3})[ -]year[ -]old (man|woman|male|female|gentleman|lady)",
-                      note, re.IGNORECASE)
-        age = m.group(1) if m else find(r"\bAge:\s*(\d{1,3})")
+        def find(field):
+            m = _search(field, note, low)
+            return m.group(1).strip() if m else "null"
+
+        m = _search("age_phrase", note, low)
         if m:
+            age = m.group(1)
             gender = "M" if m.group(2).lower() in ("man", "male", "gentleman") else "F"
         else:
-            g = find(r"\b(?:Sex|Gender):\s*([MF])\b")
-            gender = g if g != "null" else "null"
+            age, gender = find("age"), find("gender")
 
-        social = ""
         ms = re.search(r"Social History:\s*(.*?)(?:\n\s*\n|\n[A-Z][A-Za-z ]+:|\Z)",
                        note, re.DOTALL)
-        if ms:
-            social = ms.group(1)
+        social = ms.group(1) if ms else ""
+        social_low = None if low is None else social.lower()
 
-        def social_find(pattern):
-            m = re.search(pattern, social, re.IGNORECASE)
+        def social_search(field):
+            return _search(field, social, social_low)
+
+        def social_find(field):
+            m = social_search(field)
             return m.group(1).strip().rstrip(".") if m else "null"
 
-        marital = "null"
-        mm = re.search(r"\b(married|widowed|widower|widow|divorced|separated|single)\b",
-                       social, re.IGNORECASE)
-        if mm:
-            marital = mm.group(1).capitalize()
+        mm = social_search("marital")
+        marital = mm.group(1).capitalize() if mm else "null"
 
         housing = "null"
-        if re.search(r"lives alone", social, re.IGNORECASE):
+        if social_search("lives_alone"):
             housing = "lives alone"
         else:
-            hm = re.search(r"lives (?:at|in|with) ([^.\n]+)", social, re.IGNORECASE)
+            hm = social_search("lives")
             if hm:
                 housing = "lives with " + hm.group(1).strip() \
                     if "with" in hm.group(0).lower() else hm.group(0).strip()
 
-        employment = "null"
-        em = re.search(
-            r"\b(retired[a-z ]*|unemployed|on disability|works as [^.\n]+|"
-            r"self-employed[^.\n]*|employed [^.\n]+)", social, re.IGNORECASE)
-        if em:
-            employment = em.group(1).strip()
+        em = social_search("employment")
+        employment = em.group(1).strip() if em else "null"
 
-        parental = social_find(r"((?:no children|(?:\w+ )?(?:adult )?children[^.\n]*))")
-        transport = social_find(r"(?:Transportation|Gets around)[:\s]+([^.\n]+)")
+        parental = social_find("parental")
+        transport = social_find("transportation")
         if transport == "null":
-            tm = re.search(r"((?:no longer )?drives[^.\n]*|daughter drives [^.\n]+)",
-                           social, re.IGNORECASE)
-            if tm:
-                transport = tm.group(1).strip().rstrip(".")
-        support = social_find(r"(?:Supported by|Support(?: system)?:)\s*([^.\n]+)")
+            transport = social_find("drives")
+        support = social_find("support")
 
         payload = {
             "Charted_SDOHs": {
                 "Gender": gender,
                 "Age": age,
-                "Language": find(r"(?:Language|speaks)[:\s]+([A-Za-z ]+?)(?:[.,\n]|$)"),
+                "Language": find("language"),
                 "Marital_Status": marital,
             },
             "NonCharted_SDOHs": {
-                "Alcohol_use": social_find(r"Alcohol[:\s]+([^.\n]+)"),
-                "Tobacco_use": social_find(r"Tobacco[:\s]+([^.\n]+)"),
-                "Drug_use": social_find(r"(?:Drug use|Drugs)[:\s]+([^.\n]+)"),
+                "Alcohol_use": social_find("alcohol"),
+                "Tobacco_use": social_find("tobacco"),
+                "Drug_use": social_find("drug"),
                 "Transportation": transport,
                 "Housing": housing,
                 "Parental": parental,
@@ -221,28 +328,24 @@ class MockResponder:
             },
             "Clinical_Info": {
                 "Vitals": {
-                    "Body_Temperature": find(r"Temp(?:erature)?[:\s]+([\d.]+\s*[FC]?)"),
-                    "Heart_Rate": find(r"\bHR[:\s]+(\d+(?:\s*bpm)?)"),
-                    "Respiration_Rate": find(r"\bRR[:\s]+(\d+)"),
-                    "Blood_Pressure": find(r"\bBP[:\s]+(\d+\s*/\s*\d+)"),
-                    "SpO2": find(r"SpO2[:\s]+(\d+%?)"),
-                    "Height": find(r"Height[:\s]+([^\n,;]+)"),
-                    "Weight": find(r"Weight[:\s]+([^\n,;]+)"),
+                    "Body_Temperature": find("temperature"),
+                    "Heart_Rate": find("heart_rate"),
+                    "Respiration_Rate": find("respiration_rate"),
+                    "Blood_Pressure": find("blood_pressure"),
+                    "SpO2": find("spo2"),
+                    "Height": find("height"),
+                    "Weight": find("weight"),
                 }
             },
             "Chief_Complaint": {
-                "Symptoms": find(r"Chief Complaint[:\s]+([^\n]+)"),
+                "Symptoms": find("chief_complaint"),
                 "Description": "null",
             },
-            "Diagnoses": self._diagnoses(note),
+            "Diagnoses": self._diagnoses(_search("diagnoses", note, low)),
         }
         return json.dumps(payload, indent=2)
 
-    def _diagnoses(self, note):
-        m = re.search(
-            r"Discharge Diagnos[ie]s(?:is)?:\s*(.*?)(?:\n\s*\n|\n[A-Z][A-Za-z ]+:|\Z)",
-            note, re.DOTALL | re.IGNORECASE,
-        )
+    def _diagnoses(self, m):
         if not m:
             return []
         parts = re.split(r"[;\n]|\d+\.\s*", m.group(1))
@@ -255,34 +358,34 @@ class MockResponder:
 
     # -- summaries ---------------------------------------------------------
 
-    _KEEP_RE = re.compile(
-        r"chief complaint|vital signs|diagnos|worsening|edema|dyspnea|failure|"
-        r"abnormal|elevated|reduced|shortness of breath|admitted|discharged home",
-        re.IGNORECASE,
-    )
-
     def _summarize(self, note, no_number):
-        kept = [ln.strip() for ln in note.splitlines() if ln.strip() and
-                self._KEEP_RE.search(ln)]
+        lines = note.splitlines()
+        if note.isascii():  # one case-sensitive search of each lowercased line
+            keep = re.compile(_KEEP).search
+            kept = [ln.strip() for ln, low in zip(lines, note.lower().splitlines()) if keep(low)]
+        else:
+            keep = re.compile(_KEEP, re.IGNORECASE).search
+            kept = [ln.strip() for ln in lines if ln.strip() and keep(ln)]
         if not kept:
-            kept = [ln.strip() for ln in note.splitlines() if ln.strip()][:3]
+            kept = [ln.strip() for ln in lines if ln.strip()][:3]
         text = " ".join(kept)
         if no_number:
-            tokens = []
-            for tok in text.split():
-                if any(ch.isdigit() for ch in tok):
-                    h = int(hashlib.sha256(f"{self.seed}:{tok}".encode()).hexdigest(), 16)
-                    tokens.append(_QUALITATIVE[h % len(_QUALITATIVE)])
-                else:
-                    tokens.append(tok)
-            text = " ".join(tokens)
+            # \d matches only ASCII digits in ASCII text; str.isdigit also holds
+            # for others, such as the superscript two
+            numeric = _has_ascii_digit if text.isascii() else _has_digit
+            text = " ".join([self._qualitative(tok) if numeric(tok) else tok
+                             for tok in text.split()])
         return text
+
+    def _qualitative(self, token):
+        """The qualitative word that stands in for a token holding digits."""
+        digest = hashlib.sha256(f"{self.seed}:{token}".encode()).digest()
+        return _QUALITATIVE[int.from_bytes(digest, "big") % len(_QUALITATIVE)]
 
     # -- scheme synthesis --------------------------------------------------
 
     def _scheme(self, user_content):
-        m = re.search(r"Variable:\s*(\w+)", user_content)
-        variable = (m.group(1).lower() if m else "")
+        variable = _variable(user_content)
         labels = CANNED_SCHEMES.get(variable)
         if labels is None:
             entries = re.findall(r"^- (.+)$", user_content, re.MULTILINE)
@@ -299,33 +402,9 @@ class MockResponder:
     # -- labeling ----------------------------------------------------------
 
     def _label(self, user_content):
-        m = re.search(r"Variable:\s*(\w+)", user_content)
-        variable = m.group(1).lower() if m else ""
         # categories and examples come from their header blocks, never the entry
         header, _, entry = user_content.partition("\nEntry:")
-        entry = entry.strip()
-        allowed_block, _, example_block = header.partition("\nCategory examples:\n")
-        allowed_block = allowed_block.partition("\nAllowed categories:\n")[2]
-        allowed = re.findall(r"^- ([^:]+):", allowed_block, re.MULTILINE)
-        # exact match against listed category examples first
-        for xm in re.finditer(r"^- ([^:]+): e\.g\. (.+)$", example_block, re.MULTILINE):
-            examples = [e.strip() for e in xm.group(2).split(";")]
-            if entry in examples:
-                return xm.group(1).strip()
-        lowered = entry.lower()
-        for pattern, label in _LABEL_RULES.get(variable, []):
-            if re.search(pattern, lowered) and label in allowed:
-                return label
-        # token overlap with category labels
-        entry_tokens = set(_norm(entry).split())
-        best, best_overlap = None, 0
-        for label in allowed:
-            overlap = len(entry_tokens & set(_norm(label).split()))
-            if overlap > best_overlap:
-                best, best_overlap = label, overlap
-        if best:
-            return best
-        return next((l for l in allowed if "Unknown/Other" in l), "Unknown/Other")
+        return _label_entry(_label_header(header, _variable(user_content)), entry.strip())
 
     def _label_batch(self, user_content):
         """Label each numbered entry as its own one-entry request would be."""
@@ -333,7 +412,13 @@ class MockResponder:
         header = user_content[:start]
         # raw_decode: a repair re-prompt appends text after the JSON object
         items, _ = json.JSONDecoder().raw_decode(user_content, start + len("Entries:\n"))
-        return json.dumps({n: self._label(f"{header}Entry: {text}") for n, text in items.items()})
+        variable = _variable(header)
+        if not (variable and header.endswith("\n") and "\nEntry:" not in header):
+            # the one-entry request's header or variable would reach into its entry
+            return json.dumps({n: self._label(f"{header}Entry: {text}")
+                               for n, text in items.items()})
+        parsed = _label_header(header[:-1], variable)
+        return json.dumps({n: _label_entry(parsed, str(text).strip()) for n, text in items.items()})
 
     # -- judging -----------------------------------------------------------
 
