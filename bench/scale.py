@@ -76,10 +76,10 @@ def _time_mock_backend():
     the CPU seconds their calls take in their calling threads."""
     spent, lock = [0.0], threading.Lock()
     for attr in ("chat", "embed"):
-        def timed(self, *args, _original=getattr(MockBackend, attr)):
+        def timed(self, *args, _original=getattr(MockBackend, attr), **kwargs):
             began = time.thread_time()
             try:
-                return _original(self, *args)
+                return _original(self, *args, **kwargs)
             finally:
                 with lock:
                     spent[0] += time.thread_time() - began
@@ -89,7 +89,6 @@ def _time_mock_backend():
 
 def cell(inputs, out, label_batch, latency_s=0.0):
     """One run in this process; returns its measurements."""
-    mock_s = _time_mock_backend()
     normalize.LABEL_BATCH = label_batch
     config = Config(
         admissions_path=os.path.join(inputs, "admissions.csv"),
@@ -112,6 +111,7 @@ def cell(inputs, out, label_batch, latency_s=0.0):
                              "s": round(entry["finished"] - entry["started"], 3),
                              "llm_calls": entry["network_calls"]}
     else:
+        mock_s = _time_mock_backend()
         for stage in STAGES:
             began, calls, mocked = time.perf_counter(), gateway.network_calls, mock_s[0]
             runner.run_stage(stage)

@@ -186,13 +186,8 @@ def _search(field, text, low):
 
 
 def _has_digit(token):
-    return any(ch.isdigit() for ch in token)
-
-
-def _has_ascii_digit(token):
-    """_has_digit for an ASCII token; letters skip the search, since no
-    letter is a digit."""
-    return not token.isalpha() and re.search(r"\d", token) is not None
+    # letters skip the search: no character is both a letter and a digit
+    return not token.isalpha() and any(map(str.isdigit, token))
 
 
 def _variable(text):
@@ -370,10 +365,7 @@ class MockResponder:
             kept = [ln.strip() for ln in lines if ln.strip()][:3]
         text = " ".join(kept)
         if no_number:
-            # \d matches only ASCII digits in ASCII text; str.isdigit also holds
-            # for others, such as the superscript two
-            numeric = _has_ascii_digit if text.isascii() else _has_digit
-            text = " ".join([self._qualitative(tok) if numeric(tok) else tok
+            text = " ".join([self._qualitative(tok) if _has_digit(tok) else tok
                              for tok in text.split()])
         return text
 
