@@ -1,22 +1,21 @@
 """Mock ``run-all`` at several cohort sizes: wall time, peak RSS and LLM calls
 per note per stage, for each labeler batch size (``normalize.LABEL_BATCH``).
 
-    PYTHONPATH=src python3 bench/scale.py --label after [--sizes 200,2000,5000] [--batches 20]
-        [--latency-sizes 200,1000] [--repeat 3]
-    PYTHONPATH=src python3 bench/scale.py --tree before=../parent/src --tree after=src ...
+    PYTHONPATH=src python3 bench/scale.py --tree before=../parent/src --tree after=src
+        [--sizes 200,2000,5000] [--batches 20] [--latency-sizes 200,1000] [--repeat 3]
 
 Inputs come from perfbench's ``diverse_cohort`` generator (seed 0). Each
 (size, batch size) cell runs all eight stages in its own process, with
 the mock backend, an in-memory cache, ``max_concurrency`` 4,
 ``k_medoids`` 200 and ``folds`` 3, so its peak RSS is that of one run; each
-stage also records the peak RSS reached by its end. The results are stored
-under ``--label`` in BENCH_scale.json (other labels in the file are kept)
-for the code on PYTHONPATH. To compare two versions of the code, give each
-source tree as ``--tree LABEL=SRC`` instead: every cell then runs the trees
-alternately, one run of each per repeat, on the same inputs, so a shift in
-the machine's load between sittings does not read as a code change. Batch
-size 1 sends one entry per labeler request, as the paper does; equal
-``report_hash`` values for one size mean that the report bytes are the same.
+stage also records the peak RSS reached by its end. Each ``--tree
+LABEL=SRC`` names a source tree whose results are stored under LABEL in
+BENCH_scale.json (other labels in the file are kept). Every cell runs the
+trees alternately, one run of each per repeat, on the same inputs, so a
+shift in the machine's load between sittings does not read as a code
+change. Batch size 1 sends one entry per labeler request, as the paper
+does; equal ``report_hash`` values for one size mean that the report bytes
+are the same.
 
 Each stage of a serial cell also records ``mock_s``: the seconds spent
 inside the mock backend's ``chat`` and ``embed`` (the stand-in for the
@@ -146,12 +145,8 @@ def cell(inputs, out, label_batch, latency_s=0.0):
 
 
 def _env(src):
-    """The environment of a cell that imports clinnote from ``src`` (None:
-    from this process's PYTHONPATH)."""
-    env = dict(os.environ)
-    if src:
-        env["PYTHONPATH"] = os.path.abspath(src)
-    return env
+    """The environment of a cell that imports clinnote from ``src``."""
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
 
 
 def _median_run(runs):
@@ -167,9 +162,9 @@ def _median_run(runs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", help="key the results of the code on PYTHONPATH are stored under")
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
-                    help="a source tree to run, alternately with the other --tree ones")
+                    help="a source tree to run, alternately with the other --tree ones, "
+                         "and the key its results are stored under")
     ap.add_argument("--sizes", default="200,2000,5000", help="patients per cohort ('' for none)")
     ap.add_argument("--batches", default="20", help="labeler batch sizes")
     ap.add_argument("--latency-sizes", default="200,1000",
@@ -188,9 +183,9 @@ def main():
         inputs, out, label_batch, latency_s = args.cell
         print(json.dumps(cell(inputs, out, int(label_batch), float(latency_s))))
         return
-    if bool(args.label) == bool(args.tree):
-        ap.error("give either --label or one --tree LABEL=SRC per source tree")
-    trees = [tree.split("=", 1) for tree in args.tree] or [[args.label, None]]
+    if not args.tree:
+        ap.error("give one --tree LABEL=SRC per source tree")
+    trees = [tree.split("=", 1) for tree in args.tree]
 
     cells = [(int(p), b, 0.0) for p in filter(None, args.sizes.split(","))
              for b in args.batches.split(",")]

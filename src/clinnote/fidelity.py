@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .cohort import read_rows
-from .errors import JudgeFailed, ParseFailure, ReplyUnusable
+from .errors import InvalidInput, JudgeFailed, ParseFailure, ReplyUnusable
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
 from .vitals import VITALS
@@ -220,10 +220,9 @@ def _parse_judge_reply(raw_text, n_extracted, n_icd):
     return score, len(seen_e), len(seen_i)
 
 
-def judge_diagnoses(gateway, hadm_id, extracted_dx, icd_codes, descriptions=None):
-    """Score extracted diagnoses against ICD-9 descriptions via the judge."""
-    if descriptions is None:
-        descriptions = icd9_descriptions()
+def judge_diagnoses(gateway, hadm_id, extracted_dx, icd_codes, descriptions):
+    """Score extracted diagnoses against ICD-9 descriptions via the judge;
+    ``descriptions`` is the table ``icd9_descriptions`` returns."""
     icd_texts = [descriptions.get(code, code) for code in icd_codes]
     prompt = load_prompt("judge")
     extracted_lines = "\n".join(f"{i}. {d}" for i, d in enumerate(extracted_dx))
@@ -254,7 +253,7 @@ def judge_diagnoses(gateway, hadm_id, extracted_dx, icd_codes, descriptions=None
 def corpus_judge_summary(verdicts) -> dict:
     """Corpus-level judge metrics, with micro-averaged accuracies."""
     if not verdicts:
-        raise ParseFailure("need at least one verdict")
+        raise InvalidInput("need at least one verdict")
     scores = [v.score for v in verdicts]
     tot_e = sum(v.n_extracted for v in verdicts)
     tot_i = sum(v.n_icd for v in verdicts)

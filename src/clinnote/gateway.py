@@ -289,20 +289,13 @@ def mock_embedding(text, seed=0, dim=MOCK_EMBED_DIM):
 
 
 class MockBackend:
-    """Offline stand-in: canned replies plus rule-based agent behavior."""
+    """Offline stand-in: rule-based agent behavior."""
 
     def __init__(self, seed=0):
         self.seed = seed
-        self._canned = {}
         self.responder = MockResponder(seed=seed)
 
-    def register(self, user_content, reply):
-        """Pin an exact user_content -> reply mapping (tests)."""
-        self._canned[user_content] = reply
-
     def chat(self, request: ChatRequest) -> str:
-        if request.user_content in self._canned:
-            return self._canned[request.user_content]
         return self.responder.reply(request.system_prompt, request.user_content)
 
     def embed(self, model, texts):

@@ -215,7 +215,8 @@ def _pam_swap(D, medoids, w, cost_path):
 
 
 def cluster_entries(entries, k, embeddings, weights=None):
-    """PAM k-medoids over deduplicated entry texts, one embedding row each.
+    """PAM k-medoids over deduplicated entry texts, one embedding row each;
+    k above the number of entries is lowered to it.
 
     Result is deterministic given the inputs.
     """
@@ -226,9 +227,7 @@ def cluster_entries(entries, k, embeddings, weights=None):
     if len(set(entries)) != len(entries):
         raise InvalidInput("entries must be deduplicated before clustering")
     n = len(entries)
-    if k > n:
-        log.warning("k=%d exceeds %d distinct entries; lowering", k, n)
-        k = n
+    k = min(k, n)
     w = np.asarray(weights if weights is not None else np.ones(n), dtype=float)
 
     D = cosine_distance_matrix(embeddings)
@@ -416,14 +415,14 @@ def label_entries(gateway, scheme, entries) -> list:
     return out
 
 
-def cluster_variable(gateway, entries, k=200):
+def cluster_variable(gateway, entries, k):
     """PAM over one variable's distinct entry texts, in sorted order, each
     weighted by how many entries share it; the embeddings come through the
     gateway (the normalize stage has cached them all)."""
     counts = Counter(t for _, t in entries)
     uniq = sorted(counts)
     weights = np.array([counts[t] for t in uniq], dtype=float)
-    return cluster_entries(uniq, min(k, len(uniq)), gateway.embed(uniq), weights=weights)
+    return cluster_entries(uniq, k, gateway.embed(uniq), weights=weights)
 
 
 def normalize_variable(gateway, variable, entries, clustering):

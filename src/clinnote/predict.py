@@ -66,11 +66,6 @@ class CsrMatrix:
         return np.bincount(self.indices, weights=self.data * r[self._rows],
                            minlength=self.shape[1])
 
-    def toarray(self):
-        out = np.zeros(self.shape)
-        out[self._rows, self.indices] = self.data
-        return out
-
 
 @dataclass
 class TermCounts:
@@ -132,11 +127,6 @@ def count_terms(docs) -> TermCounts:
     )
 
 
-def _as_counts(docs):
-    """Vectorizer documents are count rows, or texts that are counted here."""
-    return docs if isinstance(docs, TermCounts) else count_terms(docs)
-
-
 @dataclass
 class Vectorizer:
     vocabulary: dict  # term -> column index
@@ -147,10 +137,9 @@ class Vectorizer:
         terms = sorted(self.vocabulary, key=self.vocabulary.get)
         return hashlib.sha256("\x00".join(terms).encode()).hexdigest()
 
-    def transform(self, docs) -> CsrMatrix:
+    def transform(self, counts: TermCounts) -> CsrMatrix:
         """tf * idf rows, L2-normalized (rows with no known term stay empty);
         columns ascend within each row."""
-        counts = _as_counts(docs)
         n, d = len(counts), len(self.vocabulary)
         colmap = np.fromiter(map(self.vocabulary.get, counts.terms, repeat(-1)),
                              np.int64, len(counts.terms))  # term -> column, -1 if unknown
@@ -165,9 +154,8 @@ class Vectorizer:
         return CsrMatrix(indptr, cols, vals, (n, d))
 
 
-def fit_vectorizer(train_docs) -> Vectorizer:
+def fit_vectorizer(counts: TermCounts) -> Vectorizer:
     """Vocabulary = terms in >= 2 training docs; idf = ln((1+N)/(1+df)) + 1."""
-    counts = _as_counts(train_docs)
     n = len(counts)
     if n < 2:
         raise InvalidInput("need at least 2 training documents")

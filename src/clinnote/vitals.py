@@ -180,10 +180,9 @@ def _parse_simple(variable):
 
     return parse
 
-_PARSERS = {
-    "temperature": _parse_temperature,
+
+_PARSERS = {  # one per extraction.VITALS_KEYS key
     "body_temperature": _parse_temperature,
-    "hr": _parse_simple("hr"),
     "heart_rate": _parse_simple("hr"),
     "respiration_rate": _parse_simple("rr"),
     "spo2": _parse_simple("spo2"),

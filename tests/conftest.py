@@ -56,6 +56,18 @@ class ScriptedBackend:
         return [[1.0, 0.0] for _ in texts]
 
 
+class KeyedBackend(ScriptedBackend):
+    """Backend answering each user content with its own reply, in any call order."""
+
+    def __init__(self, replies):
+        self.replies = dict(replies)
+        self.calls = 0
+
+    def chat(self, request):
+        self.calls += 1
+        return self.replies[request.user_content]
+
+
 @pytest.fixture
 def scripted_gateway_factory(tmp_path):
     made = []

@@ -33,7 +33,7 @@ from clinnote.fixture import build_fixture, write_fixture
 from clinnote.gateway import mock_embedding
 from clinnote.normalize import cluster_entries, cosine_distance_matrix
 from clinnote.pipeline import Runner, report_hash
-from clinnote.predict import auroc, fit_vectorizer, stratified_folds
+from clinnote.predict import auroc, count_terms, fit_vectorizer, stratified_folds
 from clinnote.stats import (
     ContingencyTable,
     chi2_sf,
@@ -132,7 +132,7 @@ def test_03_unit_conversion():
         for v in (1.0, 66.0, 175.3):
             assert abs(cm_to_in(in_to_cm(v)) - v) < 1e-9
             assert abs(kg_to_lb(lb_to_kg(v)) - v) < 1e-9
-        [t] = parse_vital("temperature", "96 F")
+        [t] = parse_vital("body_temperature", "96 F")
         assert t.value == pytest.approx(35.56, abs=0.005)
         [h] = parse_vital("height", "5'6\"")
         assert h.value == pytest.approx(167.64, abs=1e-9)
@@ -252,11 +252,11 @@ def test_08_classifier_metrics_and_leakage():
         folds = stratified_folds(labels, 4, seed=0)
         for test_idx in folds:
             train_docs = [docs[i] for i in range(20) if i not in set(test_idx)]
-            h1 = fit_vectorizer(train_docs).vocabulary_hash
+            h1 = fit_vectorizer(count_terms(train_docs)).vocabulary_hash
             shuffled = list(train_docs)
             np.random.default_rng(1).shuffle(shuffled)
-            assert fit_vectorizer(shuffled).vocabulary_hash == h1
-            vocab = fit_vectorizer(train_docs).vocabulary
+            assert fit_vectorizer(count_terms(shuffled)).vocabulary_hash == h1
+            vocab = fit_vectorizer(count_terms(train_docs)).vocabulary
             assert "leakedtesttoken" not in vocab
 
 
@@ -281,7 +281,7 @@ def test_10_judge_protocol(mock_gateway):
     with criterion(10, "judge identity fixture and micro-average oracle"):
         table = icd9_descriptions()
         codes = ["4280", "42731", "5849"]
-        verdict = judge_diagnoses(mock_gateway, "H1", [table[c] for c in codes], codes)
+        verdict = judge_diagnoses(mock_gateway, "H1", [table[c] for c in codes], codes, table)
         assert verdict.score == 5
         assert verdict.matched_extracted == verdict.n_extracted == 3
         assert verdict.matched_icd == verdict.n_icd == 3

@@ -17,6 +17,8 @@ from clinnote.extraction import (
     parse_structured_output,
 )
 
+from conftest import KeyedBackend
+
 FULL_REPLY = json.dumps({
     "Charted_SDOHs": {
         "Gender": "Male", "Age": "72", "Language": "null",
@@ -163,10 +165,11 @@ class TestExtractorRepairFlow:
 
     def test_concurrent_extracts_quarantine_per_note(self, mock_gateway):
         # replies keyed by note text, so any order of the concurrent calls works
-        backend = mock_gateway.backend
-        backend.register("good note", FULL_REPLY)
-        backend.register("bad note", "bad")
-        backend.register(f"bad note\n\n{REPAIR_INSTRUCTION}", "bad again")
+        mock_gateway.backend = KeyedBackend({
+            "good note": FULL_REPLY,
+            "bad note": "bad",
+            f"bad note\n\n{REPAIR_INSTRUCTION}": "bad again",
+        })
         extractor = Extractor(mock_gateway)
         good, bad = mock_gateway.map(
             lambda item: extractor.extract(*item), [("good note", "H1"), ("bad note", "H2")]

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import ConfigError, JudgeFailed, ParseFailure
+from clinnote.errors import ConfigError, InvalidInput, JudgeFailed, ParseFailure
 from clinnote.fidelity import (
     JudgeVerdict,
     _parse_judge_reply,
@@ -252,7 +252,7 @@ class TestJudgeDiagnoses:
         verdict = judge_diagnoses(
             mock_gateway, "H1",
             ["Congestive heart failure", "Atrial fibrillation"],
-            ["4280", "42731"],
+            ["4280", "42731"], icd9_descriptions(),
         )
         assert verdict.n_extracted == 2 and verdict.n_icd == 2
         assert verdict.matched_extracted == 2
@@ -276,7 +276,8 @@ class TestCorpusSummary:
         assert s["avg_n_icd"] == 7.5
 
     def test_empty_raises(self):
-        with pytest.raises(ParseFailure):
+        # a caller error, not a model-reply error that a repair re-prompt answers
+        with pytest.raises(InvalidInput):
             corpus_judge_summary([])
 
 

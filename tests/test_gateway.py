@@ -37,7 +37,7 @@ from clinnote.gateway import (
 from clinnote.fixture import build_fixture
 from clinnote.prompts import load_prompt
 
-from conftest import ScriptedBackend, make_config
+from conftest import KeyedBackend, ScriptedBackend, make_config
 
 
 class TestStripThinking:
@@ -205,10 +205,7 @@ class TestGatewayCache:
         assert backend.calls == 2
 
     def test_chat_many_preserves_order(self, mock_gateway):
-        backend = MockBackend(seed=0)
-        for i in range(8):
-            backend.register(f"q{i}", f"r{i}")
-        mock_gateway.backend = backend
+        mock_gateway.backend = KeyedBackend({f"q{i}": f"r{i}" for i in range(8)})
         reqs = [ChatRequest(system_prompt="s", user_content=f"q{i}") for i in range(8)]
         out = mock_gateway.chat_many(reqs)
         assert out == [f"r{i}" for i in range(8)]

@@ -27,6 +27,13 @@ from clinnote.predict import (
 )
 
 
+def dense(X):
+    """A ``CsrMatrix`` as a dense array."""
+    out = np.zeros(X.shape)
+    out[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)), X.indices] = X.data
+    return out
+
+
 class TestTokenize:
     def test_rules(self):
         assert tokenize("The BP was 130/80 mmHg!") == ["the", "bp", "was", "130", "80", "mmhg"]
@@ -52,36 +59,36 @@ class TestTokenize:
 
 class TestVectorizer:
     def test_min_df_and_idf_formula(self):
-        vec = fit_vectorizer(["aa bb", "aa cc"])
+        vec = fit_vectorizer(count_terms(["aa bb", "aa cc"]))
         assert list(vec.vocabulary) == ["aa"]  # bb, cc below df=2
         # idf = ln((1+2)/(1+2)) + 1 = 1 for a term in every doc
         assert vec.idf[0] == pytest.approx(1.0)
 
     def test_idf_rarer_term_weighs_more(self):
-        vec = fit_vectorizer(["aa bb", "aa bb", "aa cc", "aa cc"])
+        vec = fit_vectorizer(count_terms(["aa bb", "aa bb", "aa cc", "aa cc"]))
         i_aa, i_bb = vec.vocabulary["aa"], vec.vocabulary["bb"]
         assert vec.idf[i_bb] > vec.idf[i_aa]
         assert vec.idf[i_bb] == pytest.approx(math.log(5 / 3) + 1.0)
 
     def test_transform_l2_normalized(self):
-        vec = fit_vectorizer(["aa bb cc", "aa bb cc", "aa dd", "bb dd"])
-        X = vec.transform(["aa bb unseen", "aa aa"]).toarray()
+        vec = fit_vectorizer(count_terms(["aa bb cc", "aa bb cc", "aa dd", "bb dd"]))
+        X = dense(vec.transform(count_terms(["aa bb unseen", "aa aa"])))
         norms = np.linalg.norm(X, axis=1)
         assert np.allclose(norms, 1.0)
 
     def test_empty_doc_stays_zero(self):
-        vec = fit_vectorizer(["aa bb", "aa bb"])
-        X = vec.transform(["zz qq", ""]).toarray()
+        vec = fit_vectorizer(count_terms(["aa bb", "aa bb"]))
+        X = dense(vec.transform(count_terms(["zz qq", ""])))
         assert np.all(X == 0.0)
 
     def test_oov_tokens_ignored(self):
-        vec = fit_vectorizer(["aa bb", "aa bb"])
-        X = vec.transform(["aa novelterm"]).toarray()
+        vec = fit_vectorizer(count_terms(["aa bb", "aa bb"]))
+        X = dense(vec.transform(count_terms(["aa novelterm"])))
         assert X[0, vec.vocabulary["aa"]] > 0
         assert X.shape[1] == 2
 
     def test_transform_matches_dense_reference(self):
-        vec = fit_vectorizer(["aa bb cc aa", "aa bb dd", "cc dd ee ee", "bb cc ee"])
+        vec = fit_vectorizer(count_terms(["aa bb cc aa", "aa bb dd", "cc dd ee ee", "bb cc ee"]))
         docs = ["aa aa bb ee", "", "novel words only", "ee cc unseen cc", "dd"]
         ref = np.zeros((len(docs), len(vec.vocabulary)))
         for i, doc in enumerate(docs):
@@ -90,19 +97,19 @@ class TestVectorizer:
                     ref[i, vec.vocabulary[tok]] += vec.idf[vec.vocabulary[tok]]
             if ref[i].any():
                 ref[i] /= np.linalg.norm(ref[i])
-        X = vec.transform(docs)
+        X = vec.transform(count_terms(docs))
         assert X.shape == ref.shape
-        assert np.allclose(X.toarray(), ref, rtol=0, atol=1e-15)
+        assert np.allclose(dense(X), ref, rtol=0, atol=1e-15)
         assert list(np.diff(X.indptr)) == [3, 0, 0, 2, 1]  # empty and OOV rows hold nothing
-        assert np.array_equal(X.toarray(), vec.transform(count_terms(docs)).toarray())
 
     def test_products_match_dense(self):
-        vec = fit_vectorizer(["aa bb cc", "aa bb dd", "cc dd ee", "bb ee"])
-        X = vec.transform(["aa bb", "", "cc dd ee ee", "zz", ""])  # empty rows, one last
+        vec = fit_vectorizer(count_terms(["aa bb cc", "aa bb dd", "cc dd ee", "bb ee"]))
+        # empty rows, one last
+        X = vec.transform(count_terms(["aa bb", "", "cc dd ee ee", "zz", ""]))
         rng = np.random.default_rng(0)
         v, r = rng.standard_normal(X.shape[1]), rng.standard_normal(X.shape[0])
-        assert np.allclose(X @ v, X.toarray() @ v, rtol=0, atol=1e-14)
-        assert np.allclose(r @ X, r @ X.toarray(), rtol=0, atol=1e-14)
+        assert np.allclose(X @ v, dense(X) @ v, rtol=0, atol=1e-14)
+        assert np.allclose(r @ X, r @ dense(X), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
     def test_chunked_rows_equal_one_pass(self, monkeypatch, chunk):
@@ -129,7 +136,7 @@ class TestVectorizer:
             assert np.all(np.diff(chunked.indices[row]) > 0)
 
     def test_no_documents(self):
-        X = fit_vectorizer(["aa bb", "aa bb"]).transform([])
+        X = fit_vectorizer(count_terms(["aa bb", "aa bb"])).transform(count_terms([]))
         assert X.shape == (0, 2) and list(X.indptr) == [0] and len(X.data) == 0
 
     def test_count_build_memory_does_not_grow_with_the_token_stream(self):
@@ -149,17 +156,17 @@ class TestVectorizer:
         assert peak < 5 * 10**6
 
     def test_vocabulary_hash_tracks_content(self):
-        a = fit_vectorizer(["aa bb", "aa bb"])
-        b = fit_vectorizer(["aa bb", "bb aa"])
-        c = fit_vectorizer(["aa cc", "aa cc"])
+        a = fit_vectorizer(count_terms(["aa bb", "aa bb"]))
+        b = fit_vectorizer(count_terms(["aa bb", "bb aa"]))
+        c = fit_vectorizer(count_terms(["aa cc", "aa cc"]))
         assert a.vocabulary_hash == b.vocabulary_hash
         assert a.vocabulary_hash != c.vocabulary_hash
 
     def test_degenerate_vocabulary(self):
         with pytest.raises(VectorizerDegenerate):
-            fit_vectorizer(["aa bb", "cc dd"])  # nothing reaches df=2
+            fit_vectorizer(count_terms(["aa bb", "cc dd"]))  # nothing reaches df=2
         with pytest.raises(InvalidInput):
-            fit_vectorizer(["only one"])
+            fit_vectorizer(count_terms(["only one"]))
 
     def test_min_df_constant(self):
         assert MIN_DF == 2
@@ -371,13 +378,14 @@ class TestClassifier:
 
     def test_matches_scipy_sparse_wide(self):
         docs, labels = _zipf_corpus(150, seed=1, length=250)
-        X = fit_vectorizer(docs).transform(docs)
+        counts = count_terms(docs)
+        X = fit_vectorizer(counts).transform(counts)
         y = np.array(labels, dtype=float)
         assert X.shape[1] > 3000  # far more terms than documents
         w, info = train_classifier(X, y, l2_lambda=1.0)
         assert info["converged"]
-        assert np.allclose(w, _scipy_reference(X.toarray(), y, 1.0), rtol=0, atol=1e-4)
-        w_dense, _ = train_classifier(X.toarray(), y, l2_lambda=1.0)
+        assert np.allclose(w, _scipy_reference(dense(X), y, 1.0), rtol=0, atol=1e-4)
+        w_dense, _ = train_classifier(dense(X), y, l2_lambda=1.0)
         assert np.allclose(w, w_dense, rtol=0, atol=1e-8)
 
     def test_converges_below_objective_rounding(self):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from clinnote.extraction import VITALS_KEYS
 from clinnote.fidelity import normalize_unit
+from clinnote import vitals
 from clinnote.vitals import (
     VITALS,
     c_to_f,
@@ -49,21 +50,21 @@ class TestTemperature:
         ("101.2", 38.444444, "°F"),  # unmarked, >45 -> Fahrenheit
     ])
     def test_parsing(self, text, celsius, unit):
-        v = one(parse_vital("temperature", text, "H1"))
+        v = one(parse_vital("body_temperature", text, "H1"))
         assert v.status == "ok"
         assert v.value == pytest.approx(celsius, abs=1e-4)
         assert v.original_unit == unit
 
     def test_mixed_form_first_token_wins(self):
-        v = one(parse_vital("temperature", "98.6F (37.0C)"))
+        v = one(parse_vital("body_temperature", "98.6F (37.0C)"))
         assert v.value == pytest.approx(37.0)
 
     def test_out_of_range(self):
-        v = one(parse_vital("temperature", "12 C", "H1"))
+        v = one(parse_vital("body_temperature", "12 C", "H1"))
         assert v.status == "out_of_range"
 
     def test_unparseable(self):
-        v = one(parse_vital("temperature", "afebrile"))
+        v = one(parse_vital("body_temperature", "afebrile"))
         assert v.status == "unparseable"
 
 
@@ -176,7 +177,7 @@ class TestPlausibleRanges:
     @given(st.floats(min_value=-1000, max_value=1000,
                      allow_nan=False, allow_infinity=False))
     def test_hr_status_matches_bounds(self, value):
-        outcome = one(parse_vital("hr", f"{value:.1f}"))
+        outcome = one(parse_vital("heart_rate", f"{value:.1f}"))
         in_range = 20.0 <= float(f"{value:.1f}") <= 300.0
         assert (outcome.status == "ok") == in_range
 
@@ -207,6 +208,9 @@ class TestVitalsTable:
                     assert normalize_unit(outcome.original_unit) in tolerances, (raw_key, text)
                     reached.add(outcome.variable)
         assert reached == set(VITALS)
+
+    def test_one_parser_per_schema_key(self):
+        assert set(vitals._PARSERS) == set(VITALS_KEYS)
 
     def test_canonical_unit_has_a_tolerance(self):
         for spec in VITALS.values():
