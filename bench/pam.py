@@ -1,16 +1,18 @@
 """PAM k-medoids wall time and peak RSS at several n, k = n/10 unless --k.
 
-    PYTHONPATH=src python3 bench/pam.py --label after [--sizes 500,1000,2000] [--k 200]
+    PYTHONPATH=src python3 bench/pam.py --tree before=../parent/src --tree after=src
+        [--sizes 500,1000,2000] [--k 200]
 
 Random 64-dimensional Gaussian embeddings and integer multiplicity weights
 from a fixed seed, clustered by the BUILD and SWAP phases of
 ``clinnote.normalize``. Each size runs in its own process, so its peak RSS
 is that of one clustering: the interpreter and numpy, the embeddings, the
-distance matrix D and the work arrays. The rows are stored under
-``--label`` in BENCH_pam.json, replacing that label's rows of the same n
-and k (other labels and rows in the file are kept), so numbers for two
-versions of the code can sit side by side: run the script once per
-checkout, with PYTHONPATH pointing at that checkout's ``src``.
+distance matrix D and the work arrays. Each ``--tree LABEL=SRC`` names a
+source tree whose rows are stored under LABEL in BENCH_pam.json, replacing
+that label's rows of the same n and k (other labels and rows in the file
+are kept). Every size runs the trees alternately, one process each, so a
+shift in the machine's load between sittings does not read as a code
+change.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ def run(n, k):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", help="key the results are stored under")
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
+                    help="a source tree to run, alternately with the other --tree ones, "
+                         "and the key its results are stored under")
     ap.add_argument("--sizes", default="500,1000,2000")
     ap.add_argument("--k", type=int, help="medoids at every size (default n/10)")
     ap.add_argument("--out", default="BENCH_pam.json")
@@ -74,16 +78,19 @@ def main():
     if args.cell:
         print(json.dumps(run(*args.cell)))
         return
-    if not args.label:
-        ap.error("--label is required")
+    if not args.tree:
+        ap.error("give one --tree LABEL=SRC per source tree")
+    trees = [tree.split("=", 1) for tree in args.tree]
 
-    rows = []
+    rows = {label: [] for label, _ in trees}
     for n in map(int, args.sizes.split(",")):
         k = args.k or n // 10
-        done = subprocess.run([sys.executable, __file__, "--cell", str(n), str(k)],
-                              check=True, capture_output=True, text=True)
-        rows.append(json.loads(done.stdout))
-        print(json.dumps(rows[-1]), flush=True)
+        for label, src in trees:
+            done = subprocess.run([sys.executable, __file__, "--cell", str(n), str(k)],
+                                  check=True, capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+            rows[label].append(json.loads(done.stdout))
+            print(label, json.dumps(rows[label][-1]), flush=True)
 
     bench = {}
     if os.path.exists(args.out):
@@ -95,10 +102,11 @@ def main():
         "seed": SEED,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, numpy {np.__version__}",
     })
-    new = {(row["n"], row["k"]) for row in rows}
-    kept = [row for row in bench.setdefault("results", {}).get(args.label, [])
-            if (row["n"], row["k"]) not in new]
-    bench["results"][args.label] = sorted(kept + rows, key=lambda row: (row["n"], row["k"]))
+    results = bench.setdefault("results", {})
+    for label, measured in rows.items():
+        new = {(row["n"], row["k"]) for row in measured}
+        kept = [row for row in results.get(label, []) if (row["n"], row["k"]) not in new]
+        results[label] = sorted(kept + measured, key=lambda row: (row["n"], row["k"]))
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 
 from .errors import ConfigError
@@ -294,11 +294,17 @@ def write_jsonl(path, objs):
     atomic_write(path, "".join(json.dumps(o, sort_keys=True, default=vars) + "\n" for o in objs))
 
 
-def write_csv(path, header, rows):
+def write_csv(path, cls, records):
+    """One row per record, in the columns of ``cls``'s fields, under a header
+    of their names; None is written as an empty field (the csv module's
+    rule) and a float with six decimals."""
+    names = [f.name for f in fields(cls)]
     buf = io.StringIO()
     writer = csv.writer(buf)  # rows end in "\r\n", the csv module's default
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(names)
+    for rec in records:
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
+                         for v in (getattr(rec, name) for name in names)])
     atomic_write(path, buf.getvalue())
 
 
@@ -315,11 +321,3 @@ def write_cohort_jsonl(store: CohortStore, path) -> None:
         for _, rec in sorted(store.admissions.items())
     ))
 
-
-def write_pairs_csv(pairs, path) -> None:
-    write_csv(
-        path,
-        ["subject_id", "index_hadm_id", "next_hadm_id", "interval_days", "label"],
-        ([p.subject_id, p.index_hadm_id, p.next_hadm_id, f"{p.interval_days:.6f}", p.label]
-         for p in pairs),
-    )

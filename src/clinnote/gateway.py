@@ -166,27 +166,9 @@ class JsonlCache:
                 self._fh = None
 
 
-def _chat_key(backend_id, request: ChatRequest) -> str:
-    canon = json.dumps(
-        {
-            "kind": "chat",
-            "backend": backend_id,
-            "model": request.model_name,
-            "system": request.system_prompt,
-            "user": request.user_content,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _embed_key(backend_id, model, text) -> str:
-    canon = json.dumps(
-        {"kind": "embed", "backend": backend_id, "model": model, "text": text}, sort_keys=True
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _key(**request) -> str:
+    """A cache key: the SHA-256 of the request as canonical JSON."""
+    return hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
 
 
 def _retry_after_s(resp):
@@ -401,7 +383,9 @@ class LLMGateway:
         no concurrency slot, then read the cache as hits; if it failed, one
         of them asks.
         """
-        key = _chat_key(self.backend_id, request)
+        key = _key(kind="chat", backend=self.backend_id, model=request.model_name,
+                   system=request.system_prompt, user=request.user_content,
+                   temperature=request.temperature, max_tokens=request.max_tokens)
         while True:
             with self._lock:
                 cached = self.cache.get(key)
@@ -523,7 +507,8 @@ class LLMGateway:
         if not texts:
             raise InvalidInput("embed() requires a non-empty list of texts")
         model = self.config.embed_model
-        keys = [_embed_key(self.backend_id, model, text) for text in texts]
+        keys = [_key(kind="embed", backend=self.backend_id, model=model, text=text)
+                for text in texts]
         rows = [(self.cache.get(key) or {}).get("values") for key in keys]
         missing = [i for i, row in enumerate(rows) if row is None]
         for start in range(0, len(missing), EMBED_BATCH):

@@ -166,22 +166,31 @@ _KEEP = (r"chief complaint|vital signs|diagnos|worsening|edema|dyspnea|failure|"
          r"abnormal|elevated|reduced|shortness of breath|admitted|discharged home")
 
 
-def _search(field, text, low):
-    """The first match of an extractor field in text, or None.
+# the characters that the regex engine's case folding equates with an ASCII
+# letter but ``str.lower`` does not send to it: U+0130 lowercases to two
+# characters, U+0131 and U+017F to themselves
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s"})
 
-    ``low`` is text lowercased when text is ASCII, else None. Only for ASCII
-    does lowercasing keep positions and agree with the regex engine's case
-    folding (which matches the long s, U+017F, to "s"), so only then does
-    the search start at the sentence of the field's first anchor, or return
-    None at once when no anchor occurs.
-    """
+
+def _fold(text):
+    """``text`` lowercased, one character for each. A character folds to an
+    ASCII letter, a digit, space, ":", "." or line feed exactly when
+    ``re.IGNORECASE`` equates it with that one, and to a line boundary of
+    ``str.splitlines`` only from itself (checked over every code point). So
+    a lowercase search of the folded text finds what a case-insensitive
+    search of ``text`` finds, at the same positions, on the same lines."""
+    return (text if text.isascii() else text.translate(_FOLD)).lower()
+
+
+def _search(field, text, low):
+    """The first match of an extractor field in text, or None: the search
+    starts at the sentence of the field's first anchor in ``low``, text
+    folded, or returns None at once when no anchor occurs."""
     anchors, pattern = _FIELDS[field]
-    start = 0
-    if low is not None:
-        first = min((i for i in map(low.find, anchors) if i >= 0), default=-1)
-        if first < 0:
-            return None
-        start = max(low.rfind(".", 0, first), low.rfind("\n", 0, first)) + 1
+    first = min((i for i in map(low.find, anchors) if i >= 0), default=-1)
+    if first < 0:
+        return None
+    start = max(low.rfind(".", 0, first), low.rfind("\n", 0, first)) + 1
     return re.compile(pattern, re.IGNORECASE).search(text, start)
 
 
@@ -258,7 +267,7 @@ class MockResponder:
     # -- extraction --------------------------------------------------------
 
     def _extract(self, note):
-        low = note.lower() if note.isascii() else None
+        low = _fold(note)
 
         def find(field):
             m = _search(field, note, low)
@@ -274,7 +283,7 @@ class MockResponder:
         ms = re.search(r"Social History:\s*(.*?)(?:\n\s*\n|\n[A-Z][A-Za-z ]+:|\Z)",
                        note, re.DOTALL)
         social = ms.group(1) if ms else ""
-        social_low = None if low is None else social.lower()
+        social_low = _fold(social)
 
         def social_search(field):
             return _search(field, social, social_low)
@@ -355,12 +364,8 @@ class MockResponder:
 
     def _summarize(self, note, no_number):
         lines = note.splitlines()
-        if note.isascii():  # one case-sensitive search of each lowercased line
-            keep = re.compile(_KEEP).search
-            kept = [ln.strip() for ln, low in zip(lines, note.lower().splitlines()) if keep(low)]
-        else:
-            keep = re.compile(_KEEP, re.IGNORECASE).search
-            kept = [ln.strip() for ln in lines if ln.strip() and keep(ln)]
+        keep = re.compile(_KEEP).search  # on each folded line
+        kept = [ln.strip() for ln, low in zip(lines, _fold(note).splitlines()) if keep(low)]
         if not kept:
             kept = [ln.strip() for ln in lines if ln.strip()][:3]
         text = " ".join(kept)

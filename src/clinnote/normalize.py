@@ -280,7 +280,7 @@ class LabeledEntry:
     hadm_id: str
     variable: str
     raw_text: str
-    assigned_category: str
+    category: str
     status: str = "ok"  # ok | fallback
 
 
@@ -415,31 +415,32 @@ def label_entries(gateway, scheme, entries) -> list:
     return out
 
 
-def cluster_variable(gateway, entries, k):
-    """PAM over one variable's distinct entry texts, in sorted order, each
-    weighted by how many entries share it; the embeddings come through the
-    gateway (the normalize stage has cached them all)."""
+def cluster_variable(entries, rows, k):
+    """The medoid texts of PAM over one variable's distinct entry texts, in
+    sorted order, each weighted by how many entries share it; ``rows`` maps
+    each text to its embedding row."""
     counts = Counter(t for _, t in entries)
     uniq = sorted(counts)
     weights = np.array([counts[t] for t in uniq], dtype=float)
-    return cluster_entries(uniq, k, gateway.embed(uniq), weights=weights)
+    clustering = cluster_entries(uniq, k, np.array([rows[t] for t in uniq]), weights=weights)
+    log.info("normalize: %d distinct texts, cluster sizes %s", len(uniq),
+             sorted(clustering.cluster_sizes(), reverse=True)[:10])
+    return [uniq[i] for i in clustering.medoid_indices]
 
 
-def normalize_variable(gateway, variable, entries, clustering):
-    """Scheme synthesis and labeling for one variable clustered by
-    ``cluster_variable``.
+def normalize_variable(gateway, variable, entries, medoid_texts):
+    """Scheme synthesis and labeling for one variable, given the medoid
+    texts ``cluster_variable`` found.
 
     ``entries`` is a list of (hadm_id, raw_text) with possible duplicate
     texts; every entry gets labeled.
     """
-    uniq = sorted({t for _, t in entries})
-    medoid_texts = [uniq[i] for i in clustering.medoid_indices]
     scheme = synthesize_scheme(gateway, variable, medoid_texts)
     # attach medoid examples per category by labeling the medoids first
     medoid_labels = label_entries(
         gateway, scheme, [("", t) for t in medoid_texts]
     )
     for entry in medoid_labels:
-        scheme.medoid_examples.setdefault(entry.assigned_category, []).append(entry.raw_text)
+        scheme.medoid_examples.setdefault(entry.category, []).append(entry.raw_text)
     labeled = label_entries(gateway, scheme, entries)
     return scheme, labeled

@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import logging
+import operator
 import os
 import pathlib
 import queue
@@ -155,6 +156,10 @@ def package_hash(root=os.path.dirname(os.path.abspath(__file__))):
         if path.suffix in (".py", ".txt", ".csv") and "__pycache__" not in rel.parts:
             h.update(f"{rel.as_posix()}\0{_sha256_file(path)}\n".encode())
     return h.hexdigest()
+
+
+# the order of canonical_vitals.csv and normalized_sdoh.csv rows; each pair is unique
+_ROW_KEY = operator.attrgetter("hadm_id", "variable")
 
 
 def _write_json(path, obj):
@@ -374,7 +379,7 @@ class Runner:
         pairs = cohort_mod.build_readmission_pairs(store)
         summary = cohort_mod.summarize_cohort(store, pairs)
         cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
-        cohort_mod.write_pairs_csv(pairs, self.path("pairs.csv"))
+        write_csv(self.path("pairs.csv"), cohort_mod.ReadmissionPair, pairs)
         _write_json(self.path("cohort_summary.json"), summary)
         _write_json(self.path("rejects.json"), store.rejects)
         return ["rejects.json"]
@@ -390,18 +395,8 @@ class Runner:
         return ["quarantine.jsonl"]
 
     def _stage_canonicalize(self):
-        rows = []
-        for rec in self._load_extractions():
-            for v in canonicalize_record(rec):
-                value = "" if v.value is None else f"{v.value:.6f}"
-                rows.append([v.hadm_id, v.variable, value, v.original_text,
-                             v.original_unit, v.status])
-        rows.sort()
-        write_csv(
-            self.path("canonical_vitals.csv"),
-            ["hadm_id", "variable", "value", "original_text", "original_unit", "status"],
-            rows,
-        )
+        vitals = [v for rec in self._load_extractions() for v in canonicalize_record(rec)]
+        write_csv(self.path("canonical_vitals.csv"), CanonicalVital, sorted(vitals, key=_ROW_KEY))
 
     def _load_canonical_vitals(self):
         """variable -> hadm_id -> CanonicalVital (ok rows only)."""
@@ -425,40 +420,29 @@ class Runner:
                 log.info("normalize: skipping %s (%d distinct entries)", variable, n_distinct)
                 continue
             entries[variable] = found
-        if entries:  # one embedding request; clustering then reads the cache
-            self.gateway.embed(sorted({text for found in entries.values() for _, text in found}))
-
+        # one embedding request for the distinct texts of all variables
+        texts = sorted({text for found in entries.values() for _, text in found})
+        rows = dict(zip(texts, self.gateway.embed(texts))) if texts else {}
         # clustered here, one variable at a time, so one PAM's memory is held
         # at once whatever max_concurrency; the workers carry only requests
-        clusterings = {}
-        for variable, found in entries.items():
-            clusterings[variable] = cluster_variable(self.gateway, found, self.config.k_medoids)
-            log.info("normalize: %s cluster sizes %s", variable,
-                     sorted(clusterings[variable].cluster_sizes(), reverse=True)[:10])
+        medoids = {variable: cluster_variable(found, rows, self.config.k_medoids)
+                   for variable, found in entries.items()}
+        del rows  # the embeddings, held only while clustering
         results = self.gateway.map(
             lambda variable: normalize_variable(
-                self.gateway, variable, entries[variable], clusterings[variable]
+                self.gateway, variable, entries[variable], medoids[variable]
             ),
             entries,
         )
         os.makedirs(self.path("schemes"), exist_ok=True)
-        all_rows = []
-        scheme_files = []
-        for variable, (scheme, labeled) in zip(entries, results):
-            scheme_path = os.path.join("schemes", f"{variable}.json")
-            _write_json(self.path(scheme_path), scheme)
-            scheme_files.append(scheme_path)
-            for entry in labeled:
-                all_rows.append(
-                    [entry.hadm_id, entry.variable, entry.raw_text,
-                     entry.assigned_category, entry.status]
-                )
-        all_rows.sort()
-        write_csv(
-            self.path("normalized_sdoh.csv"),
-            ["hadm_id", "variable", "raw_text", "category", "status"],
-            all_rows,
-        )
+        scheme_files = [os.path.join("schemes", f"{variable}.json") for variable in entries]
+        for name, (scheme, _) in zip(scheme_files, results):
+            _write_json(self.path(name), scheme)
+        for name in os.listdir(self.path("schemes")):  # an earlier run's variables
+            if os.path.join("schemes", name) not in scheme_files:
+                os.remove(self.path(os.path.join("schemes", name)))
+        labeled = sorted((entry for _, out in results for entry in out), key=_ROW_KEY)
+        write_csv(self.path("normalized_sdoh.csv"), LabeledEntry, labeled)
         return scheme_files
 
     def _stage_evaluate_fidelity(self):
@@ -551,10 +535,7 @@ class Runner:
         labeled_by_var: dict = {}
         with open(self.path("normalized_sdoh.csv"), newline="") as fh:
             for row in csv.DictReader(fh):
-                labeled_by_var.setdefault(row["variable"], []).append(LabeledEntry(
-                    row["hadm_id"], row["variable"], row["raw_text"], row["category"],
-                    row["status"],
-                ))
+                labeled_by_var.setdefault(row["variable"], []).append(LabeledEntry(**row))
         variables.update(sorted(labeled_by_var.items()))
 
         chisq = []

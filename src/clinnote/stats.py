@@ -278,14 +278,14 @@ def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:
 def build_contingency(labeled, outcomes) -> ContingencyTable:
     """Counts of normalized categories x readmission outcome, rows sorted.
 
-    ``labeled`` holds objects with hadm_id / assigned_category; entries
-    whose hadm_id has no outcome are dropped (counted), as are entries
-    without an assigned category.
+    ``labeled`` holds objects with hadm_id / category; entries whose
+    hadm_id has no outcome are dropped (counted), as are entries without
+    a category.
     """
     counts: dict = {}
     dropped = 0
     for entry in labeled:
-        cat = getattr(entry, "assigned_category", None)
+        cat = entry.category
         if cat is None:
             dropped += 1
             continue

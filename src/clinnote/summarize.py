@@ -78,7 +78,7 @@ class Summarizer:
         """Summarize one note; no_number output is digit-checked.
 
         A no_number summary that still carries numerals after one
-        re-prompt is kept but flagged ContainsNumbers, which excludes it
+        re-prompt is kept with status ``contains_numbers``, which excludes it
         from the no-number prediction arm.
         """
         if not note or not note.strip():

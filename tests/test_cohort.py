@@ -14,7 +14,7 @@ from clinnote.cohort import (
     load_tables,
     summarize_cohort,
     write_cohort_jsonl,
-    write_pairs_csv,
+    write_csv,
 )
 from clinnote.errors import ConfigError
 
@@ -318,10 +318,15 @@ class TestSummary:
 class TestWriters:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        write_pairs_csv([ReadmissionPair("1", "10", "11", 19.5, 1)], str(path))
+        write_csv(str(path), ReadmissionPair, [ReadmissionPair("1", "10", "11", 19.5, 1)])
         before = path.read_bytes()
-        with pytest.raises(ValueError):
-            write_pairs_csv([ReadmissionPair("2", "20", "21", "n/a", 0)], str(path))
+
+        def pairs():  # fails after its first row
+            yield ReadmissionPair("2", "20", "21", 3.0, 1)
+            raise ValueError("the records fail partway")
+
+        with pytest.raises(ValueError, match="partway"):
+            write_csv(str(path), ReadmissionPair, pairs())
         assert path.read_bytes() == before
         assert before == (b"subject_id,index_hadm_id,next_hadm_id,interval_days,label\r\n"
                           b"1,10,11,19.500000,1\r\n")

@@ -29,7 +29,7 @@ from clinnote.gateway import (
     JsonlCache,
     LLMGateway,
     MockBackend,
-    _embed_key,
+    _key,
     find_json,
     mock_embedding,
     strip_thinking,
@@ -790,7 +790,7 @@ class TestEmbeddings:
             gw.embed(["alpha", "beta"])
         finally:
             gw.close()
-        key = _embed_key(gw.backend_id, cfg.embed_model, "alpha")
+        key = _key(kind="embed", backend=gw.backend_id, model=cfg.embed_model, text="alpha")
         reloaded = JsonlCache(gw.cache.path)
         for cache in (gw.cache, reloaded):
             row = cache.get(key)["values"]
@@ -809,7 +809,8 @@ class TestEmbeddings:
         assert hashlib.sha256(data).hexdigest() == (
             "516db07b8736211c215bbe359943e2bd640e755299268e2b3d882a298afff2fc")
         assert data == b"".join(
-            json.dumps({"key": _embed_key(gw.backend_id, gw.config.embed_model, text),
+            json.dumps({"key": _key(kind="embed", backend=gw.backend_id,
+                                    model=gw.config.embed_model, text=text),
                         "response": {"values": mock_embedding(text)}},
                        sort_keys=True).encode() + b"\n"
             for text in ("alpha", "beta"))
@@ -820,7 +821,8 @@ class TestEmbeddings:
         os.makedirs(cfg.cache_dir)
         with open(os.path.join(cfg.cache_dir, "llm_cache.jsonl"), "w") as fh:
             for text, row in values.items():
-                key = _embed_key(f"mock:{cfg.seed}", cfg.embed_model, text)
+                key = _key(kind="embed", backend=f"mock:{cfg.seed}", model=cfg.embed_model,
+                           text=text)
                 fh.write(json.dumps({"key": key, "response": {"values": row}},
                                     sort_keys=True) + "\n")
 

@@ -437,20 +437,20 @@ class TestLabelEntries:
         gw, _ = scripted_gateway_factory(["Married"])
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
         [entry] = label_entries(gw, scheme, [("H1", "married for 40 years")])
-        assert entry.assigned_category == "Married"
+        assert entry.category == "Married"
         assert entry.status == "ok"
 
     def test_quoted_reply_accepted(self, scripted_gateway_factory):
         gw, _ = scripted_gateway_factory(['"Single"'])
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
         [entry] = label_entries(gw, scheme, [("H1", "never married")])
-        assert entry.assigned_category == "Single"
+        assert entry.category == "Single"
 
     def test_off_scheme_maps_to_fallback(self, scripted_gateway_factory):
         gw, _ = scripted_gateway_factory(["Divorced-ish"])
         scheme = _scheme(["Married", "Single", FALLBACK_LABEL])
         [entry] = label_entries(gw, scheme, [("H1", "it is complicated")])
-        assert entry.assigned_category == FALLBACK_LABEL
+        assert entry.category == FALLBACK_LABEL
         assert entry.status == "fallback"
 
     def test_gateway_failure_propagates(self, scripted_gateway_factory):
@@ -597,7 +597,7 @@ class TestBatchedLabeling:
         out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
         assert len(stub.batches) == 2  # the request and its one repair
         assert sorted(stub.asked_alone) == ["married", "single", "wed"]
-        assert [e.assigned_category for e in out] == ["Married", "Single", "Married"]
+        assert [e.category for e in out] == ["Married", "Single", "Married"]
         assert scheme.provenance == {"label_requests": 4, "label_retried_alone": 3}
 
     @pytest.mark.parametrize("reply", [
@@ -613,7 +613,7 @@ class TestBatchedLabeling:
         out = label_entries(gw, scheme, [("H1", "married"), ("H2", "single"), ("H3", "wed")])
         assert len(stub.batches) == 1
         assert stub.asked_alone == ["single"]
-        assert [e.assigned_category for e in out] == ["Married", "Single", "Married"]
+        assert [e.category for e in out] == ["Married", "Single", "Married"]
         assert [e.status for e in out] == ["ok", "ok", "ok"]
         assert scheme.provenance == {"label_requests": 2, "label_retried_alone": 1}
 
@@ -668,14 +668,16 @@ class TestNormalizeVariableEndToEnd:
             ("H4", "single, never married"),
             ("H5", "Married"),
         ]
-        clustering = cluster_variable(mock_gateway, entries, 4)
+        texts = sorted({text for _, text in entries})
+        rows = dict(zip(texts, mock_gateway.embed(texts)))
+        medoid_texts = cluster_variable(entries, rows, 4)
         scheme, labeled = normalize_variable(
-            mock_gateway, "marital_status", entries, clustering
+            mock_gateway, "marital_status", entries, medoid_texts
         )
         scheme.validate()
         assert len(labeled) == 5
-        assert clustering.k == 4  # 4 distinct texts
-        by_hadm = {e.hadm_id: e.assigned_category for e in labeled}
+        assert sorted(medoid_texts) == texts  # k = 4 distinct texts: each is a medoid
+        by_hadm = {e.hadm_id: e.category for e in labeled}
         assert by_hadm["H1"] == by_hadm["H5"]  # identical texts, identical label
         assert all(c is None or c in scheme.labels() for c in by_hadm.values())
         # one batch for the 4 medoids, one for the 4 distinct entry texts

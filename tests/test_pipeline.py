@@ -1,5 +1,6 @@
 import collections
 import compileall
+import csv
 import dataclasses
 import hashlib
 import json
@@ -15,6 +16,7 @@ import pytest
 
 from clinnote import fidelity, normalize, pipeline
 from clinnote.cli import main
+from clinnote.cohort import ReadmissionPair
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import (
     CVInfeasible,
@@ -26,8 +28,10 @@ from clinnote.errors import (
 from clinnote.extraction import QuarantinedExtraction
 from clinnote.fixture import write_fixture
 from clinnote.gateway import LLMGateway, MockBackend
+from clinnote.normalize import LabeledEntry
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, package_hash, report_hash
 from clinnote.prompts import PromptTemplate, load_prompt
+from clinnote.vitals import CanonicalVital
 
 from conftest import make_config
 
@@ -678,8 +682,6 @@ class TestRunner:
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
         Runner(cfg, out).run_stage("ingest")
-        import csv
-
         with open(os.path.join(out, "pairs.csv"), newline="") as fh:
             pairs = list(csv.DictReader(fh))
         assert len(pairs) == 10
@@ -687,6 +689,17 @@ class TestRunner:
                        for p in pairs}
         assert by_interval[29.5] == 1
         assert by_interval[31.0] == 0
+
+
+@pytest.mark.parametrize("name, record", [
+    ("pairs.csv", ReadmissionPair),
+    ("canonical_vitals.csv", CanonicalVital),
+    ("normalized_sdoh.csv", LabeledEntry),
+])
+def test_table_header_is_its_record_fields(fixture_run, name, record):
+    with open(os.path.join(fixture_run[1], name), newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == [f.name for f in dataclasses.fields(record)]
 
 
 def _assert_written_as_asdict(obj):
@@ -754,6 +767,42 @@ class TestNormalizeStage:
         for stage in ("ingest", "extract"):
             runner.run_stage(stage)
         return runner
+
+    def test_embeds_once(self, tmp_path, monkeypatch):
+        runner = self._extracted(tmp_path)
+        embed, calls = LLMGateway.embed, []
+
+        def recording(gateway, texts):
+            calls.append(list(texts))
+            return embed(gateway, texts)
+
+        monkeypatch.setattr(LLMGateway, "embed", recording)
+        try:
+            runner.run_stage("normalize")
+        finally:
+            runner.close()
+        assert len(calls) == 1 and calls[0] == sorted(set(calls[0]))
+
+    def test_rerun_removes_the_schemes_it_did_not_write(self, tmp_path):
+        runner = self._extracted(tmp_path)
+        try:
+            runner.run_stage("normalize")
+            before = sorted(os.listdir(runner.path("schemes")))
+            with open(runner.path("extractions.jsonl")) as fh:
+                records = [json.loads(line) for line in fh]
+            for record in records:  # one language: below two distinct entries
+                record["charted_sdoh"]["language"] = "English"
+            with open(runner.path("extractions.jsonl"), "w") as fh:
+                fh.writelines(json.dumps(record) + "\n" for record in records)
+            runner.run_stage("normalize")
+        finally:
+            runner.close()
+        listed = [os.path.basename(name)
+                  for name in runner.manifest["stages"]["normalize"]["output_hashes"]
+                  if name.startswith("schemes")]
+        assert "language.json" in before and len(before) > 2
+        assert sorted(os.listdir(runner.path("schemes"))) == sorted(listed) == [
+            name for name in before if name != "language.json"]
 
     def test_clusters_one_variable_at_a_time_on_the_stage_thread(self, tmp_path,
                                                                  monkeypatch):

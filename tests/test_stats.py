@@ -150,7 +150,7 @@ class TestChiSquare:
 
 class TestBuildContingency:
     def _entry(self, hadm, cat):
-        return SimpleNamespace(hadm_id=hadm, assigned_category=cat)
+        return SimpleNamespace(hadm_id=hadm, category=cat)
 
     def test_counts_and_drops(self):
         labeled = [
