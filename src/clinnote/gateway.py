@@ -8,9 +8,10 @@ whole pipeline runnable offline.
 
 Threads overlap backend waits; calls that compute in this interpreter, as
 the mock backend's do, run one at a time on the stage thread, where threads
-would only take turns on the interpreter lock. So ``LLMGateway.map``, and
-the runner, use threads (the gateway's one pool of max_concurrency workers)
-only once backend calls have waited longer than they computed (``calls_wait``).
+would only take turns on the interpreter lock. A backend class states in
+``waits`` whether its calls wait. So ``LLMGateway.map``, and the runner,
+use threads (the gateway's one pool of max_concurrency workers) only once
+a call to a waiting backend has returned (``calls_wait``).
 
 Every agent request follows one failure policy. A gateway error
 (RequestFailed, EmptyResponse, ProtocolError), raised by the backend once
@@ -39,11 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # Linux counts, per thread, the times it blocked
-    from resource import RUSAGE_THREAD, getrusage
-except ImportError:
-    RUSAGE_THREAD = None
-
 from .errors import (
     EmptyResponse,
     InvalidInput,
@@ -69,20 +65,8 @@ EMBED_BATCH = 2048  # most texts in one embeddings request; OpenAI allows 2 048
 REQUEST_COUNTS = contextvars.ContextVar("request_counts", default=None)
 # the pool starts the items of maps of a higher rank first; a runner ranks a stage
 RANK = contextvars.ContextVar("rank", default=0)
-# called once, on the thread whose backend call is the first seen to wait
+# called once, on the thread of the first call to a waiting backend, as it returns
 ON_FIRST_WAIT = contextvars.ContextVar("on_first_wait", default=None)
-
-
-def _thread_blocks():
-    """How often the calling thread has blocked (its voluntary context
-    switches), or None where the platform does not count them.
-
-    A thread that waits on a socket or a sleep blocks; one the scheduler
-    or the VM preempts does not, though its wall time runs on as well.
-    """
-    if RUSAGE_THREAD is None:
-        return None
-    return getrusage(RUSAGE_THREAD).ru_nvcsw
 
 
 def strip_thinking(text):
@@ -187,6 +171,8 @@ class HttpBackend:
     Retry-After header sets the wait. Other 4xx errors are not retried.
     """
 
+    waits = True  # on the endpoint
+
     def __init__(self, endpoint_url, api_key="", max_retries=3, backoff_s=1.0, timeout_s=120):
         self.endpoint_url = endpoint_url.rstrip("/")
         self.api_key = api_key
@@ -220,7 +206,8 @@ class HttpBackend:
                         raise ProtocolError(f"{route} reply is not JSON: {exc}") from exc
                 last_err = RequestFailed(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                    break  # client errors will not improve on retry
+                    # client errors will not improve on retry
+                    raise RequestFailed(f"{route} failed, not retried: {last_err}")
                 delay = _retry_after_s(resp)
             if attempt < self.max_retries:
                 if delay is None:
@@ -272,6 +259,8 @@ def mock_embedding(text, seed=0, dim=MOCK_EMBED_DIM):
 
 class MockBackend:
     """Offline stand-in: rule-based agent behavior."""
+
+    waits = False  # its calls compute in this interpreter
 
     def __init__(self, seed=0):
         self.seed = seed
@@ -359,21 +348,23 @@ class LLMGateway:
         self.cache = JsonlCache(cache_path)
         self.network_calls = 0
         self.cache_hits = 0
-        self._lock = threading.Lock()  # guards the counters, the balance and _inflight
+        self._lock = threading.Lock()  # guards the counters and _inflight
         self._inflight = {}  # chat key -> Event set when its first caller is done
         # the one bound on backend calls in flight, however maps are nested
         self._slots = threading.BoundedSemaphore(config.max_concurrency)
-        # seconds backend calls waited less seconds they computed, summed
-        # until positive; from then on map uses threads
-        self._balance_s = 0.0
+        # from the backend's own class only: a subclass that overrides chat or
+        # embed makes calls of its own, so a class that does not say is taken
+        # to wait, which costs a computing backend only threads
+        self._backend_waits = vars(type(backend)).get("waits", True)
+        self._waited = False  # set once a call to a waiting backend returns
         # map workers, and their queue of (-rank, submission number, _Map.run_next)
         self._workers, self._tasks = [], None
         self._submitted = itertools.count()
 
     @property
     def calls_wait(self):
-        """Whether backend calls waited longer than they computed; once true, stays true."""
-        return self._balance_s > 0
+        """Whether a call to a waiting backend has returned; once true, stays true."""
+        return self._waited
 
     def chat(self, request: ChatRequest) -> str:
         """The reply text, thinking stripped, from the cache or the backend.
@@ -418,28 +409,17 @@ class LLMGateway:
     def _call_backend(self, call, *args):
         """``call(*args)`` holding a slot, counted in ``network_calls``.
 
-        Calls wait once a balance, the seconds they waited less the seconds
-        they computed, turns positive; it then stays put, so the decision
-        never reverses. Each call takes its thread's CPU time off the balance
-        and, if its thread blocked during the call, adds its wall time less
-        that CPU time. A call that was only preempted adds no wait, so a busy
-        machine cannot send computing calls to threads; where blocking is
-        not counted, every call's wall time less CPU is a wait.
+        ``calls_wait`` turns true as the first call to a waiting backend
+        returns, and ON_FIRST_WAIT fires then.
         """
-        first_wait = False
-        with self._slots:  # the clocks' own cost falls in the CPU time
-            blocks, cpu, wall = _thread_blocks(), time.thread_time(), time.perf_counter()
+        with self._slots:
             result = call(*args)
-            wall = time.perf_counter() - wall
-            cpu = time.thread_time() - cpu
-            blocked = blocks is None or _thread_blocks() > blocks
         with self._lock:
             self.network_calls += 1
             if (counts := REQUEST_COUNTS.get()) is not None:
                 counts[0] += 1
-            if self._balance_s <= 0:
-                self._balance_s += (wall - cpu if blocked else 0.0) - cpu
-                first_wait = self._balance_s > 0
+            first_wait = self._backend_waits and not self._waited
+            self._waited |= first_wait
         if first_wait and (signal := ON_FIRST_WAIT.get()) is not None:
             signal()  # on this thread, holding no lock
         return result

@@ -10,16 +10,17 @@ Re-running a completed stage whose fingerprint and outputs are unchanged is
 a no-op, which makes long live-LLM runs resumable.
 
 ``Runner.run_all`` starts each stage once its inputs' producers have run:
-in ``STAGES`` order on the calling thread until the gateway has seen a
-backend call wait, then each on its own thread, all sharing the gateway's
-max_concurrency slots and map workers, which serve first the stage with
-the most stages downstream (``_RANK``). Summarize reads extract's output
-``late``, after its requests, so it starts beside extract once calls wait,
-and starts no further request once extract has failed; ``_await_inputs``
-alone decides whether an input's producer is still running. So
-``started``/``finished`` intervals may overlap; each stage's manifest
-entry counts its own requests. Before any request, ``run_all`` asks
-``predict.stratified_folds`` whether the labelled notes can fill the folds.
+in ``STAGES`` order on the calling thread until a call to a backend that
+waits has returned (``LLMGateway.calls_wait``), then each on its own
+thread, all sharing the gateway's max_concurrency slots and map workers,
+which serve first the stage with the most stages downstream (``_RANK``).
+Summarize reads extract's output ``late``, after its requests, so it
+starts beside extract once calls wait, and starts no further request once
+extract has failed; ``_await_inputs`` alone decides whether an input's
+producer is still running. So ``started``/``finished`` intervals may
+overlap; each stage's manifest entry counts its own requests. Before any
+request, ``run_all`` asks ``predict.stratified_folds`` whether the
+labelled notes can fill the folds.
 """
 
 from __future__ import annotations
@@ -560,9 +561,8 @@ class Runner:
 
     def _stage_summarize(self):
         notes = self._modeling_notes()
-        # extract's output, while extract runs beside
+        # extract's output, read after the requests, while extract runs beside
         waits = self._await_inputs(_STAGE_BY_NAME["summarize"].late, wait=False)
-        records = None if waits else {r.hadm_id: r for r in self._load_extractions()}
         summarizer = Summarizer(self.gateway)
         jobs = [(hadm_id, variant) for hadm_id in sorted(notes)
                 for variant in ("overall", "no_number")]
@@ -572,9 +572,8 @@ class Runner:
             return summarizer.summarize(notes[job[0]], job[1], job[0])
 
         summaries = dict(zip(jobs, self.gateway.map(summarize, jobs)))
-        if records is None:
-            self._await_inputs(waits)
-            records = {r.hadm_id: r for r in self._load_extractions()}
+        self._await_inputs(waits)
+        records = {r.hadm_id: r for r in self._load_extractions()}
         out = []
         for hadm_id in sorted(notes):
             out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]

@@ -423,18 +423,20 @@ class TestConcurrency:
         assert gw.cache_hits == 375
 
 
-class _Clock:
-    """Stands in for the gateway's ``time`` module; backend calls move it."""
+class _Overriding(MockBackend):
+    """Replaces the mock's chat without saying whether it waits, as
+    perfbench's LatencyBackend does."""
 
-    def __init__(self):
-        self.wall = self.cpu = 0.0
-        self.blocks = 0  # the calling thread's voluntary context switches
+    def chat(self, request):
+        return "reply"
 
-    def perf_counter(self):
-        return self.wall
 
-    def thread_time(self):
-        return self.cpu
+class _SaysItComputes(MockBackend):
+    waits = False
+
+    def chat(self, request):
+        time.sleep(0.002)  # still taken at its word
+        return "reply"
 
 
 class TestThreadsOnlyForWaits:
@@ -506,51 +508,27 @@ class TestThreadsOnlyForWaits:
             gw.map(fn, range(8))
         assert called == [0, 1, 2]
 
-    @pytest.mark.parametrize("late, blocked, on_caller", [
-        (30, True, 60),  # 20 ms of waiting against 31 ms of CPU
-        (0, True, 1),  # against 1 ms
-        (10, True, 11),  # against the 11 ms of CPU so far: the rest go to workers
-        (0, False, 60),  # preempted, not blocked: no wait at all
-        (0, None, 1),  # blocks not counted: every call's wall less CPU is a wait
-    ])
-    def test_calls_wait_once_summed_waits_exceed_summed_cpu(
-        self, tmp_path, monkeypatch, late, blocked, on_caller
-    ):
-        clock = _Clock()
-        monkeypatch.setattr(gateway_module, "time", clock)
-        monkeypatch.setattr(gateway_module, "_thread_blocks",
-                            lambda: None if blocked is None else clock.blocks)
-
-        class Computing(ScriptedBackend):
-            def chat(self, request):
-                clock.cpu += 0.001
-                clock.wall += 0.001
-                if request.user_content == f"q{late}":
-                    clock.wall += 0.02  # 20 ms off the CPU
-                    clock.blocks += bool(blocked)
-                return "reply"
-
+    @pytest.mark.parametrize("make_backend, waits", [
+        (MockBackend, False),
+        (_Overriding, True),
+        (_SaysItComputes, False),
+        (lambda: ScriptedBackend(["reply"] * 8), True),  # a plain class without waits
+    ], ids=["mock", "overriding-mock", "says-it-computes", "plain"])
+    def test_calls_wait_as_the_backend_class_declares(self, tmp_path, make_backend, waits):
         gw = LLMGateway(make_config(tmp_path, cache_dir="", max_concurrency=4),
-                        backend=Computing([]))
+                        backend=make_backend())
         threads = []
 
         def ask(i):
             threads.append(threading.get_ident())
             return gw.chat(ChatRequest("s", f"q{i}"))
 
-        assert gw.map(ask, range(60)) == ["reply"] * 60
+        assert len(gw.map(ask, range(8))) == 8
         gw.close()
-        assert threads.count(threading.get_ident()) == on_caller
-
-    def test_thread_blocks_counts_a_sleep_not_a_computation(self):
-        if gateway_module.RUSAGE_THREAD is None:
-            pytest.skip("the platform does not count a thread's blocks")
-        before = gateway_module._thread_blocks()
-        sum(i * i for i in range(100_000))
-        computed = gateway_module._thread_blocks()
-        time.sleep(0.005)
-        assert computed - before <= 1  # at most a stray page-in
-        assert gateway_module._thread_blocks() > computed
+        assert gw.calls_wait == waits
+        # the first item runs on the calling thread; the rest too unless calls wait
+        on_caller = [thread == threading.get_ident() for thread in threads]
+        assert on_caller == [True] + [not waits] * 7
 
 
 def _waiting_gateway(tmp_path, limit):
@@ -941,9 +919,10 @@ class TestHttpBackend:
         calls = self._patch_post(monkeypatch, [_FakeResponse(status)])
         delays = self._patch_sleep(monkeypatch)
         backend = HttpBackend("http://x", max_retries=3)
-        with pytest.raises(RequestFailed):
+        with pytest.raises(RequestFailed) as failed:
             backend.chat(ChatRequest(system_prompt="s", user_content="u"))
         assert len(calls) == 1 and delays == []
+        assert "not retried" in str(failed.value) and "after retries" not in str(failed.value)
 
     def test_malformed_payload(self, monkeypatch):
         self._patch_post(monkeypatch, [_FakeResponse(200, {"choices": []})])

@@ -3,8 +3,9 @@
 Every request kind, with and without its agent's repair suffix, must get
 the reference's reply byte for byte: on every note of the fixture and of
 the three benchmark workloads, and on generated notes that hold the text
-the fast paths could misread (line breaks other than "\\n", letters the
-regex engine folds differently from ``str.lower``, non-ASCII digits).
+a search of the folded note could misread (line breaks other than "\\n",
+letters the regex engine folds differently from ``str.lower``, non-ASCII
+digits).
 """
 
 import importlib.util
@@ -147,7 +148,7 @@ def test_generated_notes_get_the_reference_replies(note, i):
     "Chief Complaint: edema grade \xb2",  # "\xb2".isdigit(), but \d does not match it
     "Social History: \u017fingle. Dyspnea",  # the same in the social history alone
 ])
-def test_non_ascii_notes_keep_the_case_insensitive_scans(note):
+def test_non_ascii_notes_match_the_reference_replies(note):
     assert_same_replies(note)
 
 

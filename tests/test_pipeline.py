@@ -862,6 +862,8 @@ class Killed(BaseException):
 class KillingBackend(MockBackend):
     """Answers the first ``after`` requests, then raises ``error`` on every one."""
 
+    waits = False  # it computes, as the mock does
+
     def __init__(self, after, error=Killed):
         super().__init__()
         self.after = after
@@ -981,7 +983,8 @@ class Sleeping(MockBackend):
 
 
 class SleepingKiller(KillingBackend):
-    """A KillingBackend whose calls sleep 5 ms first, so stages overlap."""
+    """A KillingBackend whose calls sleep 5 ms first, so stages overlap; it
+    does not say whether it waits, so it is taken to."""
 
     def _count(self):
         time.sleep(0.005)
@@ -1065,9 +1068,10 @@ def ctrl_c():
 
 
 class TestStageScheduling:
-    """Stages run one at a time on the calling thread until backend calls
-    are seen to wait; then each stage starts on its own thread as soon as
-    the stages producing its inputs have run, summarize beside extract."""
+    """Stages run one at a time on the calling thread until a call to a
+    waiting backend returns; then each stage starts on its own thread as
+    soon as the stages producing its inputs have run, summarize beside
+    extract."""
 
     def test_mock_runs_stages_one_at_a_time_on_the_calling_thread(self, tmp_path,
                                                                   monkeypatch):
@@ -1089,7 +1093,7 @@ class TestStageScheduling:
         assert stages["summarize"]["started"] < stages["normalize"]["finished"]
         assert report_hash(out) == FIXTURE_REPORT_HASH
         assert backend.max_inflight <= 4
-        # ingest and extract run before any call is seen to wait
+        # ingest and extract start before any backend call has returned
         assert threads["ingest"] == threads["extract"] == threading.get_ident()
         assert threading.get_ident() not in {threads[s] for s in STAGES[2:]}
 
