@@ -41,17 +41,11 @@ class AdmissionRecord:
     discharge_time: datetime
     icd9_codes: list = field(default_factory=list)
     discharge_note: str | None = None
-    dob: datetime | None = None
 
     def is_hf(self) -> bool:
         return any(
             c in HF_EXACT_CODES or c.startswith(HF_PREFIX) for c in self.icd9_codes
         )
-
-    def age_at_admit(self) -> float | None:
-        if self.dob is None:
-            return None
-        return (self.admit_time - self.dob).days / 365.25
 
     def los_days(self) -> float:
         return (self.discharge_time - self.admit_time).total_seconds() / 86400.0
@@ -85,6 +79,7 @@ class CohortStore:
     rejects: list = field(default_factory=list)
     note_counts: dict = field(default_factory=dict)  # hadm_id -> notes of any category
     gender_by_subject: dict = field(default_factory=dict)
+    dob_by_subject: dict = field(default_factory=dict)
 
     @property
     def n_notes_total(self) -> int:
@@ -140,6 +135,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
     admissions: dict = {}
     rejects: list = []
     genders: dict = {}
+    dobs: dict = {}
 
     for lineno, row in read_rows(
         admissions_path, ["subject_id", "hadm_id", "admit_time", "discharge_time"], rejects
@@ -150,8 +146,8 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
                 hadm_id=row["hadm_id"].strip(),
                 admit_time=_parse_ts(row["admit_time"]),
                 discharge_time=_parse_ts(row["discharge_time"]),
-                dob=_parse_ts(row["dob"]) if row.get("dob") else None,
             )
+            dob = _parse_ts(row["dob"]) if row.get("dob") else None
             if rec.discharge_time < rec.admit_time:
                 raise ValueError("discharge_time before admit_time")
             if rec.hadm_id in admissions:
@@ -162,6 +158,8 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
         admissions[rec.hadm_id] = rec
         if row.get("gender"):
             genders[rec.subject_id] = row["gender"].strip().upper()
+        if dob is not None:
+            dobs[rec.subject_id] = dob
 
     for lineno, row in read_rows(diagnoses_path, ["hadm_id", "icd9_code"], rejects):
         hadm = row["hadm_id"].strip()
@@ -201,6 +199,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
         rejects=rejects,
         note_counts=note_counts,
         gender_by_subject=genders,
+        dob_by_subject=dobs,
     )
 
 
@@ -255,7 +254,8 @@ def summarize_cohort(store: CohortStore, pairs) -> CohortSummary:
     n_disch = sum(1 for r in recs if r.discharge_note is not None)
 
     index_recs = [store.admissions[p.index_hadm_id] for p in pairs] or recs
-    ages = [a for a in (r.age_at_admit() for r in index_recs) if a is not None]
+    ages = [(r.admit_time - store.dob_by_subject[r.subject_id]).days / 365.25
+            for r in index_recs if r.subject_id in store.dob_by_subject]
     median_age, age_iqr = _quartiles(ages) if ages else (None, None)
     los = [r.los_days() for r in index_recs]
     median_los, los_iqr = _quartiles(los) if los else (0.0, (0.0, 0.0))
@@ -288,10 +288,15 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def encode(obj):
+    """The JSON writers' encoder: a record as its fields (``vars``, nested
+    records included), a datetime in ISO format."""
+    return obj.isoformat() if isinstance(obj, datetime) else vars(obj)
+
+
 def write_jsonl(path, objs):
-    """One JSON line per object, keys sorted; a dataclass record is written as
-    its fields (``vars``), nested records included."""
-    atomic_write(path, "".join(json.dumps(o, sort_keys=True, default=vars) + "\n" for o in objs))
+    """One JSON line per object, keys sorted, records through ``encode``."""
+    atomic_write(path, "".join(json.dumps(o, sort_keys=True, default=encode) + "\n" for o in objs))
 
 
 def write_csv(path, cls, records):
@@ -306,18 +311,4 @@ def write_csv(path, cls, records):
         writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
                          for v in (getattr(rec, name) for name in names)])
     atomic_write(path, buf.getvalue())
-
-
-def write_cohort_jsonl(store: CohortStore, path) -> None:
-    write_jsonl(path, (
-        {
-            "subject_id": rec.subject_id,
-            "hadm_id": rec.hadm_id,
-            "admit_time": rec.admit_time.isoformat(),
-            "discharge_time": rec.discharge_time.isoformat(),
-            "icd9_codes": rec.icd9_codes,
-            "discharge_note": rec.discharge_note,
-        }
-        for _, rec in sorted(store.admissions.items())
-    ))
 

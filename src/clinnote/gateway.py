@@ -493,13 +493,17 @@ class LLMGateway:
         missing = [i for i, row in enumerate(rows) if row is None]
         for start in range(0, len(missing), EMBED_BATCH):
             chunk = missing[start:start + EMBED_BATCH]
-            vectors = self._call_backend(self.backend.embed, model, [texts[i] for i in chunk])
+            vectors = [np.asarray(vec, dtype=float) for vec in
+                       self._call_backend(self.backend.embed, model, [texts[i] for i in chunk])]
             if len(vectors) != len(chunk):  # checked before any vector is cached
                 raise ProtocolError(f"asked for {len(chunk)} embeddings, got {len(vectors)}")
+            dims = {len(row) for row in rows + vectors if row is not None}
+            if len(dims) != 1:  # with the rows already held, before any vector is cached
+                raise ProtocolError(f"embedding dimension mismatch in batch: {sorted(dims)}")
             for i, vec in zip(chunk, vectors):
-                rows[i] = np.asarray(vec, dtype=float)
-                self.cache.put(keys[i], {"values": rows[i]})
-        dims = {len(row) for row in rows}
+                rows[i] = vec
+                self.cache.put(keys[i], {"values": vec})
+        dims = {len(row) for row in rows}  # rows read from an older cache
         if len(dims) != 1:
             raise ProtocolError(f"embedding dimension mismatch in batch: {sorted(dims)}")
         return np.array(rows, dtype=float)

@@ -37,11 +37,11 @@ import pathlib
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import cohort as cohort_mod
 from . import stats as stats_mod
-from .cohort import atomic_write, write_csv, write_jsonl
+from .cohort import atomic_write, encode, write_csv, write_jsonl
 from .config import Config
 from .errors import (
     CVInfeasible,
@@ -164,8 +164,8 @@ _ROW_KEY = operator.attrgetter("hadm_id", "variable")
 
 
 def _write_json(path, obj):
-    """Dataclass records are written as their fields (``vars``), keys sorted."""
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=vars) + "\n")
+    """Keys sorted, records through ``cohort.encode``."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=encode) + "\n")
 
 
 class Runner:
@@ -379,7 +379,7 @@ class Runner:
         store = cohort_mod.filter_hf_cohort(store)
         pairs = cohort_mod.build_readmission_pairs(store)
         summary = cohort_mod.summarize_cohort(store, pairs)
-        cohort_mod.write_cohort_jsonl(store, self.path("cohort.jsonl"))
+        write_jsonl(self.path("cohort.jsonl"), (store.admissions[h] for h in sorted(store.admissions)))
         write_csv(self.path("pairs.csv"), cohort_mod.ReadmissionPair, pairs)
         _write_json(self.path("cohort_summary.json"), summary)
         _write_json(self.path("rejects.json"), store.rejects)
@@ -451,7 +451,7 @@ class Runner:
         canon = self._load_canonical_vitals()
         report = {"vitals": [], "categorical": []}
 
-        if self.config.truth_vitals_path and os.path.exists(self.config.truth_vitals_path):
+        if self.config.truth_vitals_path:
             truth_vitals = load_truth_vitals(self.config.truth_vitals_path)
             for variable in VITALS:
                 row = evaluate_vital(
@@ -460,7 +460,7 @@ class Runner:
                 if row:
                     report["vitals"].append(row)
 
-        if self.config.truth_sdoh_path and os.path.exists(self.config.truth_sdoh_path):
+        if self.config.truth_sdoh_path:
             truth_sdoh = load_truth_sdoh(self.config.truth_sdoh_path)
             extracted_charted = {
                 var: {r.hadm_id: r.charted_sdoh.get(var) for r in records}
@@ -545,12 +545,9 @@ class Runner:
                 table = stats_mod.build_contingency(entries, outcomes)
                 result = stats_mod.chi_square_test(table, variable=variable)
                 result.unique_values = len({e.raw_text for e in entries})
-                entry = asdict(result)
-                entry["contingency"] = {
-                    "rows": table.rows,
-                    "counts": table.counts.astype(int).tolist(),
-                }
-                chisq.append(entry)
+                result.contingency = {"rows": table.rows,
+                                      "counts": table.counts.astype(int).tolist()}
+                chisq.append(result)
             except DegenerateTable as exc:
                 chisq.append({"variable": variable, "skipped": str(exc)})
 
@@ -586,13 +583,13 @@ class Runner:
         notes = self._modeling_notes()
         corpora = {"raw": notes, "overall": {}, "no_number": {}, "structural": {}}
         with open(self.path("summaries.jsonl")) as fh:
-            for d in map(json.loads, fh):  # no-number summaries with digits stay out
-                if d["status"] != "contains_numbers":
+            for d in map(json.loads, fh):  # only ok ones: a no-number one with digits is not
+                if d["status"] == "ok":
                     corpora[d["variant"]][d["hadm_id"]] = d["text"]
 
         report = {}
         for variant, docs in corpora.items():
-            hadm_ids = sorted(h for h in docs if h in outcomes)
+            hadm_ids = sorted(docs)
             texts = [docs[h] for h in hadm_ids]
             labels = [outcomes[h] for h in hadm_ids]
             try:

@@ -385,8 +385,6 @@ def evaluate_cv(docs, labels, n_folds=5, seed=0, l2_lambda=1.0, variant="raw"):
     is counted once, and every fold selects its rows from those counts."""
     if len(docs) != len(labels):
         raise InvalidInput("docs and labels must align")
-    if len(docs) < n_folds * 2:
-        raise InvalidInput(f"need at least {n_folds * 2} labeled documents")
     folds = stratified_folds(labels, n_folds, seed)
     labels = np.asarray(labels)
     report = PredictionReport(input_variant=variant, n_folds=n_folds, seed=seed)

@@ -249,6 +249,7 @@ class ChiSquareResult:
     p_value: float
     low_expected: bool
     unique_values: int = 0
+    contingency: dict | None = None  # {"rows": [...], "counts": [[...], ...]}
 
 
 def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:

@@ -13,8 +13,8 @@ from clinnote.cohort import (
     filter_hf_cohort,
     load_tables,
     summarize_cohort,
-    write_cohort_jsonl,
     write_csv,
+    write_jsonl,
 )
 from clinnote.errors import ConfigError
 
@@ -103,6 +103,20 @@ class TestLoadTables:
         assert len(store.admissions) == 1
         assert len(store.rejects) == 1
         assert store.rejects[0]["line"] == 2
+
+    def test_dob_is_kept_per_patient_from_accepted_rows(self, tmp_path):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00", "2030-01-01"),
+             _adm("S1", "H2", "2100-02-01T00:00:00", "2100-02-05T00:00:00"),
+             _adm("S1", "H3", "2100-03-01T00:00:00", "2100-03-05T00:00:00", "2040-01-01"),
+             _adm("S2", "H4", "2100-04-01T00:00:00", "2100-04-05T00:00:00", "not-a-date")],
+            [], [],
+        )
+        store = load_tables(a, d, n)
+        assert sorted(store.admissions) == ["H1", "H2", "H3"]  # H4's dob rejects its row
+        assert [r["line"] for r in store.rejects] == [5]
+        assert store.dob_by_subject == {"S1": datetime(2040, 1, 1)}  # the last non-empty
 
     def test_reject_line_is_the_file_line_a_record_starts_on(self, tmp_path):
         a, d, n = _tables(
@@ -303,6 +317,18 @@ class TestSummary:
             sum(p.label for p in pairs) / len(pairs)
         )
 
+    def test_ages_are_index_admission_ages_from_the_patient_dob(self):
+        recs = [
+            _rec("S1", "H1", T0, T0 + timedelta(days=4)),
+            _rec("S1", "H2", T0 + timedelta(days=10), T0 + timedelta(days=14)),
+            _rec("S2", "H3", T0, T0 + timedelta(days=4)),
+        ]
+        store = CohortStore(admissions={r.hadm_id: r for r in recs},
+                            dob_by_subject={"S1": T0 - timedelta(days=3652)})
+        summary = summarize_cohort(store, build_readmission_pairs(store))
+        assert summary.median_age == pytest.approx(3652 / 365.25)  # H1 only; S2 has no dob
+        assert summarize_cohort(_store(recs), []).median_age is None
+
     def test_three_point_quantiles(self):
         recs = [
             _rec("S1", "H1", T0, T0 + timedelta(days=4)),
@@ -335,7 +361,7 @@ class TestWriters:
         rec = AdmissionRecord("1", "10", datetime(2020, 1, 1), datetime(2020, 1, 3),
                               ["4280"], "Note text.")
         path = tmp_path / "cohort.jsonl"
-        write_cohort_jsonl(CohortStore(admissions={"10": rec}), str(path))
+        write_jsonl(str(path), [rec])
         assert path.read_text() == (
             '{"admit_time": "2020-01-01T00:00:00", "discharge_note": "Note text.", '
             '"discharge_time": "2020-01-03T00:00:00", "hadm_id": "10", '

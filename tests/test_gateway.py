@@ -698,6 +698,56 @@ class TestEmbeddings:
         finally:
             gw.close()
 
+    def test_dimension_mismatch_caches_nothing(self, tmp_path):
+        class BadBackend:
+            def embed(self, model, texts):
+                return [[1, 0], [1, 0, 0]]
+
+        cfg = make_config(tmp_path)
+        gw = LLMGateway(cfg, backend=BadBackend())
+        try:
+            with pytest.raises(ProtocolError, match=r"mismatch in batch: \[2, 3\]"):
+                gw.embed(["a", "b"])
+        finally:
+            gw.close()
+        keys = [_key(kind="embed", backend=gw.backend_id, model=cfg.embed_model, text=t)
+                for t in "ab"]
+        for cache in (gw.cache, JsonlCache(gw.cache.path)):
+            assert [cache.get(key) for key in keys] == [None, None]
+
+    def test_reply_checked_against_the_rows_already_held(self, tmp_path):
+        class Wide(MockBackend):
+            def embed(self, model, texts):
+                return [[*row, 0.0] for row in super().embed(model, texts)]
+
+        cfg = make_config(tmp_path)
+        gw = LLMGateway(cfg)
+        try:
+            gw.embed(["a"])
+            gw.backend = Wide()
+            with pytest.raises(ProtocolError, match="mismatch"):
+                gw.embed(["a", "b"])
+        finally:
+            gw.close()
+        key = _key(kind="embed", backend=gw.backend_id, model=cfg.embed_model, text="b")
+        assert gw.cache.get(key) is None
+
+    def test_older_cache_rows_of_two_dimensions_raise(self, tmp_path):
+        cfg = make_config(tmp_path)
+        os.makedirs(cfg.cache_dir)
+        with open(os.path.join(cfg.cache_dir, "llm_cache.jsonl"), "w") as fh:
+            for text, row in {"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}.items():
+                key = _key(kind="embed", backend=f"mock:{cfg.seed}", model=cfg.embed_model,
+                           text=text)
+                fh.write(json.dumps({"key": key, "response": {"values": row}}) + "\n")
+        gw = LLMGateway(cfg)
+        try:
+            with pytest.raises(ProtocolError, match="mismatch"):
+                gw.embed(["a", "b"])
+        finally:
+            gw.close()
+        assert gw.network_calls == 0
+
     def test_short_reply_raises_before_caching(self, tmp_path):
         asked = []
 

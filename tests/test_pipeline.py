@@ -16,7 +16,7 @@ import pytest
 
 from clinnote import fidelity, normalize, pipeline
 from clinnote.cli import main
-from clinnote.cohort import ReadmissionPair
+from clinnote.cohort import AdmissionRecord, ReadmissionPair, encode
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import (
     CVInfeasible,
@@ -454,6 +454,44 @@ class TestRunner:
         skipped = [r.getMessage() for r in caplog.records if "truth row skipped" in r.message]
         assert len(skipped) == 3
 
+    @pytest.mark.parametrize("key, rows, other", [
+        ("truth_vitals_path", "vitals", "categorical"),
+        ("truth_sdoh_path", "categorical", "vitals"),
+    ])
+    def test_truth_file_named_but_missing_fails_the_stage(self, tmp_path, fixture_run, key,
+                                                          rows, other):
+        out = shutil.copytree(fixture_run[1], tmp_path / "run")
+        cfg = fixture_config(tmp_path)
+        missing = Runner(dataclasses.replace(cfg, **{key: str(tmp_path / "no_such.csv")}),
+                         str(out))
+        with pytest.raises(FileNotFoundError, match="no_such.csv"):
+            missing.run_stage("evaluate-fidelity")
+        empty = Runner(dataclasses.replace(cfg, **{key: ""}), str(out))
+        try:  # an empty path still skips its rows
+            empty.run_stage("evaluate-fidelity")
+        finally:
+            empty.close()
+        report = json.loads((out / "agreement_report.json").read_text())
+        assert report[rows] == [] and report[other]
+
+    def test_predict_admits_only_ok_summaries(self, tmp_path, fixture_run, monkeypatch):
+        out = shutil.copytree(fixture_run[1], tmp_path / "run")
+        rows = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        refused = next(row for row in rows if row["variant"] == "overall")
+        refused["status"] = "refused"
+        (out / "summaries.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        corpora = {}
+
+        def recording(texts, labels, **kwargs):
+            corpora[kwargs["variant"]] = texts
+            return real(texts, labels, **kwargs)
+
+        real = pipeline.evaluate_cv
+        monkeypatch.setattr(pipeline, "evaluate_cv", recording)
+        Runner(fixture_config(tmp_path), str(out)).run_stage("predict")
+        assert refused["text"] not in corpora["overall"]
+        assert len(corpora["overall"]) == len(corpora["raw"]) - 1
+
     def test_unfillable_folds_fail_before_any_request(self, tmp_path):
         runner = Runner(fixture_config(tmp_path, folds=5), str(tmp_path / "run"))
         try:
@@ -702,13 +740,21 @@ def test_table_header_is_its_record_fields(fixture_run, name, record):
     assert header == [f.name for f in dataclasses.fields(record)]
 
 
+def test_cohort_jsonl_rows_are_admission_records(fixture_run):
+    with open(os.path.join(fixture_run[1], "cohort.jsonl")) as fh:
+        keys = [sorted(json.loads(line)) for line in fh]
+    assert keys and all(
+        k == sorted(f.name for f in dataclasses.fields(AdmissionRecord)) for k in keys)
+
+
 def _assert_written_as_asdict(obj):
-    """A record written with ``default=vars`` gives the bytes ``asdict`` gave,
-    as a JSONL line and as an indented report."""
+    """A record written through ``cohort.encode`` gives the bytes ``asdict``
+    gave, as a JSONL line and as an indented report."""
     assert dataclasses.is_dataclass(obj)
     for indent in (None, 2):
-        assert (json.dumps(obj, indent=indent, sort_keys=True, default=vars)
-                == json.dumps(dataclasses.asdict(obj), indent=indent, sort_keys=True))
+        assert (json.dumps(obj, indent=indent, sort_keys=True, default=encode)
+                == json.dumps(dataclasses.asdict(obj), indent=indent, sort_keys=True,
+                              default=encode))
 
 
 @dataclasses.dataclass
@@ -724,8 +770,10 @@ class TestRecordWriters:
         written = []
 
         def recording(real):
+            jsonl = real is pipeline.write_jsonl  # before the patch replaces it
+
             def write(path, objs):
-                objs = list(objs) if real is pipeline.write_jsonl else objs
+                objs = list(objs) if jsonl else objs  # a generator, written once
                 written.append(objs)
                 real(path, objs)
             return write
@@ -749,8 +797,8 @@ class TestRecordWriters:
         for rec in seen:
             _assert_written_as_asdict(rec)
         assert {type(r).__name__ for r in seen} == {
-            "CohortSummary", "ExtractionRecord", "QuarantinedExtraction", "CategoryScheme",
-            "JudgeVerdict", "SummaryRecord"}
+            "AdmissionRecord", "CohortSummary", "ExtractionRecord", "QuarantinedExtraction",
+            "CategoryScheme", "JudgeVerdict", "ChiSquareResult", "SummaryRecord"}
 
     def test_a_non_field_attribute_is_caught(self):
         with pytest.raises(AssertionError):

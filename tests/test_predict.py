@@ -627,8 +627,8 @@ class TestEvaluateCv:
         # matrices alive while the next is built, read about 80.
         assert peak < 66 * nnz
 
-    def test_too_few_docs(self):
-        with pytest.raises(InvalidInput):
+    def test_too_few_docs(self):  # 3 notes per class cannot fill 5 folds
+        with pytest.raises(CVInfeasible):
             evaluate_cv(["a b"] * 6, [0, 1] * 3, n_folds=5)
 
     def test_misaligned_inputs(self):
