@@ -26,11 +26,9 @@ class ProtocolError(ClinNoteError):
 
 
 class ParseFailure(ClinNoteError):
-    """No JSON object could be located in a model reply."""
-
-
-class SchemaViolation(ClinNoteError):
-    """JSON found but it does not fit the expected schema."""
+    """A model reply does not fit: no JSON value where one is expected, a
+    JSON value of the wrong shape, or text the agent's contract rejects.
+    ``chat_with_repair`` answers it with one repair re-prompt."""
 
 
 class ReplyUnusable(ClinNoteError):
@@ -41,11 +39,7 @@ class ReplyUnusable(ClinNoteError):
         self.raw_text = raw_text
 
 
-class InvalidVariable(ClinNoteError):
-    """Unknown extraction variable name."""
-
-
-class SchemeSynthesisFailed(SchemaViolation):
+class SchemeSynthesisFailed(ParseFailure):
     """Category scheme failed validation; synthesis raises it once the
     repair re-prompt has failed too."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidVariable, ReplyUnusable, SchemaViolation
+from .errors import InvalidInput, ParseFailure, ReplyUnusable
 from .gateway import chat_with_repair, find_json
 from .prompts import load_prompt
 
@@ -62,7 +62,7 @@ class ExtractionRecord:
             group = getattr(self, name)
             if variable in group:
                 return group[variable]
-        raise InvalidVariable(f"unknown extraction variable: {variable}")
+        raise InvalidInput(f"unknown extraction variable: {variable}")
 
 
 @dataclass
@@ -114,10 +114,10 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
     dx_src = obj.get("diagnoses")
 
     if not all(isinstance(src, dict) for src in sources.values()):
-        raise SchemaViolation("expected nested objects for SDOH / vitals groups")
+        raise ParseFailure("expected nested objects for SDOH / vitals groups")
     if not (sources["charted_sdoh"] or sources["uncharted_sdoh"] or sources["vitals_raw"]
             or dx_src):
-        raise SchemaViolation("JSON object has none of the expected schema groups")
+        raise ParseFailure("JSON object has none of the expected schema groups")
 
     rec = ExtractionRecord(hadm_id=hadm_id)
     for name, keys in GROUPS.items():
@@ -128,7 +128,7 @@ def parse_structured_output(raw_text, hadm_id="") -> ExtractionRecord:
 
     if dx_src is not None:
         if not isinstance(dx_src, list):
-            raise SchemaViolation("Diagnoses must be a list")
+            raise ParseFailure("Diagnoses must be a list")
         for item in dx_src:
             if not isinstance(item, dict):
                 continue

@@ -55,6 +55,20 @@ def within_tolerance(variable, a, b, unit):
     return abs(a - b) <= spec.native_tolerances[unit]
 
 
+def _row(variable, n_truth, n_pairs, hits, abs_errors=(), pct_errors=()):
+    """One agreement-report row: coverage over admissions with truth,
+    accuracy over admissions with both, and mean errors where measured."""
+    return {
+        "variable": variable,
+        "pct_extracted": 100.0 * n_pairs / n_truth,
+        "cond_acc": (100.0 * hits / n_pairs) if n_pairs else None,
+        "mae": statistics.mean(abs_errors) if abs_errors else None,
+        "mape": statistics.mean(pct_errors) if pct_errors else None,
+        "n_truth": n_truth,
+        "n_pairs": n_pairs,
+    }
+
+
 def evaluate_vital(variable, extracted, truth):
     """One agreement-report row for a numeric vital.
 
@@ -98,15 +112,7 @@ def evaluate_vital(variable, extracted, truth):
         abs_errors.append(abs(vital.value - truth_canon))
         if truth_canon != 0:
             pct_errors.append(abs(vital.value - truth_canon) / abs(truth_canon) * 100.0)
-    return {
-        "variable": variable,
-        "pct_extracted": 100.0 * n_pairs / n_truth,
-        "cond_acc": (100.0 * hits / n_pairs) if n_pairs else None,
-        "mae": statistics.mean(abs_errors) if abs_errors else None,
-        "mape": statistics.mean(pct_errors) if pct_errors else None,
-        "n_truth": n_truth,
-        "n_pairs": n_pairs,
-    }
+    return _row(variable, n_truth, n_pairs, hits, abs_errors, pct_errors)
 
 
 # --- categorical agreement -------------------------------------------------
@@ -151,28 +157,20 @@ def evaluate_categorical(variable, extracted, truth):
         log.warning("no truth values for %s; row omitted", variable)
         return None
     n_truth = len(truth)
-    n_extracted = 0
+    n_pairs = 0
     hits = 0
     for hadm_id, truth_val in truth.items():
         extr = extracted.get(hadm_id)
         if extr is None:
             continue
-        n_extracted += 1
+        n_pairs += 1
         if variable == "age":
             a, b = _age_years(extr), _age_years(truth_val)
             if a is not None and b is not None and abs(a - b) <= 1.0:
                 hits += 1
         elif _canon_category(variable, extr) == _canon_category(variable, truth_val):
             hits += 1
-    return {
-        "variable": variable,
-        "pct_extracted": 100.0 * n_extracted / n_truth,
-        "cond_acc": (100.0 * hits / n_extracted) if n_extracted else None,
-        "mae": None,
-        "mape": None,
-        "n_truth": n_truth,
-        "n_pairs": n_extracted,
-    }
+    return _row(variable, n_truth, n_pairs, hits)
 
 
 # --- LLM-as-a-judge for diagnoses ------------------------------------------

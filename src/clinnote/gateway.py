@@ -47,7 +47,6 @@ from .errors import (
     ProtocolError,
     ReplyUnusable,
     RequestFailed,
-    SchemaViolation,
 )
 from .mock_llm import MockResponder
 
@@ -381,9 +380,7 @@ class LLMGateway:
             with self._lock:
                 cached = self.cache.get(key)
                 if cached is not None:
-                    self.cache_hits += 1
-                    if (counts := REQUEST_COUNTS.get()) is not None:
-                        counts[1] += 1
+                    self._count_hits(1)
                     break
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -397,6 +394,12 @@ class LLMGateway:
         finally:
             with self._lock:
                 self._inflight.pop(key).set()
+
+    def _count_hits(self, n):
+        """Count ``n`` answers read from the cache; the caller holds ``_lock``."""
+        self.cache_hits += n
+        if (counts := REQUEST_COUNTS.get()) is not None:
+            counts[1] += n
 
     def _fetch(self, key, request):
         text = self._call_backend(self.backend.chat, request)
@@ -482,7 +485,8 @@ class LLMGateway:
     def embed(self, texts):
         """One embedding row per text, in input order, as an (n, d) array.
 
-        Texts missing from the cache are sent EMBED_BATCH to a request.
+        Each text found in the cache counts as one cache hit. Texts missing
+        from it are sent EMBED_BATCH to a request.
         """
         if not texts:
             raise InvalidInput("embed() requires a non-empty list of texts")
@@ -491,6 +495,8 @@ class LLMGateway:
                 for text in texts]
         rows = [(self.cache.get(key) or {}).get("values") for key in keys]
         missing = [i for i, row in enumerate(rows) if row is None]
+        with self._lock:
+            self._count_hits(len(rows) - len(missing))
         for start in range(0, len(missing), EMBED_BATCH):
             chunk = missing[start:start + EMBED_BATCH]
             vectors = [np.asarray(vec, dtype=float) for vec in
@@ -531,10 +537,11 @@ def chat_with_repair(gateway, system, user, parse, repair, temperature=None):
 
     Every agent request (extractor, scheme synthesis, labeler, judge and
     summarizer) goes through here. ``parse`` maps the reply text to a
-    result, raising ParseFailure or SchemaViolation when it cannot. On such
-    an error the prompt is sent once more with ``repair`` appended; if that
-    reply fails too, ReplyUnusable carries the last reply text and parse
-    error. ``temperature`` defaults to the config's ``temperature``.
+    result, raising ParseFailure when it cannot: no JSON, the wrong shape,
+    or text the agent rejects. On that error the prompt is sent once more
+    with ``repair`` appended; if that reply fails too, ReplyUnusable
+    carries the last reply text and parse error. ``temperature`` defaults
+    to the config's ``temperature``.
     """
     if temperature is None:
         temperature = gateway.config.temperature
@@ -545,7 +552,7 @@ def chat_with_repair(gateway, system, user, parse, repair, temperature=None):
         ))
         try:
             return parse(reply)
-        except (ParseFailure, SchemaViolation) as err:
+        except ParseFailure as err:
             if attempt:
                 raise ReplyUnusable(str(err), reply) from err
             log.info("agent reply unusable (%s); re-prompting once", err)

@@ -68,7 +68,7 @@ from .fidelity import (
 from .gateway import ON_FIRST_WAIT, RANK, REQUEST_COUNTS, LLMGateway
 from .normalize import NORMALIZED_VARIABLES, LabeledEntry, cluster_variable, normalize_variable
 from .predict import evaluate_cv, stratified_folds
-from .summarize import Summarizer, render_structural
+from .summarize import LLM_VARIANTS, VARIANTS, Summarizer, render_structural
 from .vitals import VITALS, CanonicalVital, canonicalize_record
 
 log = logging.getLogger(__name__)
@@ -462,14 +462,9 @@ class Runner:
 
         if self.config.truth_sdoh_path:
             truth_sdoh = load_truth_sdoh(self.config.truth_sdoh_path)
-            extracted_charted = {
-                var: {r.hadm_id: r.charted_sdoh.get(var) for r in records}
-                for var in CHARTED_KEYS
-            }
             for variable in CHARTED_KEYS:
-                row = evaluate_categorical(
-                    variable, extracted_charted[variable], truth_sdoh.get(variable, {})
-                )
+                extracted = {r.hadm_id: r.charted_sdoh.get(variable) for r in records}
+                row = evaluate_categorical(variable, extracted, truth_sdoh.get(variable, {}))
                 if row:
                     report["categorical"].append(row)
 
@@ -501,23 +496,16 @@ class Runner:
         outcomes = self._outcomes()
         canon = self._load_canonical_vitals()
         records = {r.hadm_id: r for r in self._load_extractions()}
+        # variable -> hadm_id -> predictor value
+        values = {variable: {h: vital.value for h, vital in canon.get(variable, {}).items()}
+                  for variable in VITALS}
+        values["age"] = {h: years for h, r in records.items()
+                         if (years := _age_years(r.charted_sdoh.get("age"))) is not None}
 
         logistic = []
-        for variable in [*VITALS, "age"]:
-            xs, ys = [], []
-            for hadm_id, label in outcomes.items():
-                if variable == "age":
-                    rec = records.get(hadm_id)
-                    years = _age_years(rec.charted_sdoh.get("age")) if rec else None
-                    if years is None:
-                        continue
-                    xs.append(years)
-                else:
-                    vital = canon.get(variable, {}).get(hadm_id)
-                    if vital is None:
-                        continue
-                    xs.append(vital.value)
-                ys.append(label)
+        for variable, by_hadm in values.items():
+            xs = [by_hadm[h] for h in outcomes if h in by_hadm]
+            ys = [label for h, label in outcomes.items() if h in by_hadm]
             try:
                 fit = stats_mod.fit_univariate_logistic(
                     xs, ys, standardize=self.config.standardize, variable=variable
@@ -561,8 +549,7 @@ class Runner:
         # extract's output, read after the requests, while extract runs beside
         waits = self._await_inputs(_STAGE_BY_NAME["summarize"].late, wait=False)
         summarizer = Summarizer(self.gateway)
-        jobs = [(hadm_id, variant) for hadm_id in sorted(notes)
-                for variant in ("overall", "no_number")]
+        jobs = [(hadm_id, variant) for hadm_id in sorted(notes) for variant in LLM_VARIANTS]
 
         def summarize(job):
             self._await_inputs(waits, wait=False)  # no job starts once extract failed
@@ -573,7 +560,7 @@ class Runner:
         records = {r.hadm_id: r for r in self._load_extractions()}
         out = []
         for hadm_id in sorted(notes):
-            out += [summaries[hadm_id, "overall"], summaries[hadm_id, "no_number"]]
+            out += [summaries[hadm_id, variant] for variant in LLM_VARIANTS]
             if hadm_id in records:
                 out.append(render_structural(records[hadm_id], notes[hadm_id]))
         write_jsonl(self.path("summaries.jsonl"), out)
@@ -581,7 +568,7 @@ class Runner:
     def _stage_predict(self):
         outcomes = self._outcomes()
         notes = self._modeling_notes()
-        corpora = {"raw": notes, "overall": {}, "no_number": {}, "structural": {}}
+        corpora = {"raw": notes, **{variant: {} for variant in VARIANTS}}
         with open(self.path("summaries.jsonl")) as fh:
             for d in map(json.loads, fh):  # only ok ones: a no-number one with digits is not
                 if d["status"] == "ok":

@@ -24,7 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import CVInfeasible, InvalidInput, VectorizerDegenerate
-from .stats import sigmoid
+from .stats import negative_log_likelihood, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -212,7 +212,7 @@ def train_classifier(X, y, l2_lambda=1.0, tol=1e-6, max_iter=100):
         return np.concatenate(([r.sum()], r @ X))
 
     def objective(eta, w):
-        return float(np.sum(np.logaddexp(0.0, eta) - y * eta) + 0.5 * (penalty * w) @ w)
+        return float(negative_log_likelihood(y, eta) + 0.5 * (penalty * w) @ w)
 
     w, eta = np.zeros(X.shape[1] + 1), np.zeros(len(y))
     obj, grad = objective(eta, w), backward(sigmoid(eta) - y)  # w = 0: no penalty term

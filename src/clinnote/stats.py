@@ -128,8 +128,8 @@ def sigmoid(eta):
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
 
 
-def _nll(y, eta):
-    # log(1 + exp(eta)) - y*eta, computed stably
+def negative_log_likelihood(y, eta):
+    """Summed logistic loss log(1 + exp(eta)) - y*eta, computed stably."""
     return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
@@ -156,7 +156,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
     xs = (x - np.mean(x)) / sd if standardize else x
     X = np.column_stack([np.ones(n), xs])
     beta = np.zeros(2)
-    nll_path = [_nll(y, X @ beta)]
+    nll_path = [negative_log_likelihood(y, X @ beta)]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -173,11 +173,11 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
         step = 1.0
         for _ in range(30):
             cand = beta + step * delta
-            if _nll(y, X @ cand) <= nll_path[-1] + 1e-12:
+            if negative_log_likelihood(y, X @ cand) <= nll_path[-1] + 1e-12:
                 break
             step /= 2.0
         beta = beta + step * delta
-        nll_path.append(_nll(y, X @ beta))
+        nll_path.append(negative_log_likelihood(y, X @ beta))
 
         scaled_b1 = beta[1] if standardize else beta[1] * sd
         if abs(scaled_b1) > SEPARATION_BETA_BOUND:

@@ -13,14 +13,15 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidInput, ReplyUnusable, SchemaViolation
+from .errors import InvalidInput, ParseFailure, ReplyUnusable
 from .extraction import GROUPS
 from .gateway import chat_with_repair
 from .prompts import load_prompt
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("overall", "no_number", "structural")
+LLM_VARIANTS = ("overall", "no_number")  # prompted; each has its summary_<variant> prompt
+VARIANTS = (*LLM_VARIANTS, "structural")
 
 _DIGIT_RE = re.compile(r"[0-9]")
 
@@ -60,19 +61,17 @@ def _record(hadm_id, variant, text, note, status="ok"):
 
 
 def _numeral_free(text):
-    """The reply itself, or SchemaViolation when it has a numeral."""
+    """The reply itself, or ParseFailure when it has a numeral, so
+    ``chat_with_repair`` re-prompts once to remove them."""
     if contains_digits(text):
-        raise SchemaViolation("no-number summary contains numerals")
+        raise ParseFailure("no-number summary contains numerals")
     return text
 
 
 class Summarizer:
     def __init__(self, gateway):
         self.gateway = gateway
-        self._prompts = {
-            "overall": load_prompt("summary_overall"),
-            "no_number": load_prompt("summary_no_number"),
-        }
+        self._prompts = {variant: load_prompt(f"summary_{variant}") for variant in LLM_VARIANTS}
 
     def summarize(self, note, variant, hadm_id="") -> SummaryRecord:
         """Summarize one note; no_number output is digit-checked.
@@ -83,7 +82,7 @@ class Summarizer:
         """
         if not note or not note.strip():
             raise InvalidInput("note must be non-empty")
-        if variant not in ("overall", "no_number"):
+        if variant not in LLM_VARIANTS:
             raise InvalidInput(f"unknown summary variant: {variant}")
         status = "ok"
         try:

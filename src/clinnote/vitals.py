@@ -13,6 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
+from .errors import InvalidInput
 from .extraction import VITALS_KEYS
 
 log = logging.getLogger(__name__)
@@ -199,7 +200,7 @@ def parse_vital(variable, text, hadm_id=""):
     each with a ``status``. Never drops silently.
     """
     if variable not in _PARSERS:
-        raise KeyError(f"unknown vital variable: {variable}")
+        raise InvalidInput(f"unknown vital variable: {variable}")
     return _PARSERS[variable](hadm_id, "" if text is None else str(text))
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from clinnote.errors import InvalidVariable, ParseFailure, SchemaViolation
+from clinnote.errors import InvalidInput, ParseFailure
 from clinnote.extraction import (
     CHARTED_KEYS,
     CHIEF_KEYS,
@@ -92,12 +92,12 @@ class TestParseStructuredOutput:
         with pytest.raises(ParseFailure):
             parse_structured_output("I could not process this note.")
 
-    def test_wrong_shape_raises_schema_violation(self):
-        with pytest.raises(SchemaViolation):
+    def test_wrong_shape_raises_parse_failure(self):
+        with pytest.raises(ParseFailure):
             parse_structured_output('{"unrelated": 1}')
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ParseFailure):
             parse_structured_output('{"Charted_SDOHs": "not an object"}')
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ParseFailure):
             parse_structured_output('{"Diagnoses": {"Condition": "x"}}')
 
     def test_diagnoses_skip_malformed_items(self):
@@ -114,14 +114,14 @@ class TestParseStructuredOutput:
     def test_get_unknown_variable_raises(self):
         rec = parse_structured_output(FULL_REPLY)
         assert rec.get("blood_pressure") == rec.vitals_raw["blood_pressure"]
-        with pytest.raises(InvalidVariable):
+        with pytest.raises(InvalidInput):
             rec.get("shoe_size")
 
     @given(st.text(max_size=120))
     def test_arbitrary_text_never_returns_partial_schema(self, text):
         try:
             rec = parse_structured_output(text)
-        except (ParseFailure, SchemaViolation):
+        except ParseFailure:
             return
         assert set(rec.vitals_raw) == set(VITALS_KEYS)
 

@@ -27,7 +27,7 @@ from clinnote.errors import (
 )
 from clinnote.extraction import QuarantinedExtraction
 from clinnote.fixture import write_fixture
-from clinnote.gateway import LLMGateway, MockBackend
+from clinnote.gateway import REQUEST_COUNTS, LLMGateway, MockBackend
 from clinnote.normalize import LabeledEntry
 from clinnote.pipeline import STAGE_TABLE, STAGES, Runner, package_hash, report_hash
 from clinnote.prompts import PromptTemplate, load_prompt
@@ -288,6 +288,35 @@ class TestRunner:
         assert second["stages"]["predict"]["cache_hits"] == 0
         assert second["stages"]["extract"] == stages["extract"]
         assert second["stages"]["extract"]["network_calls"] == 10
+
+    def test_a_warm_cache_run_counts_every_answer_as_a_hit(self, tmp_path, monkeypatch):
+        cfg = fixture_config(tmp_path)
+        run_all(cfg, str(tmp_path / "cold"))
+        gateway = LLMGateway(cfg)
+        asked = []  # (the asking stage's request counts, texts embedded or None for a chat)
+
+        def chat(request, chat=gateway.chat):
+            asked.append((REQUEST_COUNTS.get(), None))
+            return chat(request)
+
+        def embed(texts, embed=gateway.embed):
+            asked.append((REQUEST_COUNTS.get(), texts))
+            return embed(texts)
+
+        monkeypatch.setattr(gateway, "chat", chat)
+        monkeypatch.setattr(gateway, "embed", embed)
+        try:
+            stages = Runner(cfg, str(tmp_path / "warm"), gateway=gateway).run_all()["stages"]
+        finally:
+            gateway.close()
+        assert gateway.network_calls == 0
+        assert all(entry["network_calls"] == 0 for entry in stages.values())
+        assert sum(entry["cache_hits"] for entry in stages.values()) == gateway.cache_hits
+        [normalize] = {id(counts): counts for counts, texts in asked if texts is not None}.values()
+        chats = sum(counts is normalize and texts is None for counts, texts in asked)
+        embedded = {text for counts, texts in asked if texts is not None for text in texts}
+        assert chats > 0 and embedded
+        assert stages["normalize"]["cache_hits"] == chats + len(embedded)
 
     @pytest.mark.parametrize("key, value, rerun", [
         ("folds", 4, ["predict"]),

@@ -10,6 +10,7 @@ from clinnote.errors import (
     DegeneratePredictor,
     DegenerateTable,
     InvalidInput,
+    NoConvergence,
     SeparationDetected,
 )
 from clinnote.stats import (
@@ -22,6 +23,7 @@ from clinnote.stats import (
     fit_univariate_logistic,
     normal_sf,
     regularized_gamma_q,
+    sigmoid,
 )
 
 # Chi-square upper-tail reference values (df, x, expected sf), frozen from an
@@ -255,6 +257,22 @@ class TestLogistic:
         y = np.concatenate([np.zeros(10), np.ones(10)])
         with pytest.raises(SeparationDetected):
             fit_univariate_logistic(x, y)
+
+    def test_iteration_budget_spent_far_from_optimum_raises(self):
+        x, y = _simulated_logit_data()  # needs four IRLS steps
+        message = r"IRLS for 'x' stopped at gradient norm [0-9.e+-]+$"
+        with pytest.raises(NoConvergence, match=message):
+            fit_univariate_logistic(x, y, variable="x", max_iter=1)
+
+    def test_iteration_budget_spent_near_optimum_returns_the_fit(self):
+        x, y = _simulated_logit_data()
+        fit = fit_univariate_logistic(x, y, variable="x", tol=1e-14, max_iter=4)
+        X = np.column_stack([np.ones(len(x)), (x - x.mean()) / x.std()])
+        grad_norm = np.linalg.norm(X.T @ (y - sigmoid(X @ [fit.intercept, fit.coef])))
+        assert fit.n_iter == 4 and 1e-14 <= grad_norm < 1e-4
+        full = fit_univariate_logistic(x, y, variable="x")
+        assert fit.coef == pytest.approx(full.coef, rel=1e-6)
+        assert fit.std_err == pytest.approx(full.std_err, rel=1e-6)
 
     def test_separation_bound_constant(self):
         assert SEPARATION_BETA_BOUND == 30.0

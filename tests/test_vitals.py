@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from clinnote.errors import InvalidInput
 from clinnote.extraction import VITALS_KEYS
 from clinnote.fidelity import normalize_unit
 from clinnote import vitals
@@ -157,7 +158,7 @@ class TestSimpleVitals:
         assert v.value is None and v.original_text == ""
 
     def test_unknown_variable(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidInput):
             parse_vital("cholesterol", "200")
 
 
