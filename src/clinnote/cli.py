@@ -46,8 +46,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    runner = Runner(config, args.out)
+    runner = None
     try:
+        runner = Runner(config, args.out)
         if args.stage == "run-all":
             runner.run_all()
         else:
@@ -64,7 +65,8 @@ def main(argv=None):
             raise
         return 4
     finally:
-        runner.close()
+        if runner is not None:
+            runner.close()
     return 0
 
 

@@ -130,7 +130,8 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
     Malformed rows are collected into ``store.rejects`` with their line
     numbers; a missing required column is fatal. When an admission has
     several discharge-summary notes, the latest chart_date wins (ties:
-    last row wins).
+    last row wins). A discharge row whose text is blank counts in
+    ``note_counts`` but is not a discharge note.
     """
     admissions: dict = {}
     rejects: list = []
@@ -180,7 +181,7 @@ def load_tables(admissions_path, diagnoses_path, notes_path) -> CohortStore:
             continue
         note_counts[hadm] = note_counts.get(hadm, 0) + 1
         category = row["category"].strip().lower()
-        if "discharge" not in category:
+        if "discharge" not in category or not row["text"].strip():
             continue
         try:
             chart_date = _parse_ts(row["chart_date"])

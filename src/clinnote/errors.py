@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline; each class's docstring
+names its failure policy."""
 
 
 class ClinNoteError(Exception):
@@ -6,23 +7,28 @@ class ClinNoteError(Exception):
 
 
 class ConfigError(ClinNoteError):
-    """Bad configuration: unknown key, type mismatch, or missing file."""
+    """Bad configuration: unknown key, type mismatch, or missing file. The
+    CLI exits with code 2."""
 
 
 class InvalidInput(ClinNoteError):
-    """Caller violated an operation precondition."""
+    """Caller violated an operation precondition. No stage catches it, so
+    the stage fails."""
 
 
 class RequestFailed(ClinNoteError):
-    """Gateway request exhausted its retries or got a non-2xx status."""
+    """Gateway request exhausted its retries or got a non-2xx status. Never
+    cached; the stage fails."""
 
 
 class EmptyResponse(ClinNoteError):
-    """The endpoint returned an empty completion."""
+    """The endpoint returned an empty completion. Never cached; the stage
+    fails."""
 
 
 class ProtocolError(ClinNoteError):
-    """Endpoint reply violated the wire protocol (e.g. mixed embedding dims)."""
+    """Endpoint reply violated the wire protocol (e.g. mixed embedding dims).
+    Never cached; the stage fails."""
 
 
 class ParseFailure(ClinNoteError):
@@ -32,7 +38,8 @@ class ParseFailure(ClinNoteError):
 
 
 class ReplyUnusable(ClinNoteError):
-    """An agent reply still failed to parse after the one repair re-prompt."""
+    """An agent reply still failed to parse after the one repair re-prompt.
+    The agent records it as that item's outcome."""
 
     def __init__(self, message, raw_text):
         super().__init__(message)
@@ -41,39 +48,25 @@ class ReplyUnusable(ClinNoteError):
 
 class SchemeSynthesisFailed(ParseFailure):
     """Category scheme failed validation; synthesis raises it once the
-    repair re-prompt has failed too."""
+    repair re-prompt has failed too, and normalize fails."""
 
 
 class JudgeFailed(ClinNoteError):
-    """Diagnosis judge reply unusable after the repair attempt."""
+    """Diagnosis judge reply unusable after the repair attempt.
+    Evaluate-fidelity counts it in the judge report's ``n_failed``."""
 
 
-class SeparationDetected(ClinNoteError):
-    """Logistic fit diverged: the classes are (quasi-)completely separated."""
-
-
-class NoConvergence(ClinNoteError):
-    """Iterative fit did not reach tolerance within the iteration budget."""
-
-
-class DegeneratePredictor(ClinNoteError):
-    """Predictor is constant (or otherwise unusable) for regression."""
-
-
-class DegenerateTable(ClinNoteError):
-    """Contingency table has fewer than two usable rows."""
-
-
-class VectorizerDegenerate(ClinNoteError):
-    """TF-IDF fit produced an empty vocabulary."""
-
-
-class CVInfeasible(ClinNoteError):
-    """Stratified folds could not be built with both classes present."""
+class NoEstimate(ClinNoteError):
+    """The data admits no estimate: a separated or non-converging logistic
+    fit, a constant predictor, too few observations or one outcome class, a
+    degenerate contingency table, an empty vocabulary, or folds that cannot
+    hold both classes. Associate and predict record the row or variant as
+    ``skipped``, with the message."""
 
 
 class DependencyMissing(ClinNoteError):
-    """A stage's prerequisite has not run here with this version of clinnote."""
+    """A stage's prerequisite has not run here with this version of clinnote.
+    The CLI exits with code 3."""
 
     def __init__(self, stage):
         super().__init__(f"run prerequisite stage '{stage}' first: this run directory "

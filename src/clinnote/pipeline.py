@@ -43,17 +43,7 @@ from . import cohort as cohort_mod
 from . import stats as stats_mod
 from .cohort import atomic_write, encode, write_csv, write_jsonl
 from .config import Config
-from .errors import (
-    CVInfeasible,
-    DegeneratePredictor,
-    DegenerateTable,
-    DependencyMissing,
-    InvalidInput,
-    JudgeFailed,
-    NoConvergence,
-    SeparationDetected,
-    VectorizerDegenerate,
-)
+from .errors import DependencyMissing, InvalidInput, JudgeFailed, NoEstimate
 from .extraction import CHARTED_KEYS, ExtractionRecord, Extractor, QuarantinedExtraction
 from .fidelity import (
     _age_years,
@@ -183,12 +173,15 @@ class Runner:
     # -- manifest ----------------------------------------------------------
 
     def _load_manifest(self):
-        """The run dir's manifest, or a fresh one if other code wrote it."""
-        if os.path.exists(self.manifest_path):
+        """The run dir's manifest, or a fresh one if other code wrote it; a
+        file that is no JSON object, a truncated one say, counts as such."""
+        try:
             with open(self.manifest_path) as fh:
                 manifest = json.load(fh)
-            if manifest.get("code") == package_hash():
-                return manifest
+        except (FileNotFoundError, ValueError):
+            manifest = None
+        if isinstance(manifest, dict) and manifest.get("code") == package_hash():
+            return manifest
         return {"code": package_hash(), "stages": {}}
 
     def _input_hashes(self, stage: Stage):
@@ -289,8 +282,8 @@ class Runner:
         n_pos, n_neg = sum(labels), len(labels) - sum(labels)
         try:  # fail before any LLM call
             stratified_folds(labels, self.config.folds, self.config.seed)
-        except CVInfeasible as exc:
-            raise CVInfeasible(
+        except NoEstimate as exc:
+            raise NoEstimate(
                 f"{n_pos} readmitted and {n_neg} not readmitted labelled notes "
                 f"cannot fill {self.config.folds} folds with both classes") from exc
         done, failures = {"ingest"}, {}
@@ -511,8 +504,7 @@ class Runner:
                     xs, ys, standardize=self.config.standardize, variable=variable
                 )
                 logistic.append(fit.to_dict())
-            except (InvalidInput, DegeneratePredictor, SeparationDetected,
-                    NoConvergence) as exc:
+            except NoEstimate as exc:
                 logistic.append({"variable": variable, "skipped": str(exc), "n": len(xs)})
 
         # gender bypasses normalization but still gets a chi-square row
@@ -536,7 +528,7 @@ class Runner:
                 result.contingency = {"rows": table.rows,
                                       "counts": table.counts.astype(int).tolist()}
                 chisq.append(result)
-            except DegenerateTable as exc:
+            except NoEstimate as exc:
                 chisq.append({"variable": variable, "skipped": str(exc)})
 
         _write_json(
@@ -588,7 +580,7 @@ class Runner:
                     variant=variant,
                 )
                 report[variant] = result.to_dict()
-            except (InvalidInput, CVInfeasible, VectorizerDegenerate) as exc:
+            except NoEstimate as exc:
                 report[variant] = {"input_variant": variant, "skipped": str(exc),
                                    "n_docs": len(texts)}
         _write_json(self.path("prediction_report.json"), report)

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import CVInfeasible, InvalidInput, VectorizerDegenerate
+from .errors import InvalidInput, NoEstimate
 from .stats import negative_log_likelihood, sigmoid
 
 log = logging.getLogger(__name__)
@@ -162,7 +162,7 @@ def fit_vectorizer(counts: TermCounts) -> Vectorizer:
     df = np.bincount(counts.indices, minlength=len(counts.terms))  # a row holds a term once
     columns = np.flatnonzero(df >= MIN_DF)
     if not len(columns):
-        raise VectorizerDegenerate("no token appears in >= 2 training documents")
+        raise NoEstimate("no token appears in >= 2 training documents")
     vocabulary = dict(zip(map(counts.terms.__getitem__, columns.tolist()), range(len(columns))))
     idf_of = np.array([math.log((1 + n) / (1 + k)) + 1.0 for k in range(n + 1)])
     return Vectorizer(vocabulary=vocabulary, idf=idf_of[df[columns]])
@@ -305,11 +305,11 @@ def stratified_folds(labels, n_folds, seed):
     Each fold's positive count differs from the ideal by at most one
     sample. A class of c notes fills folds 0..c-1 whatever the shuffle, so
     both classes reach every fold exactly when each has ``n_folds`` notes;
-    else CVInfeasible (``Runner.run_all`` asks here before any request).
+    else NoEstimate (``Runner.run_all`` asks here before any request).
     """
     labels = np.asarray(labels)
     if min(np.sum(labels == 0), np.sum(labels == 1)) < n_folds:
-        raise CVInfeasible(f"could not build {n_folds} folds with both classes")
+        raise NoEstimate(f"could not build {n_folds} folds with both classes")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
     for cls in (0, 1):

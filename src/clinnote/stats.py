@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePredictor,
-    DegenerateTable,
-    InvalidInput,
-    NoConvergence,
-    SeparationDetected,
-)
+from .errors import InvalidInput, NoEstimate
 
 # --- special functions -----------------------------------------------------
 
@@ -146,12 +140,12 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
         raise InvalidInput("x and y must be equal-length 1-d arrays")
     n = len(x)
     if n < 10:
-        raise InvalidInput("need at least 10 observations")
+        raise NoEstimate("need at least 10 observations")
     if not (np.any(y == 0) and np.any(y == 1)):
-        raise InvalidInput("y must contain both classes")
+        raise NoEstimate("y must contain both classes")
     sd = float(np.std(x))
     if sd == 0:
-        raise DegeneratePredictor(f"constant predictor {variable!r}")
+        raise NoEstimate(f"constant predictor {variable!r}")
 
     xs = (x - np.mean(x)) / sd if standardize else x
     X = np.column_stack([np.ones(n), xs])
@@ -168,7 +162,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
         try:
             delta = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
-            raise SeparationDetected(f"singular information matrix for {variable!r}") from exc
+            raise NoEstimate(f"singular information matrix for {variable!r}") from exc
         # step halving keeps the NLL monotone even when Newton overshoots
         step = 1.0
         for _ in range(30):
@@ -181,9 +175,8 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
 
         scaled_b1 = beta[1] if standardize else beta[1] * sd
         if abs(scaled_b1) > SEPARATION_BETA_BOUND:
-            raise SeparationDetected(
-                f"|beta1| = {abs(scaled_b1):.1f} on standardized scale for {variable!r}"
-            )
+            raise NoEstimate(
+                f"|beta1| = {abs(scaled_b1):.1f} on standardized scale for {variable!r}")
         if float(np.linalg.norm(grad)) < tol:
             converged = True
             break
@@ -192,9 +185,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
     if not converged:
         grad_norm = float(np.linalg.norm(X.T @ (y - p)))
         if grad_norm >= 1e-4:
-            raise NoConvergence(
-                f"IRLS for {variable!r} stopped at gradient norm {grad_norm:.3g}"
-            )
+            raise NoEstimate(f"IRLS for {variable!r} stopped at gradient norm {grad_norm:.3g}")
     w = np.clip(p * (1.0 - p), 1e-12, None)
     cov = np.linalg.inv(X.T @ (X * w[:, None]))
     se = math.sqrt(cov[1, 1])
@@ -203,7 +194,7 @@ def fit_univariate_logistic(x, y, standardize=True, variable="", tol=1e-8, max_i
     try:
         ci95 = (math.exp(beta[1] - 1.96 * se), math.exp(beta[1] + 1.96 * se))
     except OverflowError as exc:  # unstandardized, the separation bound does not cap beta1
-        raise DegeneratePredictor(
+        raise NoEstimate(
             f"odds ratio per unit of {variable!r} overflows a float; standardize it"
         ) from exc
     return LogisticFit(
@@ -257,10 +248,10 @@ def chi_square_test(table: ContingencyTable, variable="") -> ChiSquareResult:
     counts = table.counts[table.counts.sum(axis=1) > 0]
     r = counts.shape[0]
     if r < 2:
-        raise DegenerateTable("need at least 2 rows with nonzero counts")
+        raise NoEstimate("need at least 2 rows with nonzero counts")
     col = counts.sum(axis=0)
     if np.any(col == 0):
-        raise DegenerateTable("both outcome columns must be nonzero")
+        raise NoEstimate("both outcome columns must be nonzero")
     n = counts.sum()
     expected = np.outer(counts.sum(axis=1), col) / n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -296,7 +287,7 @@ def build_contingency(labeled, outcomes) -> ContingencyTable:
             continue
         counts.setdefault(cat, [0, 0])[int(outcome)] += 1
     if not counts:
-        raise DegenerateTable("no labeled entries joined an outcome")
+        raise NoEstimate("no labeled entries joined an outcome")
     ordered = sorted(counts)
     matrix = np.array([counts[r] for r in ordered], dtype=float)
     return ContingencyTable(rows=ordered, counts=matrix, dropped=dropped)

@@ -81,6 +81,26 @@ class TestLoadTables:
         store = load_tables(a, d, n)
         assert store.admissions["H1"].discharge_note == "late"
 
+    def test_blank_discharge_text_is_no_note(self, tmp_path):
+        a, d, n = _tables(
+            tmp_path,
+            [_adm("S1", "H1", "2100-01-01T00:00:00", "2100-01-05T00:00:00"),
+             _adm("S2", "H2", "2100-01-01T00:00:00", "2100-01-05T00:00:00")],
+            [],
+            [
+                {"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+                 "chart_date": "2100-01-04T00:00:00", "text": "early"},
+                {"subject_id": "S1", "hadm_id": "H1", "category": "Discharge summary",
+                 "chart_date": "2100-01-05T00:00:00", "text": " \n\t "},
+                {"subject_id": "S2", "hadm_id": "H2", "category": "Discharge summary",
+                 "chart_date": "2100-01-05T00:00:00", "text": "   "},
+            ],
+        )
+        store = load_tables(a, d, n)
+        assert store.admissions["H1"].discharge_note == "early"  # the blank one is no rival
+        assert store.admissions["H2"].discharge_note is None
+        assert store.note_counts == {"H1": 2, "H2": 1}
+
     def test_multiline_note_text(self, tmp_path):
         a, d, n = _tables(
             tmp_path,

@@ -19,10 +19,10 @@ from clinnote.cli import main
 from clinnote.cohort import AdmissionRecord, ReadmissionPair, encode
 from clinnote.config import Config, config_from_dict, validate_config
 from clinnote.errors import (
-    CVInfeasible,
     ConfigError,
     DependencyMissing,
     InvalidInput,
+    NoEstimate,
     RequestFailed,
 )
 from clinnote.extraction import QuarantinedExtraction
@@ -446,6 +446,18 @@ class TestRunner:
         assert exc.value.stage == "ingest"
         assert runner._gateway is None  # no request could have been sent
 
+    @pytest.mark.parametrize("text", ['{"code": ', "[]", "null", '"stages"', "\udcff"])
+    def test_manifest_that_is_no_json_object_starts_afresh(self, tmp_path, fixture_run,
+                                                          text):
+        out = shutil.copytree(fixture_run[1], tmp_path / "run")
+        (out / "manifest.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        runner = Runner(fixture_config(tmp_path), str(out))
+        assert runner.manifest == {"code": package_hash(), "stages": {}}
+        with pytest.raises(DependencyMissing):
+            runner.run_stage("extract")
+        runner.run_stage("ingest")
+        assert list(json.loads((out / "manifest.json").read_text())["stages"]) == ["ingest"]
+
     def test_edited_output_reruns_its_stage(self, tmp_path):
         cfg = fixture_config(tmp_path)
         out = str(tmp_path / "run")
@@ -524,7 +536,7 @@ class TestRunner:
     def test_unfillable_folds_fail_before_any_request(self, tmp_path):
         runner = Runner(fixture_config(tmp_path, folds=5), str(tmp_path / "run"))
         try:
-            with pytest.raises(CVInfeasible, match="6 readmitted and 4 not readmitted.* 5 folds"):
+            with pytest.raises(NoEstimate, match="6 readmitted and 4 not readmitted.* 5 folds"):
                 runner.run_all()
             assert runner.gateway.network_calls == 0
             assert list(runner.manifest["stages"]) == ["ingest"]
@@ -557,6 +569,60 @@ class TestRunner:
         assert pred["structural"]["skipped"] == "no token appears in >= 2 training documents"
         for variant in ("raw", "overall", "no_number"):
             assert "per_fold" in pred[variant], variant
+
+    @pytest.mark.parametrize("stage, target", [
+        ("associate", "clinnote.stats.fit_univariate_logistic"),
+        ("predict", "clinnote.pipeline.evaluate_cv"),
+    ])
+    def test_invalid_input_fails_the_stage(self, tmp_path, fixture_run, monkeypatch, stage,
+                                           target):
+        """A caller's mistake is no skipped row: the stage fails and writes
+        no report."""
+        out = shutil.copytree(fixture_run[1], tmp_path / "run")
+        edit_manifest(out, lambda manifest: manifest["stages"].pop(stage))
+        (report,) = pipeline._STAGE_BY_NAME[stage].reports
+        before = (out / report).read_bytes()
+
+        def mistaken(*args, **kwargs):
+            raise InvalidInput("a caller's mistake")
+
+        monkeypatch.setattr(target, mistaken)
+        with pytest.raises(InvalidInput, match="a caller's mistake"):
+            Runner(fixture_config(tmp_path), str(out)).run_stage(stage)
+        assert (out / report).read_bytes() == before
+        assert stage not in json.loads((out / "manifest.json").read_text())["stages"]
+
+    def test_blank_discharge_note_is_sent_nowhere(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        with open(cfg.notes_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["hadm_id"] == "H001"
+        rows[0]["text"] = "   \n  "
+        with open(cfg.notes_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        sent = []
+
+        class Recording(MockBackend):
+            def chat(self, request):
+                sent.append(request.user_content)
+                return super().chat(request)
+
+        out = tmp_path / "run"
+        gateway = LLMGateway(cfg, backend=Recording())
+        try:
+            Runner(cfg, str(out), gateway=gateway).run_all()
+        finally:
+            gateway.close()
+        cohort = {d["hadm_id"]: d for d in
+                  map(json.loads, (out / "cohort.jsonl").read_text().splitlines())}
+        assert cohort["H001"]["discharge_note"] is None
+        for name in ("extractions.jsonl", "summaries.jsonl"):
+            hadm_ids = {json.loads(line)["hadm_id"]
+                        for line in (out / name).read_text().splitlines()}
+            assert len(hadm_ids) == 9 and "H001" not in hadm_ids, name
+        assert sent and all(text.strip() for text in sent)
 
     def test_stage_inputs_are_earlier_reports(self):
         produced = set()
@@ -1429,6 +1495,21 @@ class TestCli:
         assert main(["run-all", "--config", config, "--out", out, "--mock"]) == 0
         edit_manifest(out, other_code)
         assert main(["predict", "--config", config, "--out", out, "--mock"]) == 3
+
+    def test_truncated_manifest_starts_afresh(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"code": ')
+        assert main(["ingest", "--config", self._write_config(tmp_path),
+                     "--out", str(out), "--mock"]) == 0
+        assert list(json.loads((out / "manifest.json").read_text())["stages"]) == ["ingest"]
+
+    def test_out_that_is_a_file_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert main(["ingest", "--config", self._write_config(tmp_path),
+                     "--out", str(out), "--mock"]) == 4
+        assert capsys.readouterr().err.startswith("stage failure: ")
 
 
 class TestPackageHash:

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from clinnote.errors import InvalidInput, VectorizerDegenerate
+from clinnote.errors import InvalidInput, NoEstimate
 from clinnote.predict import MIN_DF, CsrMatrix
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -77,7 +77,7 @@ def fit_vectorizer(train_docs) -> Vectorizer:
         df.update(set(tokens))
     terms = sorted(t for t, c in df.items() if c >= MIN_DF)
     if not terms:
-        raise VectorizerDegenerate("no token appears in >= 2 training documents")
+        raise NoEstimate("no token appears in >= 2 training documents")
     n = len(train_docs)
     vocabulary = {t: i for i, t in enumerate(terms)}
     idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
